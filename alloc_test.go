@@ -170,3 +170,29 @@ func TestZeroAllocSharded(t *testing.T) {
 	assertZeroAllocs(t, "sharded/countsketch/Increment", func() { cs.Increment(allocItems[i%512]); i++ })
 	assertZeroAllocs(t, "sharded/countsketch/Query", func() { _ = cs.Query(allocItems[i%512]); i++ })
 }
+
+// TestZeroAllocMonitor covers the heavy-hitter trackers: a steady-state
+// Process is one fused conservative update plus, at most, a heap re-key or
+// displacement — none of which may allocate. The windowed tracker's
+// rotation interval is small enough that the measured runs cross bucket
+// boundaries and reset candidate heaps.
+func TestZeroAllocMonitor(t *testing.T) {
+	opt := Options{Width: 1 << 10, Seed: 1}
+	m := MustBuild(MonitorOf(opt, 64)).(*Monitor)
+	wopt := opt
+	wopt.Merge = MergeSum
+	wm := MustBuild(Windowed(MonitorOf(wopt, 64), 4, 64)).(*WindowedMonitor)
+	for _, s := range []struct {
+		tag     string
+		process func(uint64)
+	}{
+		{"monitor", m.Process},
+		{"windowed-monitor", wm.Process},
+	} {
+		for _, x := range allocItems {
+			s.process(x)
+		}
+		i := 0
+		assertZeroAllocs(t, s.tag+"/Process", func() { s.process(allocItems[i%512]); i++ })
+	}
+}

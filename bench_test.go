@@ -1,6 +1,7 @@
 package salsa
 
-// One benchmark per evaluation figure (DESIGN.md §3): these cover the
+// One benchmark per evaluation figure (named by the ids `salsabench -list`
+// maps to the paper's figures, e.g. fig8ab = Fig. 8a,b): these cover the
 // throughput claims (Figs. 8a/b, 10e–h, 16c/d) directly and exercise the
 // exact sketch configurations behind the error figures, whose series are
 // regenerated by cmd/salsabench. The Ablation benches time the design
@@ -648,4 +649,22 @@ func BenchmarkPublicAPI(b *testing.B) {
 		m := NewMonitor(Options{Width: 1 << 14, Seed: 1}, 100)
 		benchUpdates(b, m.Process)
 	})
+}
+
+// BenchmarkMonitorProcess times the heavy-hitter Monitor at the salsad
+// agent's shape (w=2^10, k=64): one conservative update plus the top-k heap
+// refresh per item, on a skewed trace (NY18) and a flatter one (Univ2).
+func BenchmarkMonitorProcess(b *testing.B) {
+	for _, d := range []stream.Dataset{stream.NY18, stream.Univ2} {
+		b.Run(d.Name, func(b *testing.B) {
+			data := d.Generate(1<<18, 99)
+			mask := benchMask(b, data)
+			m := MustBuild(MonitorOf(Options{Width: 1 << 10, Seed: 1}, 64)).(*Monitor)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Process(data[i&mask])
+			}
+		})
+	}
 }

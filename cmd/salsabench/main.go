@@ -1,5 +1,6 @@
 // Command salsabench regenerates the paper's evaluation figures
-// (DESIGN.md §3 maps ids to figures) and measures the operational layers.
+// (`salsabench -list` maps ids to figures) and measures the operational
+// layers.
 // Each figure run prints one CSV block per experiment: series, x, y-mean,
 // and the 95% Student-t half-width over the trials.
 //

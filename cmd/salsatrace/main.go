@@ -1,6 +1,6 @@
 // Command salsatrace generates and summarizes the synthetic traces that
-// stand in for the paper's datasets (DESIGN.md §2): the four named trace
-// substitutes and arbitrary Zipf streams.
+// stand in for the paper's datasets (internal/stream documents how each is
+// matched): the four named trace substitutes and arbitrary Zipf streams.
 //
 // Usage:
 //

@@ -141,8 +141,10 @@ func (c *CountMin) Subtract(other *CountMin) { c.sk.SubtractFrom(other.sk) }
 func (c *CountMin) Distinct() (float64, error) { return c.sk.DistinctLinearCounting() }
 
 // Monitor couples a CountMin with a top-k heap for one-pass heavy-hitter
-// tracking (§III, "Finding Heavy Hitters"): each processed item is queried
-// and offered to the heap.
+// tracking (§III, "Finding Heavy Hitters"): each processed item's
+// post-update estimate is offered to the heap. The conservative update
+// returns that estimate from its raise pass, so an item is hashed and
+// probed once, and items that cannot enter a full heap skip it entirely.
 type Monitor struct {
 	cm   *CountMin
 	heap *topk.Heap
@@ -174,8 +176,22 @@ func (m *Monitor) Process(item uint64) { m.Update(item, 1) }
 // Update records count occurrences of item and refreshes its heap entry;
 // with it Monitor satisfies Sketch and can back a Sharded tracker.
 func (m *Monitor) Update(item uint64, count int64) {
-	m.cm.Update(item, count)
-	m.heap.Offer(item, int64(m.cm.Query(item)))
+	offerEstimate(m.heap, item, m.cm.sk.UpdateEstimate(item, count))
+}
+
+// offerEstimate offers item's post-update estimate to h, skipping the
+// Offer — and its membership lookup — when h is full and est ranks below
+// its minimum. The skip is exact for the conservative sketches behind every
+// Monitor: under non-negative updates an estimate never decreases, so each
+// tracked entry's count is at most its item's current estimate, and an item
+// estimated below the minimum is untracked and cannot displace it. (Only
+// subtracting from the sketch behind the Monitor's back breaks that
+// premise.) Estimates past MaxInt64 wrap negative in the heap's int64
+// counts and always take the Offer.
+func offerEstimate(h *topk.Heap, item, est uint64) {
+	if c := int64(est); c < 0 || !h.Full() || c >= h.Min() {
+		h.Offer(item, c)
+	}
 }
 
 // UpdateBatch records count occurrences of every item, in order. The heap

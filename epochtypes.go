@@ -213,8 +213,7 @@ type epochMonitorBuf struct {
 }
 
 func (b *epochMonitorBuf) Update(item uint64, count int64) {
-	b.cm.Update(item, count)
-	b.heap.Offer(item, int64(b.cm.Query(item)))
+	offerEstimate(b.heap, item, b.cm.UpdateEstimate(item, count))
 }
 
 func (b *epochMonitorBuf) UpdateBatch(items []uint64, count int64) {

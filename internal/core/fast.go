@@ -225,26 +225,3 @@ func (t *Tango) ValueFast(i uint32) (v uint64, ok bool) {
 	off := u * t.s
 	return (t.words[off>>6] >> (off & 63)) & ((uint64(1) << t.s) - 1), true
 }
-
-// SetAtLeastFast raises the counter at cell i to at least v when the cell is
-// unmerged and v fits one s-bit cell, reporting whether it handled the
-// update; on false the caller must fall back to SetAtLeast.
-//
-//salsa:hotpath
-func (t *Tango) SetAtLeastFast(i uint32, v uint64) bool {
-	u := uint(i)
-	if !t.unmergedFast(t.link.Words(), u) {
-		return false
-	}
-	off := u * t.s
-	w, sh := off>>6, off&63
-	mask := (uint64(1) << t.s) - 1
-	if v <= (t.words[w]>>sh)&mask {
-		return true
-	}
-	if v > mask {
-		return false
-	}
-	t.words[w] = t.words[w]&^(mask<<sh) | v<<sh
-	return true
-}

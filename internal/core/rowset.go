@@ -219,94 +219,106 @@ func SalsaQueryEach(rows []*Salsa, seeds []uint64, mask, x uint64) uint64 {
 // SalsaConservativeEach applies the conservative update ⟨x, v⟩: each row is
 // hashed once into scratch, the estimate is the min over rows, and every
 // row's counter is raised to at least est+v. Equivalent to a Query followed
-// by per-row SetAtLeast at the same slots.
+// by per-row SetAtLeast at the same slots; it returns the item's estimate
+// after the update, so a caller that needs it (the heavy-hitter Monitor)
+// skips the second hash-and-probe of a Query.
 //
 //salsa:hotpath
-func SalsaConservativeEach(rows []*Salsa, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) {
+func SalsaConservativeEach(rows []*Salsa, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
 	for i := range rows {
 		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
 	}
 	slots := scratch[:len(rows)]
 	target := satAdd(SalsaMinEach(rows, slots), v)
-	SalsaRaiseEach(rows, slots, target)
+	return SalsaRaiseEach(rows, slots, target)
 }
 
 // SalsaRaiseEach raises row i's counter at slots[i] to at least target — the
-// conservative raise pass over pre-hashed slots.
+// conservative raise pass over pre-hashed slots — and returns the minimum
+// over rows of the raised counters: the estimate a Query at the same slots
+// would now return.
 //
 //salsa:hotpath
-func SalsaRaiseEach(rows []*Salsa, slots []uint32, target uint64) {
+func SalsaRaiseEach(rows []*Salsa, slots []uint32, target uint64) uint64 {
 	if len(rows) > 0 && rows[0].s == 8 {
-		salsaRaiseEach8(rows, slots, target)
-		return
+		return salsaRaiseEach8(rows, slots, target)
 	}
+	est := ^uint64(0)
 	for i, r := range rows {
 		u := uint(slots[i])
 		bl := r.blWords
+		var v uint64
 		if bl == nil {
 			r.SetAtLeast(int(u), target)
-			continue
-		}
-		wbits := bl[u>>6]
-		lvl, t := uint(0), uint(1)
-		for l := uint(0); l < r.maxLvl; l++ {
-			pos := u&^(1<<(l+1)-1) + 1<<l - 1
-			t &= uint(wbits>>(pos&63)) & 1
-			lvl += t
-		}
-		size := r.s << lvl
-		off := (u &^ (1<<lvl - 1)) * r.s
-		w, sh := off>>6, off&63
-		if size == 64 {
-			if target > r.words[w] {
-				r.words[w] = target
-			}
-			continue
-		}
-		cmask := (uint64(1) << size) - 1
-		cur := (r.words[w] >> sh) & cmask
-		if target <= cur {
-			continue
-		}
-		if target <= cmask {
-			r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
+			v = r.Value(int(u))
 		} else {
-			r.SetAtLeast(int(u), target) // overflow: merge via the general path
+			wbits := bl[u>>6]
+			lvl, t := uint(0), uint(1)
+			for l := uint(0); l < r.maxLvl; l++ {
+				pos := u&^(1<<(l+1)-1) + 1<<l - 1
+				t &= uint(wbits>>(pos&63)) & 1
+				lvl += t
+			}
+			size := r.s << lvl
+			off := (u &^ (1<<lvl - 1)) * r.s
+			w, sh := off>>6, off&63
+			cmask := ^uint64(0)
+			if size != 64 {
+				cmask = (uint64(1) << size) - 1
+			}
+			switch v = (r.words[w] >> sh) & cmask; {
+			case target <= v:
+			case target <= cmask:
+				r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
+				v = target
+			default:
+				r.SetAtLeast(int(u), target) // overflow: merge via the general path
+				v = r.Value(int(u))
+			}
+		}
+		if v < est {
+			est = v
 		}
 	}
+	return est
 }
 
 // salsaRaiseEach8 is SalsaRaiseEach specialized to 8-bit rows via the
 // parallel probe.
 //
 //salsa:hotpath
-func salsaRaiseEach8(rows []*Salsa, slots []uint32, target uint64) {
+func salsaRaiseEach8(rows []*Salsa, slots []uint32, target uint64) uint64 {
+	est := ^uint64(0)
 	for i, r := range rows {
 		u := uint(slots[i])
 		bl := r.blWords
+		var v uint64
 		if bl == nil || r.s != 8 {
 			r.SetAtLeast(int(u), target)
-			continue
-		}
-		lvl := probeLevel8(bl[u>>6], u)
-		off := (u &^ (1<<lvl - 1)) << 3
-		w, sh := off>>6, off&63
-		if lvl == 3 {
-			if target > r.words[w] {
-				r.words[w] = target
-			}
-			continue
-		}
-		cmask := (uint64(1) << (8 << lvl)) - 1
-		if target <= (r.words[w]>>sh)&cmask {
-			continue
-		}
-		if target <= cmask {
-			r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
+			v = r.Value(int(u))
 		} else {
-			r.SetAtLeast(int(u), target) // overflow: merge via the general path
+			lvl := probeLevel8(bl[u>>6], u)
+			off := (u &^ (1<<lvl - 1)) << 3
+			w, sh := off>>6, off&63
+			cmask := ^uint64(0)
+			if lvl != 3 {
+				cmask = (uint64(1) << (8 << lvl)) - 1
+			}
+			switch v = (r.words[w] >> sh) & cmask; {
+			case target <= v:
+			case target <= cmask:
+				r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
+				v = target
+			default:
+				r.SetAtLeast(int(u), target) // overflow: merge via the general path
+				v = r.Value(int(u))
+			}
+		}
+		if v < est {
+			est = v
 		}
 	}
+	return est
 }
 
 // FixedUpdateEach applies the stream update ⟨x, v⟩ to every baseline row.
@@ -362,22 +374,25 @@ func FixedQueryEach(rows []*Fixed, seeds []uint64, mask, x uint64) uint64 {
 }
 
 // FixedConservativeEach applies the conservative update ⟨x, v⟩ over baseline
-// rows, hashing each row once.
+// rows, hashing each row once, and returns the item's new estimate.
 //
 //salsa:hotpath
-func FixedConservativeEach(rows []*Fixed, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) {
+func FixedConservativeEach(rows []*Fixed, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
 	for i := range rows {
 		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
 	}
 	slots := scratch[:len(rows)]
 	target := satAdd(FixedMinEach(rows, slots), v)
-	FixedRaiseEach(rows, slots, target)
+	return FixedRaiseEach(rows, slots, target)
 }
 
-// FixedRaiseEach raises row i's counter at slots[i] to at least target.
+// FixedRaiseEach raises row i's counter at slots[i] to at least target
+// (saturating at the counter maximum) and returns the minimum over rows of
+// the raised counters.
 //
 //salsa:hotpath
-func FixedRaiseEach(rows []*Fixed, slots []uint32, target uint64) {
+func FixedRaiseEach(rows []*Fixed, slots []uint32, target uint64) uint64 {
+	est := ^uint64(0)
 	for i, r := range rows {
 		off := uint(slots[i]) * r.bits
 		w, sh := off>>6, off&63
@@ -386,10 +401,16 @@ func FixedRaiseEach(rows []*Fixed, slots []uint32, target uint64) {
 		if t > r.maxV {
 			t = r.maxV
 		}
-		if t > (r.words[w]>>sh)&cmask {
+		v := (r.words[w] >> sh) & cmask
+		if t > v {
 			r.words[w] = r.words[w]&^(cmask<<sh) | t<<sh
+			v = t
+		}
+		if v < est {
+			est = v
 		}
 	}
+	return est
 }
 
 // TangoUpdateEach applies the stream update ⟨x, v⟩ to every Tango row:
@@ -480,27 +501,49 @@ func TangoQueryEach(rows []*Tango, seeds []uint64, mask, x uint64) uint64 {
 }
 
 // TangoConservativeEach applies the conservative update ⟨x, v⟩ over Tango
-// rows, hashing each row once.
+// rows, hashing each row once, and returns the item's new estimate.
 //
 //salsa:hotpath
-func TangoConservativeEach(rows []*Tango, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) {
+func TangoConservativeEach(rows []*Tango, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
 	for i := range rows {
 		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
 	}
 	slots := scratch[:len(rows)]
 	target := satAdd(TangoMinEach(rows, slots), v)
-	TangoRaiseEach(rows, slots, target)
+	return TangoRaiseEach(rows, slots, target)
 }
 
-// TangoRaiseEach raises row i's counter at slots[i] to at least target.
+// TangoRaiseEach raises row i's counter at slots[i] to at least target —
+// unmerged cells inline, merged spans and overflows via the general
+// SetAtLeast — and returns the minimum over rows of the raised counters.
 //
 //salsa:hotpath
-func TangoRaiseEach(rows []*Tango, slots []uint32, target uint64) {
+func TangoRaiseEach(rows []*Tango, slots []uint32, target uint64) uint64 {
+	est := ^uint64(0)
 	for i, r := range rows {
-		if !r.SetAtLeastFast(slots[i], target) {
-			r.SetAtLeast(int(slots[i]), target)
+		u := uint(slots[i])
+		link := r.link.Words()
+		merged := link[u>>6] >> (u & 63) & 1
+		if u > 0 {
+			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
+		}
+		off := u * r.s
+		w, sh := off>>6, off&63
+		cmask := (uint64(1) << r.s) - 1
+		var v uint64
+		switch v = (r.words[w] >> sh) & cmask; {
+		case merged != 0 || target > cmask:
+			r.SetAtLeast(int(u), target)
+			v = r.Value(int(u))
+		case target > v:
+			r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
+			v = target
+		}
+		if v < est {
+			est = v
 		}
 	}
+	return est
 }
 
 // SalsaMinSlots folds the counter values at slots[j] into out[j]:

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI and Appendix B). Each experiment is registered under the
-// figure id used in DESIGN.md §3 and produces the same series the paper
-// plots, as CSV-friendly rows. cmd/salsabench is the front end.
+// evaluation (§VI and Appendix B). Each experiment is registered under its
+// figure id (fig8ab for Fig. 8a,b; `salsabench -list` prints every id with
+// its figure) and produces the same series the paper plots, as
+// CSV-friendly rows. cmd/salsabench is the front end.
 //
 // Streams are scaled from the paper's 98M-update traces to a configurable
 // default (Config.N) with sketch widths scaled by the same factor, so the

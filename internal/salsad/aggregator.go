@@ -555,22 +555,29 @@ func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := make([]salsa.ItemCount, 0, len(cands))
-	for _, it := range cands {
-		if est := querySketch(merged, it); est > 0 {
-			top = append(top, salsa.ItemCount{Item: it, Count: est})
-		}
+	top := rankByEstimate(merged, cands)
+	// Ranked descending, so the non-positive estimates form the tail.
+	n := sort.Search(len(top), func(i int) bool { return top[i].Count <= 0 })
+	if k > 0 && n > k {
+		n = k
 	}
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].Count != top[j].Count {
-			return top[i].Count > top[j].Count
+	return top[:n], nil
+}
+
+// rankByEstimate evaluates items against s and returns them in
+// deterministic (estimate desc, item asc) order.
+func rankByEstimate(s salsa.Sketch, items []uint64) []salsa.ItemCount {
+	out := make([]salsa.ItemCount, len(items))
+	for i, it := range items {
+		out[i] = salsa.ItemCount{Item: it, Count: querySketch(s, it)}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
 		}
-		return top[i].Item < top[j].Item
+		return out[i].Item < out[j].Item
 	})
-	if k > 0 && len(top) > k {
-		top = top[:k]
-	}
-	return top, nil
+	return out
 }
 
 // Agents returns the membership table in sorted id order; Alive reflects
@@ -666,8 +673,8 @@ func (a *Aggregator) appliedCount() uint64 {
 
 // upstreamCut atomically captures everything a relay needs to freeze an
 // upstream frame: the merged table, the applied-frame counter it
-// reflects, the candidate pool (sorted, capped for the wire), and this
-// node's tier depth.
+// reflects, the candidate pool (the MaxPushCandidates heaviest by merged
+// estimate, ties by ascending id), and this node's tier depth.
 func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands []uint64, depth int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -675,13 +682,14 @@ func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands [
 	if err != nil {
 		return nil, 0, nil, 0, err
 	}
-	cands = make([]uint64, 0, len(a.candidates))
+	pool := make([]uint64, 0, len(a.candidates))
 	for it := range a.candidates {
-		cands = append(cands, it)
+		pool = append(pool, it)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	if len(cands) > MaxPushCandidates {
-		cands = cands[:MaxPushCandidates]
+	ranked := rankByEstimate(merged, pool)
+	cands = make([]uint64, min(len(ranked), MaxPushCandidates))
+	for i := range cands {
+		cands[i] = ranked[i].Item
 	}
 	return merged, a.stats.Applied, cands, a.depthLocked(), nil
 }

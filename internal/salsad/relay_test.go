@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -362,5 +363,46 @@ func TestAgentJitterSeedDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("seeded schedules diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestRelayForwardsHeaviestCandidates: a relay's pool can exceed the
+// per-push cap, and the cut must keep the heaviest candidates — ranked by
+// the relay's merged estimate, ties by ascending id — not the smallest ids.
+func TestRelayForwardsHeaviestCandidates(t *testing.T) {
+	root := newTestAggregator(t, AggregatorConfig{})
+	r, _ := newTestRelay(t, root, RelayConfig{Generation: 1})
+	const heavy = uint64(1) << 40 // larger than every light id
+	var light []uint64
+	for it := uint64(1); it < MaxPushCandidates+100; it++ {
+		light = append(light, it)
+	}
+	heavyItems := light[300:]
+	for i := 0; i < 50; i++ {
+		heavyItems = append(heavyItems, heavy)
+	}
+	push(t, r.Agg(), &Push{Agent: "e1", Gen: 1, Seq: 1, Flags: FlagFull,
+		Candidates: light[:300], Envelope: envelopeFor(t, light[:300]...)})
+	push(t, r.Agg(), &Push{Agent: "e2", Gen: 1, Seq: 1, Flags: FlagFull,
+		Candidates: append(append([]uint64(nil), light[300:]...), heavy), Envelope: envelopeFor(t, heavyItems...)})
+	if err := r.PushOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The relay's own /v1/top ranking of its pool is the reference: the
+	// root must hold exactly its first MaxPushCandidates entries.
+	want, err := r.Agg().Top(MaxPushCandidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := root.Top(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || got[0].Item != heavy {
+		t.Fatalf("root top = %v, want the heavy item %d first", got[:min(3, len(got))], heavy)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("root received %d candidates, not the relay's %d heaviest", len(got), len(want))
 	}
 }

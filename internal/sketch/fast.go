@@ -16,13 +16,22 @@ import (
 // interface Query; fast_test.go pins that with marshal-byte-identical runs
 // against a fast-path-disabled twin.
 
+// conservativeFast applies the conservative update ⟨x, v⟩ through the
+// homogeneous row view and returns x's new estimate, read off the raise
+// pass; ok is false for mixed-row sketches, which take updateGeneric.
+//
 //salsa:hotpath
-func (c *CMS) updateSalsa(x uint64, v int64) {
-	if c.conservative {
-		core.SalsaConservativeEach(c.salsa, c.seeds, c.mask, x, uint64(mustNonNegative(v)), c.slots)
-		return
+func (c *CMS) conservativeFast(x uint64, v int64) (est uint64, ok bool) {
+	nv := uint64(mustNonNegative(v))
+	switch {
+	case c.salsa != nil:
+		return core.SalsaConservativeEach(c.salsa, c.seeds, c.mask, x, nv, c.slots), true
+	case c.fixed != nil:
+		return core.FixedConservativeEach(c.fixed, c.seeds, c.mask, x, nv, c.slots), true
+	case c.tango != nil:
+		return core.TangoConservativeEach(c.tango, c.seeds, c.mask, x, nv, c.slots), true
 	}
-	core.SalsaUpdateEach(c.salsa, c.seeds, c.mask, x, v)
+	return 0, false
 }
 
 //salsa:hotpath
@@ -31,26 +40,8 @@ func (c *CMS) querySalsa(x uint64) uint64 {
 }
 
 //salsa:hotpath
-func (c *CMS) updateFixed(x uint64, v int64) {
-	if c.conservative {
-		core.FixedConservativeEach(c.fixed, c.seeds, c.mask, x, uint64(mustNonNegative(v)), c.slots)
-		return
-	}
-	core.FixedUpdateEach(c.fixed, c.seeds, c.mask, x, v)
-}
-
-//salsa:hotpath
 func (c *CMS) queryFixed(x uint64) uint64 {
 	return core.FixedQueryEach(c.fixed, c.seeds, c.mask, x)
-}
-
-//salsa:hotpath
-func (c *CMS) updateTango(x uint64, v int64) {
-	if c.conservative {
-		core.TangoConservativeEach(c.tango, c.seeds, c.mask, x, uint64(mustNonNegative(v)), c.slots)
-		return
-	}
-	core.TangoUpdateEach(c.tango, c.seeds, c.mask, x, v)
 }
 
 //salsa:hotpath

@@ -68,8 +68,11 @@ func fastSpecs() map[string]RowSpec {
 		"SalsaMax":     SalsaRow(8, core.MaxMerge, false),
 		"SalsaSum":     SalsaRow(8, core.SumMerge, false),
 		"SalsaMax4":    SalsaRow(4, core.MaxMerge, false),
+		"SalsaSum4":    SalsaRow(4, core.SumMerge, false),
+		"SalsaSum16":   SalsaRow(16, core.SumMerge, false),
 		"SalsaCompact": SalsaRow(8, core.MaxMerge, true),
 		"Tango":        TangoRow(8, core.MaxMerge),
+		"TangoSum":     TangoRow(8, core.SumMerge),
 	}
 }
 
@@ -100,6 +103,38 @@ func TestFastPathEquivalenceCMS(t *testing.T) {
 					t.Fatalf("%s: query(%d): fast %d != generic %d", tag, x, fv, gv)
 				}
 			}
+		}
+	}
+}
+
+// TestUpdateEstimateEquivalence pins the fused update-and-estimate path:
+// every returned estimate equals a Query right after the update, and the
+// fused sketch stays bit-for-bit identical to a fast-path-disabled twin,
+// whose UpdateEstimate is the plain Update followed by Query. The narrow
+// width drives counters through overflow, so the raise passes' SetAtLeast
+// fallbacks fire too.
+func TestUpdateEstimateEquivalence(t *testing.T) {
+	data := stream.Zipf(60000, 3000, 1.0, 23)
+	for name, spec := range fastSpecs() {
+		for _, conservative := range []bool{false, true} {
+			build := func() *CMS {
+				if conservative {
+					return NewCUS(4, 1<<8, spec, 19)
+				}
+				return NewCMS(4, 1<<8, spec, 19)
+			}
+			tag := name
+			if conservative {
+				tag += "/conservative"
+			}
+			fast, generic := runPair(t, build, func(c *CMS) {
+				for j, x := range data {
+					if est, want := c.UpdateEstimate(x, int64(1+j%7)), c.Query(x); est != want {
+						t.Fatalf("%s: item %d (#%d): UpdateEstimate = %d, Query = %d", tag, x, j, est, want)
+					}
+				}
+			})
+			checkCMSEqual(t, tag, fast, generic)
 		}
 	}
 }

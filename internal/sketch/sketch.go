@@ -239,13 +239,19 @@ func (c *CMS) Rows() []Row { return c.rows }
 //
 //salsa:hotpath
 func (c *CMS) Update(x uint64, v int64) {
+	if c.conservative {
+		if _, ok := c.conservativeFast(x, v); !ok {
+			c.updateGeneric(x, v)
+		}
+		return
+	}
 	switch {
 	case c.salsa != nil:
-		c.updateSalsa(x, v)
+		core.SalsaUpdateEach(c.salsa, c.seeds, c.mask, x, v)
 	case c.fixed != nil:
-		c.updateFixed(x, v)
+		core.FixedUpdateEach(c.fixed, c.seeds, c.mask, x, v)
 	case c.tango != nil:
-		c.updateTango(x, v)
+		core.TangoUpdateEach(c.tango, c.seeds, c.mask, x, v)
 	default:
 		c.updateGeneric(x, v)
 	}
@@ -322,6 +328,22 @@ func (c *CMS) Query(x uint64) uint64 {
 		}
 	}
 	return est
+}
+
+// UpdateEstimate processes ⟨x, v⟩ and returns x's estimate afterwards —
+// Update followed by Query. Homogeneous conservative sketches fuse the two:
+// the raise pass already reads every row's counter, so the estimate costs
+// no second hash or probe.
+//
+//salsa:hotpath
+func (c *CMS) UpdateEstimate(x uint64, v int64) uint64 {
+	if c.conservative {
+		if est, ok := c.conservativeFast(x, v); ok {
+			return est
+		}
+	}
+	c.Update(x, v)
+	return c.Query(x)
 }
 
 // MergeFrom adds other into c counter-wise, producing s(A∪B). Both sketches

@@ -1,7 +1,9 @@
 // Package stream provides the workload generators used by the evaluation:
 // Zipfian streams with configurable skew and deterministic synthetic
-// stand-ins for the paper's four real traces (see DESIGN.md §2 for the
-// substitution rationale), plus an exact-counting oracle for ground truth.
+// stand-ins for the paper's four real traces, plus an exact-counting oracle
+// for ground truth. The traces themselves are not redistributable, so each
+// is replaced by a seeded Zipf stream whose skew and volume-to-distinct
+// ratio match the trace's (see the Dataset values below).
 package stream
 
 import (
@@ -78,7 +80,7 @@ func (d Dataset) Generate(n int, seed uint64) []uint64 {
 	return Zipf(n, d.Universe(n), d.Alpha, seed)
 }
 
-// The four trace stand-ins (DESIGN.md §2). Volume-to-distinct ratios follow
+// The four trace stand-ins. Volume-to-distinct ratios follow
 // the counts the paper reports (NY18: 6.5M distinct / 98M; CH16: 2.5M/98M).
 var (
 	NY18    = Dataset{Name: "NY18", Alpha: 1.1, UniverseDiv: 15}

@@ -52,6 +52,10 @@ func (h *Heap) Reset() {
 // Len returns the number of tracked items.
 func (h *Heap) Len() int { return len(h.entries) }
 
+// Full reports whether the heap tracks k items, so that an untracked item
+// enters only by displacing the minimum.
+func (h *Heap) Full() bool { return len(h.entries) == h.k }
+
 // Min returns the smallest tracked estimate, or 0 when empty.
 func (h *Heap) Min() int64 {
 	if len(h.entries) == 0 {

@@ -355,12 +355,12 @@ func (m *WindowedMonitor) Process(item uint64) { m.Update(item, 1) }
 func (m *WindowedMonitor) Update(item uint64, count int64) {
 	ring := m.w.ring
 	cur, b := ring.CurIndex(), ring.Cur()
-	b.Update(item, count)
 	// The candidate offer uses the bucket-local estimate: it decides
 	// whether the item is among the bucket's k heaviest, and stays
 	// meaningful after older buckets (and their contributions to a
-	// window-wide estimate) rotate away.
-	m.heaps[cur].Offer(item, int64(b.Query(item)))
+	// window-wide estimate) rotate away. A bucket's heap is reset
+	// whenever its sketch is, so offerEstimate's skip stays exact.
+	offerEstimate(m.heaps[cur], item, b.UpdateEstimate(item, count))
 	ring.Wrote(1)
 }
 
