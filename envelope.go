@@ -69,9 +69,28 @@ const (
 // envelope's type set.
 var ErrUnsupportedTopology = errors.New("salsa: topology does not support the universal envelope")
 
-func envHeader(tag byte) []byte {
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 64), envMagic)
+// envHeaderLen is the envelope prefix: magic, version and tag.
+const envHeaderLen = 4 + 1 + 1
+
+// envHeader starts an envelope with room for size payload bytes after the
+// prefix, so a caller that knows its payload's length allocates once.
+func envHeader(tag byte, size int) []byte {
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, envHeaderLen+size), envMagic)
 	return append(buf, envVersion, tag)
+}
+
+// sizedSketch is the codec of the two leaf sketches: MarshalBinary split
+// into its exact length and an append to the caller's buffer.
+type sizedSketch interface {
+	binarySize() int
+	appendBinary(buf []byte) ([]byte, error)
+}
+
+// appendSketchBlock appends s's MarshalBinary encoding as a length-prefixed
+// block, encoding it in place instead of through an intermediate copy.
+func appendSketchBlock(buf []byte, s sizedSketch) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.binarySize()))
+	return s.appendBinary(buf)
 }
 
 func appendBlock(buf, block []byte) []byte {
@@ -98,51 +117,41 @@ func readBlock(data []byte) (block, rest []byte, err error) {
 func Marshal(s Sketch) ([]byte, error) {
 	switch x := s.(type) {
 	case *CountMin:
-		payload, err := x.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		return appendBlock(envHeader(tagCountMin), payload), nil
+		return appendSketchBlock(envHeader(tagCountMin, 8+x.binarySize()), x)
 	case *CountSketch:
-		payload, err := x.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		return appendBlock(envHeader(tagCountSketch), payload), nil
+		return appendSketchBlock(envHeader(tagCountSketch, 8+x.binarySize()), x)
 	case *Monitor:
-		payload, err := x.cm.MarshalBinary()
+		buf := envHeader(tagMonitor, 8+8+x.cm.binarySize()+heapSize(x.heap))
+		buf, err := appendSketchBlock(binary.LittleEndian.AppendUint64(buf, uint64(x.heap.Cap())), x.cm)
 		if err != nil {
 			return nil, err
 		}
-		buf := binary.LittleEndian.AppendUint64(envHeader(tagMonitor), uint64(x.heap.Cap()))
-		buf = appendBlock(buf, payload)
 		return appendHeap(buf, x.heap), nil
 	case *TopK:
-		payload, err := x.cs.MarshalBinary()
+		buf := envHeader(tagTopK, 8+8+x.cs.binarySize()+heapSize(x.heap))
+		buf, err := appendSketchBlock(binary.LittleEndian.AppendUint64(buf, uint64(x.heap.Cap())), x.cs)
 		if err != nil {
 			return nil, err
 		}
-		buf := binary.LittleEndian.AppendUint64(envHeader(tagTopK), uint64(x.heap.Cap()))
-		buf = appendBlock(buf, payload)
 		return appendHeap(buf, x.heap), nil
 	case *WindowedCountMin:
 		payload, err := marshalWindowedCMS(x)
 		if err != nil {
 			return nil, err
 		}
-		return append(envHeader(tagWindowedCountMin), payload...), nil
+		return append(envHeader(tagWindowedCountMin, len(payload)), payload...), nil
 	case *WindowedCountSketch:
 		payload, err := marshalWindowedCS(x)
 		if err != nil {
 			return nil, err
 		}
-		return append(envHeader(tagWindowedCountSketch), payload...), nil
+		return append(envHeader(tagWindowedCountSketch, len(payload)), payload...), nil
 	case *WindowedMonitor:
 		payload, err := marshalWindowedCMS(x.w)
 		if err != nil {
 			return nil, err
 		}
-		buf := binary.LittleEndian.AppendUint64(envHeader(tagWindowedMonitor), uint64(x.k))
+		buf := binary.LittleEndian.AppendUint64(envHeader(tagWindowedMonitor, 16+len(payload)), uint64(x.k))
 		buf = appendBlock(buf, payload)
 		for _, h := range x.heaps {
 			buf = appendHeap(buf, h)
@@ -153,17 +162,13 @@ func Marshal(s Sketch) ([]byte, error) {
 	case *AEE:
 		return marshalAEE(x)
 	case *Distinct:
-		payload, err := x.cm.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		return appendBlock(envHeader(tagDistinct), payload), nil
+		return appendSketchBlock(envHeader(tagDistinct, 8+x.cm.binarySize()), x.cm)
 	case *WindowedDistinct:
 		payload, err := marshalWindowedCMS(x.w)
 		if err != nil {
 			return nil, err
 		}
-		return append(envHeader(tagWindowedDistinct), payload...), nil
+		return append(envHeader(tagWindowedDistinct, len(payload)), payload...), nil
 	case *ColdFilter:
 		return marshalColdFilter(x)
 	case *Pyramid:
@@ -245,7 +250,7 @@ func marshalEpoch[P epochPrivate](e *Epoch[P], view Sketch) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := binary.LittleEndian.AppendUint64(envHeader(tagEpoch), uint64(e.base))
+	buf := binary.LittleEndian.AppendUint64(envHeader(tagEpoch, 16+len(inner)), uint64(e.base))
 	return appendBlock(buf, inner), nil
 }
 
@@ -466,6 +471,9 @@ func appendHeap(buf []byte, h *topk.Heap) []byte {
 	}
 	return buf
 }
+
+// heapSize is the length of appendHeap's encoding of h.
+func heapSize(h *topk.Heap) int { return 8 + 16*h.Len() }
 
 // readHeap decodes a heap of capacity k. The entry count is length-checked
 // against the remaining payload before allocating, and topk.Restore
@@ -755,7 +763,7 @@ func marshalShards[S Sketch](s *Sharded[S]) ([]byte, error) {
 			s.shards[i].mu.Unlock()
 		}
 	}()
-	buf := binary.LittleEndian.AppendUint64(envHeader(tagSharded), s.seed)
+	buf := binary.LittleEndian.AppendUint64(envHeader(tagSharded, 16), s.seed)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.shards)))
 	for i := range s.shards {
 		blob, err := Marshal(s.shards[i].sk)

@@ -28,7 +28,7 @@ import (
 // heap-capacity geometry, the volume odometer, then one Count Sketch
 // block plus one candidate heap per level.
 func marshalUnivMon(u *UnivMon) ([]byte, error) {
-	buf := appendOptions(envHeader(tagUnivMon), u.opt)
+	buf := appendOptions(envHeader(tagUnivMon, optionsHeaderLen+24), u.opt)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.levels))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.k))
 	buf = binary.LittleEndian.AppendUint64(buf, u.um.Volume())
@@ -109,7 +109,7 @@ func unmarshalUnivMon(data []byte) (Sketch, error) {
 // marshalAEE encodes an AEE payload: the Options (whose Mode implies the
 // backend), the sampling odometer, then one row block per sketch row.
 func marshalAEE(a *AEE) ([]byte, error) {
-	buf := appendOptions(envHeader(tagAEE), a.opt)
+	buf := appendOptions(envHeader(tagAEE, optionsHeaderLen), a.opt)
 	if a.est != nil {
 		for _, v := range []uint64{
 			uint64(a.est.Downsamples()), a.est.SampledSince(), a.est.Processed(), a.est.RngState(),
@@ -263,7 +263,7 @@ func unmarshalWindowedDistinct(payload []byte) (Sketch, error) {
 // Options block carries the topology's configuration — the layer geometry
 // and seeds are derived from it, never stored).
 func marshalColdFilter(c *ColdFilter) ([]byte, error) {
-	buf := binary.LittleEndian.AppendUint64(envHeader(tagColdFilter), c.cf.Stage2Volume())
+	buf := binary.LittleEndian.AppendUint64(envHeader(tagColdFilter, 8), c.cf.Stage2Volume())
 	l1, err := c.cf.Layer1().MarshalBinary()
 	if err != nil {
 		return nil, err
@@ -339,8 +339,9 @@ func unmarshalColdFilter(data []byte) (Sketch, error) {
 // marshalPyramid encodes a Pyramid payload: the Options and the byte
 // arena; the layer layout is a pure function of the Options.
 func marshalPyramid(p *Pyramid) ([]byte, error) {
-	buf := appendOptions(envHeader(tagPyramid), p.opt)
-	return appendBlock(buf, p.py.State()), nil
+	state := p.py.State()
+	buf := appendOptions(envHeader(tagPyramid, optionsHeaderLen+8+len(state)), p.opt)
+	return appendBlock(buf, state), nil
 }
 
 // unmarshalPyramid decodes a Pyramid payload; pyramid.Restore checks the

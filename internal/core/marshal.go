@@ -13,6 +13,12 @@ import (
 // self-describing enough to reject mismatched geometry; it exists so
 // sketches built on different machines can be shipped and merged
 // (§V, "Merging and Subtracting SALSA Sketches").
+//
+// Every array states its exact encoded length (BinarySize) and appends its
+// encoding to a caller's buffer (AppendBinary), so a sketch encodes all its
+// rows into one buffer allocated once. Decoders check each declared word
+// count against the payload length and the geometry, then fill the new
+// array's own words.
 
 const (
 	marshalMagic   = uint32(0x5a15a001)
@@ -44,17 +50,14 @@ func wordsForGeometry(width int, bits uint) int {
 	return int((uint64(width)*uint64(bits) + 63) / 64)
 }
 
-func putHeader(kind byte, bits uint, policy byte, compact bool, width int) []byte {
-	buf := make([]byte, headerLen)
-	binary.LittleEndian.PutUint32(buf, marshalMagic)
-	buf[4] = kind
-	buf[5] = byte(bits)
-	buf[6] = policy
+func appendHeader(buf []byte, kind byte, bits uint, policy byte, compact bool, width int) []byte {
+	var c byte
 	if compact {
-		buf[7] = 1
+		c = 1
 	}
-	binary.LittleEndian.PutUint64(buf[8:], uint64(width))
-	return buf
+	buf = binary.LittleEndian.AppendUint32(buf, marshalMagic)
+	buf = append(buf, kind, byte(bits), policy, c)
+	return binary.LittleEndian.AppendUint64(buf, uint64(width))
 }
 
 func readHeader(data []byte, wantKind byte) (bits uint, policy byte, compact bool, width int, rest []byte, err error) {
@@ -71,6 +74,10 @@ func readHeader(data []byte, wantKind byte) (bits uint, policy byte, compact boo
 		int(binary.LittleEndian.Uint64(data[8:])), data[headerLen:], nil
 }
 
+// wordsSize is the encoded length of a word block: the count, then the
+// words.
+func wordsSize(words []uint64) int { return 8 + 8*len(words) }
+
 func appendWords(buf []byte, words []uint64) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(words)))
 	for _, w := range words {
@@ -79,7 +86,10 @@ func appendWords(buf []byte, words []uint64) []byte {
 	return buf
 }
 
-func readWords(data []byte) ([]uint64, []byte, error) {
+// readWordBlock splits a word block off data after checking its declared
+// count against the bytes present. The block holds len(block)/8 words; the
+// caller checks that count against the geometry before fillWords.
+func readWordBlock(data []byte) (block, rest []byte, err error) {
 	if len(data) < 8 {
 		return nil, nil, errors.New(errShortBuffer)
 	}
@@ -89,17 +99,28 @@ func readWords(data []byte) ([]uint64, []byte, error) {
 	if n > uint64(len(data))/8 {
 		return nil, nil, errors.New(errShortBuffer)
 	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(data[i*8:])
+	return data[:n*8], data[n*8:], nil
+}
+
+// fillWords decodes a word block into dst, which holds exactly its words.
+func fillWords(dst []uint64, block []byte) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(block[i*8:])
 	}
-	return words, data[n*8:], nil
+}
+
+// BinarySize returns the length of the array's MarshalBinary encoding.
+func (f *Fixed) BinarySize() int { return headerLen + wordsSize(f.words) }
+
+// AppendBinary appends the array's MarshalBinary encoding to buf.
+func (f *Fixed) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindFixed, f.bits, 0, false, f.width)
+	return appendWords(buf, f.words), nil
 }
 
 // MarshalBinary encodes the array.
 func (f *Fixed) MarshalBinary() ([]byte, error) {
-	buf := putHeader(kindFixed, f.bits, 0, false, f.width)
-	return appendWords(buf, f.words), nil
+	return f.AppendBinary(make([]byte, 0, f.BinarySize()))
 }
 
 // UnmarshalFixed decodes a Fixed array.
@@ -108,22 +129,30 @@ func UnmarshalFixed(data []byte) (*Fixed, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readWords(rest)
+	counters, _, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	if wordsForGeometry(width, bits) != len(words) {
+	if wordsForGeometry(width, bits) != len(counters)/8 {
 		return nil, ErrBadPayload
 	}
 	f := NewFixed(width, bits)
-	copy(f.words, words)
+	fillWords(f.words, counters)
 	return f, nil
+}
+
+// BinarySize returns the length of the array's MarshalBinary encoding.
+func (f *FixedSign) BinarySize() int { return headerLen + wordsSize(f.words) }
+
+// AppendBinary appends the array's MarshalBinary encoding to buf.
+func (f *FixedSign) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindFixedSign, f.bits, 0, false, f.width)
+	return appendWords(buf, f.words), nil
 }
 
 // MarshalBinary encodes the array.
 func (f *FixedSign) MarshalBinary() ([]byte, error) {
-	buf := putHeader(kindFixedSign, f.bits, 0, false, f.width)
-	return appendWords(buf, f.words), nil
+	return f.AppendBinary(make([]byte, 0, f.BinarySize()))
 }
 
 // UnmarshalFixedSign decodes a FixedSign array.
@@ -132,15 +161,15 @@ func UnmarshalFixedSign(data []byte) (*FixedSign, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, _, err := readWords(rest)
+	counters, _, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	if bits < 2 || wordsForGeometry(width, bits) != len(words) {
+	if bits < 2 || wordsForGeometry(width, bits) != len(counters)/8 {
 		return nil, ErrBadPayload
 	}
 	f := NewFixedSign(width, bits)
-	copy(f.words, words)
+	fillWords(f.words, counters)
 	return f, nil
 }
 
@@ -155,12 +184,22 @@ func layoutWords(l layout) []uint64 {
 	panic("core: unknown layout type")
 }
 
-// MarshalBinary encodes the array including its merge layout.
-func (c *Salsa) MarshalBinary() ([]byte, error) {
+// BinarySize returns the length of the array's MarshalBinary encoding.
+func (c *Salsa) BinarySize() int {
+	return headerLen + wordsSize(c.words) + wordsSize(layoutWords(c.lay))
+}
+
+// AppendBinary appends the array's MarshalBinary encoding to buf.
+func (c *Salsa) AppendBinary(buf []byte) ([]byte, error) {
 	_, compact := c.lay.(*compactLayout)
-	buf := putHeader(kindSalsa, c.s, byte(c.policy), compact, c.width)
+	buf = appendHeader(buf, kindSalsa, c.s, byte(c.policy), compact, c.width)
 	buf = appendWords(buf, c.words)
 	return appendWords(buf, layoutWords(c.lay)), nil
+}
+
+// MarshalBinary encodes the array including its merge layout.
+func (c *Salsa) MarshalBinary() ([]byte, error) {
+	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
 // UnmarshalSalsa decodes a Salsa array.
@@ -169,35 +208,47 @@ func UnmarshalSalsa(data []byte) (*Salsa, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, rest, err := readWords(rest)
+	counters, rest, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	layWords, _, err := readWords(rest)
+	lay, _, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	if s > 32 || wordsForGeometry(width, s) != len(words) ||
+	if s > 32 || wordsForGeometry(width, s) != len(counters)/8 ||
 		policy > byte(MaxMerge) || !salsaWidthOK(width, s, compact) {
 		return nil, ErrBadPayload
 	}
 	c := NewSalsa(width, s, MergePolicy(policy), compact)
-	if len(layWords) != len(layoutWords(c.lay)) {
+	layWords := layoutWords(c.lay)
+	if len(lay)/8 != len(layWords) {
 		return nil, ErrBadPayload
 	}
-	copy(c.words, words)
-	copy(layoutWords(c.lay), layWords)
+	fillWords(c.words, counters)
+	fillWords(layWords, lay)
 	return c, nil
 }
 
-// MarshalBinary encodes the array: the counter cells, the merge-link
-// bits, and the merge counter. A decoded Tango resumes from the exact
-// cell/link state, so fine-grained merges (§IV) survive transport.
-func (t *Tango) MarshalBinary() ([]byte, error) {
-	buf := putHeader(kindTango, t.s, byte(t.policy), false, t.width)
+// BinarySize returns the length of the array's MarshalBinary encoding.
+func (t *Tango) BinarySize() int {
+	return headerLen + wordsSize(t.words) + wordsSize(t.link.Words()) + 8
+}
+
+// AppendBinary appends the array's MarshalBinary encoding to buf: the
+// counter cells, the merge-link bits, and the merge counter. A decoded
+// Tango resumes from the exact cell/link state, so fine-grained merges
+// (§IV) survive transport.
+func (t *Tango) AppendBinary(buf []byte) ([]byte, error) {
+	buf = appendHeader(buf, kindTango, t.s, byte(t.policy), false, t.width)
 	buf = appendWords(buf, t.words)
 	buf = appendWords(buf, t.link.Words())
 	return binary.LittleEndian.AppendUint64(buf, t.merges), nil
+}
+
+// MarshalBinary encodes the array; see AppendBinary.
+func (t *Tango) MarshalBinary() ([]byte, error) {
+	return t.AppendBinary(make([]byte, 0, t.BinarySize()))
 }
 
 // UnmarshalTango decodes a Tango array.
@@ -206,11 +257,11 @@ func UnmarshalTango(data []byte) (*Tango, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, rest, err := readWords(rest)
+	counters, rest, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	linkWords, rest, err := readWords(rest)
+	links, rest, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
@@ -220,11 +271,13 @@ func UnmarshalTango(data []byte) (*Tango, error) {
 	merges := binary.LittleEndian.Uint64(rest)
 	if compact || s > 32 || policy > byte(MaxMerge) ||
 		width <= 0 || width&(width-1) != 0 ||
-		wordsForGeometry(width, s) != len(words) ||
-		len(linkWords) != bitvec.WordsFor(width) {
+		wordsForGeometry(width, s) != len(counters)/8 ||
+		len(links)/8 != bitvec.WordsFor(width) {
 		return nil, ErrBadPayload
 	}
-	t := newTangoIn(width, s, MergePolicy(policy), words, linkWords)
+	t := NewTango(width, s, MergePolicy(policy))
+	fillWords(t.words, counters)
+	fillWords(t.link.Words(), links)
 	t.merges = merges
 	return t, nil
 }
@@ -251,12 +304,22 @@ func salsaWidthOK(width int, s uint, compact bool) bool {
 	return true
 }
 
-// MarshalBinary encodes the array including its merge layout.
-func (c *SalsaSign) MarshalBinary() ([]byte, error) {
+// BinarySize returns the length of the array's MarshalBinary encoding.
+func (c *SalsaSign) BinarySize() int {
+	return headerLen + wordsSize(c.words) + wordsSize(layoutWords(c.lay))
+}
+
+// AppendBinary appends the array's MarshalBinary encoding to buf.
+func (c *SalsaSign) AppendBinary(buf []byte) ([]byte, error) {
 	_, compact := c.lay.(*compactLayout)
-	buf := putHeader(kindSalsaSign, c.s, 0, compact, c.width)
+	buf = appendHeader(buf, kindSalsaSign, c.s, 0, compact, c.width)
 	buf = appendWords(buf, c.words)
 	return appendWords(buf, layoutWords(c.lay)), nil
+}
+
+// MarshalBinary encodes the array including its merge layout.
+func (c *SalsaSign) MarshalBinary() ([]byte, error) {
+	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
 // UnmarshalSalsaSign decodes a SalsaSign array.
@@ -265,22 +328,23 @@ func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
 	if err != nil {
 		return nil, err
 	}
-	words, rest, err := readWords(rest)
+	counters, rest, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	layWords, _, err := readWords(rest)
+	lay, _, err := readWordBlock(rest)
 	if err != nil {
 		return nil, err
 	}
-	if s < 2 || s > 32 || wordsForGeometry(width, s) != len(words) || !salsaWidthOK(width, s, compact) {
+	if s < 2 || s > 32 || wordsForGeometry(width, s) != len(counters)/8 || !salsaWidthOK(width, s, compact) {
 		return nil, ErrBadPayload
 	}
 	c := NewSalsaSign(width, s, compact)
-	if len(layWords) != len(layoutWords(c.lay)) {
+	layWords := layoutWords(c.lay)
+	if len(lay)/8 != len(layWords) {
 		return nil, ErrBadPayload
 	}
-	copy(c.words, words)
-	copy(layoutWords(c.lay), layWords)
+	fillWords(c.words, counters)
+	fillWords(layWords, lay)
 	return c, nil
 }

@@ -18,7 +18,7 @@ import (
 // function, every tag constant must appear in all three legs of the
 // codec:
 //
-//   - the marshal side: as an argument of an envHeader(tag) call;
+//   - the marshal side: as an argument of an envHeader(tag, size) call;
 //   - the decode side: as a case of the tag switch inside Unmarshal —
 //     which must also never carry a raw integer case, so a tag byte
 //     cannot be claimed without declaring its constant;

@@ -22,12 +22,14 @@ var envelopeTagSeeds = map[byte]string{
 	tagNoRead:  "no-read",
 }
 
-func envHeader(tag byte) []byte { return []byte{'s', tag} }
+// envHeader takes the payload size after the tag, as the real codec's
+// does: the extra argument does not hide the tag from the marshal leg.
+func envHeader(tag byte, size int) []byte { return append(make([]byte, 0, 2+size), 's', tag) }
 
-func marshalGood() []byte   { return envHeader(tagGood) }
-func marshalNoRead() []byte { return envHeader(tagNoRead) }
-func marshalNoSeed() []byte { return envHeader(tagNoSeed) }
-func marshalDup() []byte    { return envHeader(tagZDup) }
+func marshalGood() []byte   { return envHeader(tagGood, 8) }
+func marshalNoRead() []byte { return envHeader(tagNoRead, 0) }
+func marshalNoSeed() []byte { return envHeader(tagNoSeed, 0) }
+func marshalDup() []byte    { return envHeader(tagZDup, 0) }
 
 func payload(data []byte) byte {
 	return data[1]

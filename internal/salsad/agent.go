@@ -99,10 +99,10 @@ type Agent struct {
 	shadow  salsa.Sketch
 	shadowN uint64 // items covered by shadow
 
-	// frame is the frozen in-flight push: once transmitted it is never
-	// rewritten, so retries are byte-identical and sequence-number dedup
-	// is exact. frameState/frameN are the snapshot the shadow advances to
-	// when the frame is acked.
+	// frame is the frozen in-flight push, encoded once when it is cut: it
+	// is never rewritten, so retries are byte-identical and sequence-number
+	// dedup is exact. frameState/frameN are the snapshot the shadow
+	// advances to when the frame is acked.
 	frame      *Push
 	frameState salsa.Sketch
 	frameN     uint64
@@ -288,9 +288,7 @@ func (a *Agent) PushOnce(ctx context.Context) error {
 			return fmt.Errorf("%w: %w", ErrPushFailed, err)
 		}
 		a.stats.Attempts++
-		if enc, err := a.frame.Encode(); err == nil {
-			a.stats.WireBytes += uint64(len(enc))
-		}
+		a.stats.WireBytes += uint64(len(a.frame.wire))
 		ack, err := a.cfg.Transport.Push(ctx, a.frame)
 		if err != nil {
 			lastErr = err
@@ -330,15 +328,13 @@ func (a *Agent) backoff(n int) time.Duration {
 func (a *Agent) cutFrame() error {
 	a.cut()
 	if a.ingestN == a.shadowN {
-		a.frame = &Push{
+		return a.freezeFrame(&Push{
 			Agent:  a.cfg.ID,
 			Gen:    a.gen,
 			Seq:    a.seq,
 			Cursor: a.frontier,
 			Flags:  FlagHeartbeat,
-		}
-		a.frameState, a.frameN = nil, a.shadowN
-		return nil
+		}, nil, a.shadowN)
 	}
 	cur, delta, err := a.snapshotPair()
 	if err != nil {
@@ -353,15 +349,23 @@ func (a *Agent) cutFrame() error {
 	if err != nil {
 		return err
 	}
-	a.frame = &Push{
+	return a.freezeFrame(&Push{
 		Agent:      a.cfg.ID,
 		Gen:        a.gen,
 		Seq:        a.seq + 1,
 		Cursor:     a.frontier,
 		Candidates: a.candidates(),
 		Envelope:   env,
+	}, cur, a.ingestN)
+}
+
+// freezeFrame makes p the in-flight frame and encodes it once; state and
+// n are the snapshot the shadow advances to when p is acknowledged.
+func (a *Agent) freezeFrame(p *Push, state salsa.Sketch, n uint64) error {
+	if err := p.freeze(); err != nil {
+		return err
 	}
-	a.frameState, a.frameN = cur, a.ingestN
+	a.frame, a.frameState, a.frameN = p, state, n
 	return nil
 }
 
@@ -440,7 +444,7 @@ func (a *Agent) prepareResync(ack *Ack) error {
 	if err != nil {
 		return err
 	}
-	a.frame = &Push{
+	return a.freezeFrame(&Push{
 		Agent:      a.cfg.ID,
 		Gen:        a.gen,
 		Seq:        1,
@@ -448,9 +452,7 @@ func (a *Agent) prepareResync(ack *Ack) error {
 		Flags:      FlagFull,
 		Candidates: a.candidates(),
 		Envelope:   env,
-	}
-	a.frameState, a.frameN = cur, a.ingestN
-	return nil
+	}, cur, a.ingestN)
 }
 
 // cryptoSeed draws a random jitter seed from the OS entropy source. If

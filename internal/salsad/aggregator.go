@@ -397,10 +397,17 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 		return ackFor(StatusDuplicate, e), nil
 
 	case p.Seq == e.lastSeq+1:
-		if p.Full() {
-			e.base = nil
-			e.cur = delta
-		} else if e.cur == nil {
+		if p.Full() || e.cur == nil {
+			// The envelope replaces the contribution (FlagFull) or becomes
+			// its first one: check it as first contact is checked, since an
+			// incompatible contribution fails every later fold of the table.
+			if err := a.checkCompatibleLocked(delta); err != nil {
+				a.stats.Rejected++
+				return nil, err
+			}
+			if p.Full() {
+				e.base = nil
+			}
 			e.cur = delta
 		} else if err := salsa.MergeInto(e.cur, delta); err != nil {
 			a.stats.Rejected++

@@ -1,0 +1,196 @@
+package salsad
+
+import (
+	"bytes"
+	"compress/flate"
+	"context"
+	"encoding/binary"
+	"testing"
+
+	"salsa"
+	"salsa/internal/stream"
+)
+
+// The push path at the shape of the pipeline benchmark's fanin-mixed
+// workload: a CMS-SALSA core with 2^14 counters per row and sum merge,
+// 1024-item frames from a Univ2-like source, and 64 heavy-hitter
+// candidates per frame.
+
+func faninSpec() salsa.Spec {
+	return salsa.CountMinOf(salsa.Options{Width: 1 << 14, Merge: salsa.MergeSum, Seed: 1})
+}
+
+var faninCandidates = func() []uint64 {
+	c := make([]uint64, 64)
+	for i := range c {
+		c[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+	}
+	return c
+}()
+
+func newFaninAgent(tb testing.TB, tr Transport) *Agent {
+	tb.Helper()
+	ag, err := NewAgent(AgentConfig{
+		ID: "edge-00", Spec: faninSpec(), Transport: tr, JitterSeed: 1,
+		Candidates: func() []uint64 { return faninCandidates },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ag
+}
+
+// frameFeeder ingests the next 1024 items of a cyclic source per frame.
+type frameFeeder struct {
+	items []uint64
+	pos   int
+}
+
+func newFrameFeeder() *frameFeeder {
+	return &frameFeeder{items: stream.Univ2.Generate(1<<16, 7)}
+}
+
+func (f *frameFeeder) feed(ag *Agent) {
+	for _, x := range f.items[f.pos : f.pos+1024] {
+		ag.Ingest(x)
+	}
+	f.pos = (f.pos + 1024) % len(f.items)
+}
+
+// ackTransport acknowledges every frame without delivering it, so only the
+// agent's own work runs; check, when set, sees each frame first.
+type ackTransport struct {
+	ack   Ack
+	check func(*Push)
+}
+
+func (t *ackTransport) Push(_ context.Context, p *Push) (*Ack, error) {
+	if t.check != nil {
+		t.check(p)
+	}
+	t.ack = Ack{Status: StatusApplied, Gen: p.Gen, Seq: p.Seq, Cursor: p.Cursor}
+	return &t.ack, nil
+}
+
+func (t *ackTransport) Resume(context.Context, string) (*ResumeInfo, error) {
+	return &ResumeInfo{}, nil
+}
+
+// allocsPerRun runs op once, so pooled compressors and lazily built
+// buffers exist, then returns what its steady state allocates per run.
+func allocsPerRun(t *testing.T, op func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	op()
+	return testing.AllocsPerRun(20, op)
+}
+
+func TestZeroAllocFrozenEncode(t *testing.T) {
+	ag := newFaninAgent(t, &ackTransport{})
+	newFrameFeeder().feed(ag)
+	if err := ag.cutFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if n := allocsPerRun(t, func() { _, _ = ag.frame.Encode() }); n != 0 {
+		t.Fatalf("Encode of a frozen frame: %v allocs, want 0", n)
+	}
+}
+
+func TestZeroAllocMarshalAllocatesOnce(t *testing.T) {
+	cm := salsa.MustBuild(faninSpec())
+	cm.UpdateBatch(stream.Univ2.Generate(1<<14, 3), 1)
+	if n := allocsPerRun(t, func() { _, _ = salsa.Marshal(cm) }); n != 1 {
+		t.Fatalf("salsa.Marshal of a d=4, w=2^14 CountMin: %v allocs, want 1", n)
+	}
+}
+
+// pushOnceAllocBudget bounds the allocations of one steady-state PushOnce
+// at the fanin-mixed shape: 58 measured with go1.24 on linux/amd64, plus
+// headroom. Most of them are the delta cut's two decoded copies of the
+// live sketch; the frame itself is one allocation.
+const pushOnceAllocBudget = 64
+
+func TestZeroAllocPushOnceBudget(t *testing.T) {
+	ag := newFaninAgent(t, &ackTransport{})
+	f := newFrameFeeder()
+	ctx := context.Background()
+	n := allocsPerRun(t, func() {
+		f.feed(ag)
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > pushOnceAllocBudget {
+		t.Fatalf("steady-state PushOnce: %v allocs, budget %d", n, pushOnceAllocBudget)
+	}
+}
+
+// TestEncodeMatchesFreshWriter pins the pooled compressor to the stream a
+// new flate.NewWriter(flate.BestSpeed) writes, for an agent's frozen
+// frames of growing size and for fresh encodes between them, so every
+// encode after the first reuses a pooled writer.
+func TestEncodeMatchesFreshWriter(t *testing.T) {
+	check := func(p *Push) {
+		t.Helper()
+		if p.Heartbeat() {
+			return
+		}
+		enc, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref bytes.Buffer
+		fw, err := flate.NewWriter(&ref, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(p.Envelope); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		head := p.headerLen()
+		if !bytes.Equal(enc[head:], ref.Bytes()) || binary.LittleEndian.Uint32(enc[head-4:]) != uint32(ref.Len()) {
+			t.Fatalf("%s seq %d: the pooled compressor's stream differs from a new writer's", p.Agent, p.Seq)
+		}
+	}
+	ag := newFaninAgent(t, &ackTransport{check: check})
+	f := newFrameFeeder()
+	ctx := context.Background()
+	for i := 1; i <= 6; i++ {
+		for j := 0; j < i; j++ {
+			f.feed(ag)
+		}
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		check(&Push{Agent: "full", Gen: 1, Seq: uint64(i), Envelope: marshalState(t, ag.Sketch())})
+	}
+}
+
+// BenchmarkPushPath times one frame through the whole push path at the
+// fanin-mixed shape: the agent's delta cut and freeze, then Encode,
+// DecodePush and ApplyPush, which directTransport runs in process. The
+// ingest of each frame's items is not timed.
+func BenchmarkPushPath(b *testing.B) {
+	agg, err := NewAggregator(AggregatorConfig{Spec: faninSpec()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ag := newFaninAgent(b, &directTransport{agg: agg})
+	f := newFrameFeeder()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		f.feed(ag)
+		b.StartTimer()
+		if err := ag.PushOnce(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

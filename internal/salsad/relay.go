@@ -1,6 +1,7 @@
 package salsad
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -253,9 +254,7 @@ func (r *Relay) PushOnce(ctx context.Context) error {
 		frame := r.currentFrame()
 		r.bump(func(s *AgentStats) {
 			s.Attempts++
-			if enc, err := frame.Encode(); err == nil {
-				s.WireBytes += uint64(len(enc))
-			}
+			s.WireBytes += uint64(len(frame.wire))
 		})
 		ack, err := r.cfg.Upstream.Push(ctx, frame)
 		if err != nil {
@@ -324,7 +323,7 @@ func (r *Relay) cutFrame() error {
 		if err != nil {
 			return err
 		}
-		r.frame = &Push{
+		return r.freezeFrameLocked(&Push{
 			Agent:      r.cfg.ID,
 			Gen:        r.gen,
 			Seq:        1,
@@ -333,23 +332,19 @@ func (r *Relay) cutFrame() error {
 			Depth:      byte(depth),
 			Candidates: cands,
 			Envelope:   env,
-		}
-		r.frameState, r.frameApplied, r.framePersisted = merged, applied, false
-		return nil
+		}, merged, applied, false)
 	}
 	if applied == r.appliedAtShadow {
-		r.frame = &Push{
+		// Heartbeats consume no sequence number, so they skip the
+		// durability barrier.
+		return r.freezeFrameLocked(&Push{
 			Agent:  r.cfg.ID,
 			Gen:    r.gen,
 			Seq:    r.seq,
 			Cursor: applied,
 			Flags:  FlagHeartbeat | FlagRelay,
 			Depth:  byte(depth),
-		}
-		// Heartbeats consume no sequence number, so they skip the
-		// durability barrier.
-		r.frameState, r.frameApplied, r.framePersisted = nil, r.appliedAtShadow, true
-		return nil
+		}, nil, r.appliedAtShadow, true)
 	}
 	delta, err := salsa.CloneSketch(merged)
 	if err != nil {
@@ -362,7 +357,7 @@ func (r *Relay) cutFrame() error {
 	if err != nil {
 		return err
 	}
-	r.frame = &Push{
+	return r.freezeFrameLocked(&Push{
 		Agent:      r.cfg.ID,
 		Gen:        r.gen,
 		Seq:        r.seq + 1,
@@ -371,8 +366,17 @@ func (r *Relay) cutFrame() error {
 		Depth:      byte(depth),
 		Candidates: cands,
 		Envelope:   env,
+	}, merged, applied, false)
+}
+
+// freezeFrameLocked makes p the in-flight upstream frame and encodes it
+// once; state and applied are the snapshot the shadow advances to on ack,
+// and persisted records whether p needs no durability barrier.
+func (r *Relay) freezeFrameLocked(p *Push, state salsa.Sketch, applied uint64, persisted bool) error {
+	if err := p.freeze(); err != nil {
+		return err
 	}
-	r.frameState, r.frameApplied, r.framePersisted = merged, applied, false
+	r.frame, r.frameState, r.frameApplied, r.framePersisted = p, state, applied, persisted
 	return nil
 }
 
@@ -465,13 +469,8 @@ func (r *Relay) marshalState() ([]byte, error) {
 	} else {
 		buf = append(buf, 1)
 		buf = binary.LittleEndian.AppendUint64(buf, r.frameApplied)
-		enc, err := r.frame.Encode()
-		if err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(enc)))
-		buf = append(buf, enc...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.frame.wire)))
+		buf = append(buf, r.frame.wire...)
 		if buf, err = appendOptionalSketch(buf, r.frameState); err != nil {
 			r.mu.Unlock()
 			return nil, err
@@ -510,6 +509,9 @@ func (r *Relay) restoreUpstream(data []byte) error {
 		if frame.Agent != r.cfg.ID {
 			return &SnapshotError{Reason: fmt.Sprintf("upstream section: frozen frame belongs to %q, this relay is %q", frame.Agent, r.cfg.ID)}
 		}
+		// Retries resend the persisted bytes: exactly what the dead
+		// incarnation transmitted.
+		frame.wire, frame.self = bytes.Clone(enc), frame
 		if frameState, err = r.agg.readOptionalSketch(&fr); err != nil {
 			return err
 		}

@@ -29,7 +29,7 @@ func newTestAggregator(t *testing.T, cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-func marshalState(t *testing.T, s salsa.Sketch) []byte {
+func marshalState(t testing.TB, s salsa.Sketch) []byte {
 	t.Helper()
 	blob, err := salsa.Marshal(s)
 	if err != nil {
@@ -39,7 +39,7 @@ func marshalState(t *testing.T, s salsa.Sketch) []byte {
 }
 
 // envelopeFor builds a marshaled test-spec sketch holding the given items.
-func envelopeFor(t *testing.T, items ...uint64) []byte {
+func envelopeFor(t testing.TB, items ...uint64) []byte {
 	t.Helper()
 	s := salsa.MustBuild(testSpec())
 	for _, it := range items {
@@ -82,6 +82,29 @@ func TestPushEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got.Envelope, p.Envelope) {
 		t.Fatal("envelope did not round-trip")
+	}
+}
+
+// TestFrozenPushCopyEncodesAfresh checks that only a frozen Push itself
+// returns its stored bytes: a copy whose fields have since changed encodes
+// what it now holds.
+func TestFrozenPushCopyEncodesAfresh(t *testing.T) {
+	p := &Push{Agent: "edge-7", Gen: 1, Seq: 1, Envelope: envelopeFor(t, 1, 2)}
+	if err := p.freeze(); err != nil {
+		t.Fatal(err)
+	}
+	q := *p
+	q.Seq = 2
+	enc, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodePush(enc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != 2 {
+		t.Fatalf("a changed copy of a frozen frame encoded seq %d, want 2", got.Seq)
 	}
 }
 
@@ -350,6 +373,47 @@ func TestAggregatorRejectsIncompatible(t *testing.T) {
 		Spec: salsa.CountMinOf(salsa.Options{Width: 1 << 8}), // MergeMax default
 	}); !errors.As(err, &de) {
 		t.Fatalf("max-merge aggregator: got %v, want *salsa.DeltaError", err)
+	}
+}
+
+// TestApplyPushRejectsIncompatibleFullFrame checks continuation frames as
+// first contacts are checked: an incompatible envelope that would replace
+// an agent's contribution (FlagFull) or become its first one is rejected
+// with the typed error, and the table keeps answering reads.
+func TestApplyPushRejectsIncompatibleFullFrame(t *testing.T) {
+	narrow := salsa.Options{Width: 1 << 10, Merge: salsa.MergeSum, Seed: 11}
+	wide := narrow
+	wide.Width = 1 << 11
+	env := func(opt salsa.Options, items ...uint64) []byte {
+		s := salsa.MustBuild(salsa.CountMinOf(opt))
+		for _, it := range items {
+			s.Update(it, 1)
+		}
+		return marshalState(t, s)
+	}
+	a := newTestAggregator(t, AggregatorConfig{Spec: salsa.CountMinOf(narrow)})
+	push(t, a, &Push{Agent: "e1", Gen: 1, Seq: 1, Candidates: []uint64{5}, Envelope: env(narrow, 5, 5)})
+	// An entry without a current contribution adopts its next frame as is.
+	a.agents["e2"] = &agentEntry{gen: 1, lastSeq: 1}
+
+	for _, p := range []*Push{
+		{Agent: "e1", Gen: 1, Seq: 2, Flags: FlagFull, Envelope: env(wide, 5)},
+		{Agent: "e2", Gen: 1, Seq: 2, Envelope: env(wide, 5)},
+	} {
+		var de *salsa.DeltaError
+		if _, err := a.ApplyPush(p); !errors.As(err, &de) {
+			t.Fatalf("%s seq %d: got %v, want *salsa.DeltaError", p.Agent, p.Seq, err)
+		}
+	}
+	if st := a.Stats(); st.Rejected != 2 || st.Applied != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if got := queryOne(t, a, 5); got != 2 {
+		t.Fatalf("item 5 = %d after the rejected frames, want 2", got)
+	}
+	top, err := a.Top(1)
+	if err != nil || len(top) != 1 || top[0].Item != 5 || top[0].Count != 2 {
+		t.Fatalf("Top(1) after the rejected frames = %v, %v", top, err)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 const (
@@ -134,6 +135,12 @@ type Push struct {
 	// Envelope is the uncompressed universal sketch envelope (nil for
 	// heartbeats). It travels flate-compressed.
 	Envelope []byte
+
+	// wire is the frame's encoding once freeze has run; self is then the
+	// Push itself, so a copy, whose fields may since have changed, encodes
+	// afresh.
+	wire []byte
+	self *Push
 }
 
 // Heartbeat reports whether the frame is a data-free lease renewal.
@@ -148,7 +155,39 @@ func (p *Push) Relay() bool { return p.Flags&FlagRelay != 0 }
 // Encode serializes the frame, compressing the envelope. Frames are
 // deterministic: encoding the same Push yields the same bytes, which is
 // what makes retried frames byte-identical on the wire.
+//
+// Agents and relays encode each frame once, when they freeze it, and
+// Encode returns those bytes: the WireBytes count, every attempt and retry,
+// and a durable relay's persisted frame share one slice. A frozen Push is
+// never modified, and its bytes are read-only.
 func (p *Push) Encode() ([]byte, error) {
+	if p.self == p {
+		return p.wire, nil
+	}
+	return p.encode()
+}
+
+// freeze encodes p once; from then on Encode returns those bytes.
+func (p *Push) freeze() error {
+	enc, err := p.encode()
+	if err != nil {
+		return err
+	}
+	p.wire, p.self = enc, p
+	return nil
+}
+
+// headerLen is the encoded length of the frame up to its compressed
+// envelope.
+func (p *Push) headerLen() int {
+	n := 4 + 1 + 1 + 2 + len(p.Agent) + 3*8 + 2 + 8*len(p.Candidates) + 4 + 4
+	if p.Relay() {
+		n++
+	}
+	return n
+}
+
+func (p *Push) encode() ([]byte, error) {
 	if len(p.Agent) == 0 || len(p.Agent) > MaxAgentIDLen {
 		return nil, fmt.Errorf("salsad: agent id length %d outside [1,%d]: %w", len(p.Agent), MaxAgentIDLen, ErrBadFrame)
 	}
@@ -161,20 +200,16 @@ func (p *Push) Encode() ([]byte, error) {
 	if p.Depth != 0 && !p.Relay() {
 		return nil, fmt.Errorf("salsad: depth %d on a non-relay frame: %w", p.Depth, ErrBadFrame)
 	}
-	var comp bytes.Buffer
+	var comp []byte
 	if len(p.Envelope) > 0 {
-		fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := fw.Write(p.Envelope); err != nil {
-			return nil, err
-		}
-		if err := fw.Close(); err != nil {
+		c := compressors.Get().(*compressor)
+		defer compressors.Put(c)
+		var err error
+		if comp, err = c.compress(p.Envelope); err != nil {
 			return nil, err
 		}
 	}
-	buf := make([]byte, 0, 64+len(p.Agent)+8*len(p.Candidates)+comp.Len())
+	buf := make([]byte, 0, p.headerLen()+len(comp))
 	buf = binary.LittleEndian.AppendUint32(buf, frameMagic)
 	buf = append(buf, frameVersion, p.Flags)
 	if p.Relay() {
@@ -190,9 +225,69 @@ func (p *Push) Encode() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, c)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Envelope)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(comp.Len()))
-	buf = append(buf, comp.Bytes()...)
-	return buf, nil
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(comp)))
+	return append(buf, comp...), nil
+}
+
+// compressor is a BestSpeed flate writer kept for reuse with its output
+// buffer. A new writer allocates over a megabyte; a reset one has dropped
+// its whole match history, so it writes exactly the bytes a new one would.
+type compressor struct {
+	fw  *flate.Writer
+	out bytes.Buffer
+}
+
+var compressors = sync.Pool{New: func() any {
+	c := new(compressor)
+	c.fw, _ = flate.NewWriter(&c.out, flate.BestSpeed) // errors only on an invalid level
+	return c
+}}
+
+// compress returns the flate stream of data, held in c's buffer until c
+// is used again.
+func (c *compressor) compress(data []byte) ([]byte, error) {
+	c.out.Reset()
+	c.fw.Reset(&c.out)
+	if _, err := c.fw.Write(data); err != nil {
+		return nil, err
+	}
+	if err := c.fw.Close(); err != nil {
+		return nil, err
+	}
+	return c.out.Bytes(), nil
+}
+
+// decompressor is a flate reader kept for reuse with its source. Resetting
+// it clears every trace of the previous stream, including one a decode
+// error abandoned part-way.
+type decompressor struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	one [1]byte
+}
+
+var decompressors = sync.Pool{New: func() any {
+	d := new(decompressor)
+	d.fr = flate.NewReader(&d.src)
+	return d
+}}
+
+// inflate decompresses comp into an envelope of exactly rawLen bytes.
+func (d *decompressor) inflate(comp []byte, rawLen int) ([]byte, error) {
+	d.src.Reset(comp)
+	defer d.src.Reset(nil) // the pool must not keep the caller's frame alive
+	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
+		return nil, ErrBadFrame
+	}
+	env := make([]byte, rawLen)
+	if _, err := io.ReadFull(d.fr, env); err != nil {
+		return nil, ErrBadFrame
+	}
+	// The stream must end exactly at the declared length.
+	if n, err := d.fr.Read(d.one[:]); n != 0 || err != io.EOF {
+		return nil, ErrBadFrame
+	}
+	return env, nil
 }
 
 // DecodePush parses and validates a push frame. Every length is checked
@@ -200,7 +295,7 @@ func (p *Push) Encode() ([]byte, error) {
 // envelope size over maxEnvelope returns a *TooLargeError without
 // decompressing a byte, so a hostile or corrupt push cannot balloon
 // memory. The decompressed envelope is verified to match the declared
-// length exactly.
+// length exactly. Decompression reuses pooled flate readers.
 func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 	if maxEnvelope <= 0 {
 		maxEnvelope = DefaultMaxEnvelopeBytes
@@ -263,14 +358,11 @@ func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 	if p.Heartbeat() {
 		return nil, ErrBadFrame
 	}
-	fr := flate.NewReader(bytes.NewReader(comp))
-	env := make([]byte, rawLen)
-	if _, err := io.ReadFull(fr, env); err != nil {
-		return nil, ErrBadFrame
-	}
-	// The stream must end exactly at the declared length.
-	if n, err := fr.Read(make([]byte, 1)); n != 0 || err != io.EOF {
-		return nil, ErrBadFrame
+	d := decompressors.Get().(*decompressor)
+	env, err := d.inflate(comp, rawLen)
+	decompressors.Put(d)
+	if err != nil {
+		return nil, err
 	}
 	p.Envelope = env
 	return p, nil

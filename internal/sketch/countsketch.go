@@ -135,6 +135,9 @@ func (c *CountSketch) disableFast() { c.fixed, c.salsa = nil, nil }
 // Depth returns the number of rows d.
 func (c *CountSketch) Depth() int { return len(c.rows) }
 
+// Rows exposes the underlying rows (read-mostly; used by tests).
+func (c *CountSketch) Rows() []SignedRow { return c.rows }
+
 // Width returns the row width w.
 func (c *CountSketch) Width() int { return int(c.mask) + 1 }
 

@@ -21,6 +21,9 @@ const (
 	csKindSalsa   = byte(2)
 	kindCMSHeader = byte(10)
 	kindCSHeader  = byte(11)
+
+	// sketchHeaderLen is the payload prefix: magic, kind, flag byte, depth.
+	sketchHeaderLen = 4 + 1 + 1 + 8
 )
 
 // ErrBadSketchPayload is returned for payloads that are not sketches.
@@ -45,11 +48,6 @@ func validRowWidths(widths []int) bool {
 		}
 	}
 	return true
-}
-
-func appendBlock(buf, block []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(block)))
-	return append(buf, block...)
 }
 
 func readBlock(data []byte) (block, rest []byte, err error) {
@@ -134,47 +132,87 @@ func (c *CountSketch) CompatibleWith(other *CountSketch) error {
 	return nil
 }
 
-// MarshalBinary encodes the sketch, rows included.
-func (c *CMS) MarshalBinary() ([]byte, error) {
-	buf := binary.LittleEndian.AppendUint32(nil, sketchMagic)
-	buf = append(buf, kindCMSHeader)
-	if c.conservative {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+// rowCodec is the sized encoding every core row type provides.
+type rowCodec interface {
+	BinarySize() int
+	AppendBinary(buf []byte) ([]byte, error)
+}
+
+// cmsRow returns the wire kind and the codec of a CMS row.
+func cmsRow(r Row) (byte, rowCodec, error) {
+	switch row := r.(type) {
+	case *core.Fixed:
+		return rowKindFixed, row, nil
+	case *core.Salsa:
+		return rowKindSalsa, row, nil
+	case *core.Tango:
+		return rowKindTango, row, nil
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
-	for _, s := range c.seeds {
+	return 0, nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
+}
+
+// csRow returns the wire kind and the codec of a Count Sketch row.
+func csRow(r SignedRow) (byte, rowCodec, error) {
+	switch row := r.(type) {
+	case *core.FixedSign:
+		return csKindFixed, row, nil
+	case *core.SalsaSign:
+		return csKindSalsa, row, nil
+	}
+	return 0, nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
+}
+
+// appendRow appends a row as its kind byte and a length-prefixed block,
+// encoding the row in place.
+func appendRow(buf []byte, kind byte, row rowCodec) ([]byte, error) {
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(row.BinarySize()))
+	return row.AppendBinary(buf)
+}
+
+func appendSeeds(buf []byte, seeds []uint64) []byte {
+	for _, s := range seeds {
 		buf = binary.LittleEndian.AppendUint64(buf, s)
 	}
+	return buf
+}
+
+// BinarySize returns the length of the sketch's MarshalBinary encoding.
+func (c *CMS) BinarySize() int {
+	n := sketchHeaderLen + 8*len(c.seeds)
 	for _, r := range c.rows {
-		switch row := r.(type) {
-		case *core.Fixed:
-			payload, err := row.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, rowKindFixed)
-			buf = appendBlock(buf, payload)
-		case *core.Salsa:
-			payload, err := row.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, rowKindSalsa)
-			buf = appendBlock(buf, payload)
-		case *core.Tango:
-			payload, err := row.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, rowKindTango)
-			buf = appendBlock(buf, payload)
-		default:
-			return nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
+		if _, row, err := cmsRow(r); err == nil {
+			n += 1 + 8 + row.BinarySize()
+		}
+	}
+	return n
+}
+
+// AppendBinary appends the sketch's MarshalBinary encoding to buf.
+func (c *CMS) AppendBinary(buf []byte) ([]byte, error) {
+	var conservative byte
+	if c.conservative {
+		conservative = 1
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
+	buf = append(buf, kindCMSHeader, conservative)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
+	buf = appendSeeds(buf, c.seeds)
+	for _, r := range c.rows {
+		kind, row, err := cmsRow(r)
+		if err != nil {
+			return nil, err
+		}
+		if buf, err = appendRow(buf, kind, row); err != nil {
+			return nil, err
 		}
 	}
 	return buf, nil
+}
+
+// MarshalBinary encodes the sketch, rows included.
+func (c *CMS) MarshalBinary() ([]byte, error) {
+	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
 // UnmarshalCMS decodes a CMS (or CUS) produced by MarshalBinary.
@@ -191,10 +229,7 @@ func UnmarshalCMS(data []byte) (*CMS, error) {
 	if d <= 0 || d > maxMarshalDepth || len(data) < d*8 {
 		return nil, ErrBadSketchPayload
 	}
-	seeds := make([]uint64, d)
-	for i := range seeds {
-		seeds[i] = binary.LittleEndian.Uint64(data[i*8:])
-	}
+	seeds := data[:d*8]
 	data = data[d*8:]
 	rows := make([]Row, d)
 	for i := 0; i < d; i++ {
@@ -229,42 +264,45 @@ func UnmarshalCMS(data []byte) (*CMS, error) {
 		return nil, ErrBadSketchPayload
 	}
 	c := newCMS(rows, 0, conservative)
-	copy(c.seeds, seeds)
+	for i := range c.seeds {
+		c.seeds[i] = binary.LittleEndian.Uint64(seeds[i*8:])
+	}
 	return c, nil
+}
+
+// BinarySize returns the length of the sketch's MarshalBinary encoding.
+func (c *CountSketch) BinarySize() int {
+	n := sketchHeaderLen + 8*(len(c.idxSeeds)+len(c.signSeeds))
+	for _, r := range c.rows {
+		if _, row, err := csRow(r); err == nil {
+			n += 1 + 8 + row.BinarySize()
+		}
+	}
+	return n
+}
+
+// AppendBinary appends the sketch's MarshalBinary encoding to buf.
+func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
+	buf = append(buf, kindCSHeader, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
+	buf = appendSeeds(buf, c.idxSeeds)
+	buf = appendSeeds(buf, c.signSeeds)
+	for _, r := range c.rows {
+		kind, row, err := csRow(r)
+		if err != nil {
+			return nil, err
+		}
+		if buf, err = appendRow(buf, kind, row); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // MarshalBinary encodes the Count Sketch, rows included.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	buf := binary.LittleEndian.AppendUint32(nil, sketchMagic)
-	buf = append(buf, kindCSHeader, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
-	for _, s := range c.idxSeeds {
-		buf = binary.LittleEndian.AppendUint64(buf, s)
-	}
-	for _, s := range c.signSeeds {
-		buf = binary.LittleEndian.AppendUint64(buf, s)
-	}
-	for _, r := range c.rows {
-		switch row := r.(type) {
-		case *core.FixedSign:
-			payload, err := row.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, csKindFixed)
-			buf = appendBlock(buf, payload)
-		case *core.SalsaSign:
-			payload, err := row.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, csKindSalsa)
-			buf = appendBlock(buf, payload)
-		default:
-			return nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
-		}
-	}
-	return buf, nil
+	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
 // UnmarshalCountSketch decodes a Count Sketch produced by MarshalBinary.

@@ -57,13 +57,17 @@ func readOptions(data []byte) (Options, []byte, error) {
 	return o, data[optionsHeaderLen:], nil
 }
 
+// binarySize returns the length of the sketch's MarshalBinary encoding.
+func (c *CountMin) binarySize() int { return optionsHeaderLen + c.sk.BinarySize() }
+
+// appendBinary appends the sketch's MarshalBinary encoding to buf.
+func (c *CountMin) appendBinary(buf []byte) ([]byte, error) {
+	return c.sk.AppendBinary(appendOptions(buf, c.opt))
+}
+
 // MarshalBinary encodes the sketch for storage or transport.
 func (c *CountMin) MarshalBinary() ([]byte, error) {
-	payload, err := c.sk.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return append(appendOptions(nil, c.opt), payload...), nil
+	return c.appendBinary(make([]byte, 0, c.binarySize()))
 }
 
 // UnmarshalCountMin decodes a CountMin (or ConservativeUpdate) sketch.
@@ -79,13 +83,17 @@ func UnmarshalCountMin(data []byte) (*CountMin, error) {
 	return &CountMin{sk: sk, opt: opt, conservative: sk.Conservative()}, nil
 }
 
+// binarySize returns the length of the sketch's MarshalBinary encoding.
+func (c *CountSketch) binarySize() int { return optionsHeaderLen + c.sk.BinarySize() }
+
+// appendBinary appends the sketch's MarshalBinary encoding to buf.
+func (c *CountSketch) appendBinary(buf []byte) ([]byte, error) {
+	return c.sk.AppendBinary(appendOptions(buf, c.opt))
+}
+
 // MarshalBinary encodes the sketch for storage or transport.
 func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	payload, err := c.sk.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return append(appendOptions(nil, c.opt), payload...), nil
+	return c.appendBinary(make([]byte, 0, c.binarySize()))
 }
 
 // UnmarshalCountSketch decodes a CountSketch.
