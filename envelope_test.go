@@ -553,6 +553,40 @@ func TestUniversalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// callerSketch is a Sketch defined outside the package's type set.
+type callerSketch struct{ n int64 }
+
+func (c *callerSketch) Update(_ uint64, count int64) { c.n += count }
+func (c *callerSketch) UpdateBatch(items []uint64, count int64) {
+	c.n += int64(len(items)) * count
+}
+func (c *callerSketch) MemoryBits() int { return 64 }
+
+// TestMarshalUnsupportedTopology: Marshal rejects every topology the
+// envelope cannot rebuild with an error wrapping ErrUnsupportedTopology,
+// including Sharded layers over backends the Spec algebra never shards —
+// even when the backend alone would marshal.
+func TestMarshalUnsupportedTopology(t *testing.T) {
+	opt := Options{Width: 64, Seed: 1}
+	for name, s := range map[string]Sketch{
+		"caller sketch": &callerSketch{},
+		"sharded topk": NewSharded(2, 1, func(int) *TopK {
+			return MustBuild(TopKOf(opt, 4)).(*TopK)
+		}),
+		"sharded univmon": NewSharded(2, 1, func(int) *UnivMon {
+			return MustBuild(UnivMonOf(opt, 4, 8)).(*UnivMon)
+		}),
+		"sharded caller sketch": NewSharded(2, 1, func(int) *callerSketch { return &callerSketch{} }),
+		"nested sharded": NewSharded(2, 1, func(int) *ShardedCountMin {
+			return MustBuild(ShardedBy(CountMinOf(opt), 2)).(*ShardedCountMin)
+		}),
+	} {
+		if _, err := Marshal(s); !errors.Is(err, ErrUnsupportedTopology) {
+			t.Errorf("%s: Marshal error %v, want ErrUnsupportedTopology", name, err)
+		}
+	}
+}
+
 // TestUniversalRejectsHugeDeclaredGeometry: a tiny windowed payload whose
 // Options header declares an enormous (but power-of-two, so
 // Validate-passing) Width must be rejected before the decoder builds the

@@ -194,6 +194,14 @@ func TestBuildConcreteTypes(t *testing.T) {
 		{ShardedBy(DistinctOf(opt), 2), (*ShardedDistinct)(nil)},
 		{ShardedBy(Filtered(ConservativeOf(opt)), 2), (*ShardedColdFilter)(nil)},
 		{ShardedBy(Tiered(CountMinOf(opt)), 2), (*ShardedPyramid)(nil)},
+		{EpochShardedBy(CountMinOf(opt), 2), (*EpochCountMin)(nil)},
+		{EpochShardedBy(ConservativeOf(opt), 2), (*EpochCountMin)(nil)},
+		{EpochShardedBy(CountSketchOf(opt), 2), (*EpochCountSketch)(nil)},
+		{EpochShardedBy(MonitorOf(opt, 4), 2), (*EpochMonitor)(nil)},
+		{EpochShardedBy(DistinctOf(opt), 2), (*EpochDistinct)(nil)},
+		{EpochShardedBy(Windowed(CountMinOf(opt), 4, 0), 2), (*EpochWindowedCountMin)(nil)},
+		{EpochShardedBy(Windowed(CountSketchOf(opt), 4, 0), 2), (*EpochWindowedCountSketch)(nil)},
+		{EpochShardedBy(Windowed(DistinctOf(opt), 4, 0), 2), (*EpochWindowedDistinct)(nil)},
 	}
 	for _, tc := range cases {
 		s, err := Build(tc.spec)
