@@ -39,10 +39,7 @@ func aeeDefaults(opt Options) Options {
 }
 
 // buildAEE realizes an AEEOf spec.
-func buildAEE(opt Options) (*AEE, error) {
-	if err := opt.validateFor(kindAEE); err != nil {
-		return nil, err
-	}
+func buildAEE(opt Options) *AEE {
 	opt = aeeDefaults(opt)
 	a := &AEE{opt: opt}
 	if opt.Mode == ModeBaseline {
@@ -62,7 +59,7 @@ func buildAEE(opt Options) (*AEE, error) {
 			Seed:  opt.Seed,
 		})
 	}
-	return a, nil
+	return a
 }
 
 // Update adds count occurrences of item; count must be non-negative.

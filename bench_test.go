@@ -453,13 +453,13 @@ var benchShardedBackends = []struct {
 	build func(shards int) *ShardedCountMin
 }{
 	{"salsa", func(shards int) *ShardedCountMin {
-		return NewShardedCountMin(Options{Width: 1 << 14 / shards, Seed: 1}, shards)
+		return MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14 / shards, Seed: 1}), shards)).(*ShardedCountMin)
 	}},
 	{"baseline", func(shards int) *ShardedCountMin {
-		return NewShardedCountMin(Options{Width: 1 << 14 / shards, Mode: ModeBaseline, Seed: 1}, shards)
+		return MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14 / shards, Mode: ModeBaseline, Seed: 1}), shards)).(*ShardedCountMin)
 	}},
 	{"conservative", func(shards int) *ShardedCountMin {
-		return NewShardedConservativeUpdate(Options{Width: 1 << 14 / shards, Seed: 1}, shards)
+		return MustBuild(ShardedBy(ConservativeOf(Options{Width: 1 << 14 / shards, Seed: 1}), shards)).(*ShardedCountMin)
 	}},
 }
 
@@ -510,7 +510,7 @@ func BenchmarkShardedParallel(b *testing.B) {
 	const batch = 4096
 	data := benchStream()
 	b.Run("Increment", func(b *testing.B) {
-		s := NewShardedCountMin(Options{Width: 1 << 14, Seed: 1}, 8)
+		s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14, Seed: 1}), 8)).(*ShardedCountMin)
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
@@ -520,7 +520,7 @@ func BenchmarkShardedParallel(b *testing.B) {
 		})
 	})
 	b.Run("Writer", func(b *testing.B) {
-		s := NewShardedCountMin(Options{Width: 1 << 14, Seed: 1}, 8)
+		s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14, Seed: 1}), 8)).(*ShardedCountMin)
 		b.RunParallel(func(pb *testing.PB) {
 			w := s.NewWriter(256)
 			i := 0
@@ -532,7 +532,7 @@ func BenchmarkShardedParallel(b *testing.B) {
 		})
 	})
 	b.Run("IncrementBatch", func(b *testing.B) {
-		s := NewShardedCountMin(Options{Width: 1 << 14, Seed: 1}, 8)
+		s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14, Seed: 1}), 8)).(*ShardedCountMin)
 		var off atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
 			buf := make([]uint64, 0, batch)
@@ -551,7 +551,7 @@ func BenchmarkShardedParallel(b *testing.B) {
 // BenchmarkShardedQueryBatch times the read side of the concurrent layer.
 func BenchmarkShardedQueryBatch(b *testing.B) {
 	const batch = 4096
-	s := NewShardedCountMin(Options{Width: 1 << 14, Seed: 1}, 8)
+	s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 14, Seed: 1}), 8)).(*ShardedCountMin)
 	data := benchStream()
 	s.IncrementBatch(data)
 	dst := make([]uint64, batch)
@@ -576,11 +576,11 @@ func BenchmarkWindowedIngest(b *testing.B) {
 	const batch = 4096
 	data := benchStream()
 	b.Run("Increment", func(b *testing.B) {
-		w := NewWindowedCountMin(Options{Width: 1 << 12, Seed: 1}, 8, 1<<15)
+		w := MustBuild(Windowed(CountMinOf(Options{Width: 1 << 12, Seed: 1}), 8, 1<<15)).(*WindowedCountMin)
 		benchUpdates(b, w.Increment)
 	})
 	b.Run("IncrementBatch", func(b *testing.B) {
-		w := NewWindowedCountMin(Options{Width: 1 << 12, Seed: 1}, 8, 1<<15)
+		w := MustBuild(Windowed(CountMinOf(Options{Width: 1 << 12, Seed: 1}), 8, 1<<15)).(*WindowedCountMin)
 		b.ReportAllocs()
 		b.ResetTimer()
 		off := 0
@@ -599,7 +599,7 @@ func BenchmarkWindowedIngest(b *testing.B) {
 func BenchmarkWindowedRotate(b *testing.B) {
 	for _, buckets := range []int{4, 8} {
 		b.Run(fmt.Sprintf("buckets=%d", buckets), func(b *testing.B) {
-			w := NewWindowedCountMin(Options{Width: 1 << 12, Seed: 1}, buckets, 0)
+			w := MustBuild(Windowed(CountMinOf(Options{Width: 1 << 12, Seed: 1}), buckets, 0)).(*WindowedCountMin)
 			w.IncrementBatch(benchStream()[:1<<17])
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -615,7 +615,7 @@ func BenchmarkWindowedRotate(b *testing.B) {
 // merge. Both regimes are timed.
 func BenchmarkWindowedQuery(b *testing.B) {
 	build := func() *WindowedCountMin {
-		w := NewWindowedCountMin(Options{Width: 1 << 12, Seed: 1}, 8, 1<<15)
+		w := MustBuild(Windowed(CountMinOf(Options{Width: 1 << 12, Seed: 1}), 8, 1<<15)).(*WindowedCountMin)
 		w.IncrementBatch(benchStream()[:1<<17])
 		return w
 	}
@@ -638,15 +638,15 @@ func BenchmarkWindowedQuery(b *testing.B) {
 // BenchmarkPublicAPI times the facade overhead end to end.
 func BenchmarkPublicAPI(b *testing.B) {
 	b.Run("CountMinIncrement", func(b *testing.B) {
-		cm := NewCountMin(Options{Width: 1 << 14, Seed: 1})
+		cm := MustBuild(CountMinOf(Options{Width: 1 << 14, Seed: 1})).(*CountMin)
 		benchUpdates(b, cm.Increment)
 	})
 	b.Run("CountSketchIncrement", func(b *testing.B) {
-		cs := NewCountSketch(Options{Width: 1 << 14, Seed: 1})
+		cs := MustBuild(CountSketchOf(Options{Width: 1 << 14, Seed: 1})).(*CountSketch)
 		benchUpdates(b, cs.Increment)
 	})
 	b.Run("MonitorProcess", func(b *testing.B) {
-		m := NewMonitor(Options{Width: 1 << 14, Seed: 1}, 100)
+		m := MustBuild(MonitorOf(Options{Width: 1 << 14, Seed: 1}, 100)).(*Monitor)
 		benchUpdates(b, m.Process)
 	})
 }

@@ -57,6 +57,9 @@ func TestRunTopology(t *testing.T) {
 		"windowed(3,2500,distinct)",
 		"sharded(2,filtered(cms))",
 		"sharded(2,tiered(cms))",
+		"epoch(2,cms)",
+		"epoch(2,monitor(16))",
+		"epoch(2,windowed(3,0,distinct))",
 	} {
 		var out strings.Builder
 		if err := run([]string{"-topology", expr, "-n", "30000"}, &out); err != nil {
@@ -70,6 +73,22 @@ func TestRunTopology(t *testing.T) {
 		}
 		if strings.Contains(expr, "windowed") && !strings.Contains(got, "rotation_us,") {
 			t.Fatalf("-topology %s missing rotation cost:\n%s", expr, got)
+		}
+	}
+	// Every concurrency-layer product ingests from -procs goroutines,
+	// whatever its backend, and the header says so.
+	for _, expr := range []string{
+		"sharded(4,cms)",
+		"sharded(4,aee)",
+		"sharded(2,windowed(4,1000,monitor(16)))",
+		"epoch(2,cms)",
+	} {
+		var out strings.Builder
+		if err := run([]string{"-topology", expr, "-n", "20000", "-procs", "2"}, &out); err != nil {
+			t.Fatalf("-topology %s: %v", expr, err)
+		}
+		if !strings.Contains(out.String(), ", procs=2,") {
+			t.Fatalf("-topology %s -procs 2 did not ingest from 2 goroutines:\n%s", expr, out.String())
 		}
 	}
 }

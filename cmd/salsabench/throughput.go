@@ -83,18 +83,34 @@ func runThroughput(cfg throughputConfig, out io.Writer) {
 	}
 }
 
-// ingestTopology unwraps the typed concurrency wrapper Build returned and
-// streams data through the chosen path.
+// epochLayer is the ingestion surface every EpochShardedBy product shares
+// through its embedded *salsa.Epoch.
+type epochLayer interface {
+	NewWriter(batch int) *salsa.EpochWriter
+	Advance()
+	AutoAdvance(interval time.Duration) (stop func())
+}
+
+// shardedLayer is the ingestion surface every ShardedBy product over
+// shard type S shares through its embedded *salsa.Sharded[S]. Writer is
+// generic in S, so the layer is matched once per shard type the
+// backends above build.
+type shardedLayer[S salsa.Sketch] interface {
+	Increment(item uint64)
+	IncrementBatch(items []uint64)
+	NewWriter(batch int) *salsa.Writer[S]
+}
+
+// ingestTopology streams data through the chosen path of the concurrency
+// layer Build returned.
 func ingestTopology(s salsa.Sketch, path string, cfg throughputConfig, data []uint64) time.Duration {
 	switch x := s.(type) {
-	case *salsa.ShardedCountMin:
-		return ingest(x.Sharded, path, cfg, data)
-	case *salsa.ShardedCountSketch:
-		return ingest(x.Sharded, path, cfg, data)
-	case *salsa.ShardedMonitor:
-		return ingest(x.Sharded, path, cfg, data)
-	case *salsa.EpochCountMin:
+	case epochLayer:
 		return ingestEpoch(x, path, cfg, data)
+	case shardedLayer[*salsa.CountMin]:
+		return ingest(x, path, cfg, data)
+	case shardedLayer[*salsa.CountSketch]:
+		return ingest(x, path, cfg, data)
 	}
 	panic(fmt.Sprintf("throughput: unshardable topology %T", s))
 }
@@ -103,7 +119,7 @@ func ingestTopology(s salsa.Sketch, path string, cfg throughputConfig, data []ui
 // a live background merger — the honest lock-free measurement: the clock
 // covers ingestion, writer teardown, and the final drain that makes every
 // item visible to queries.
-func ingestEpoch(e *salsa.EpochCountMin, path string, cfg throughputConfig, data []uint64) time.Duration {
+func ingestEpoch(e epochLayer, path string, cfg throughputConfig, data []uint64) time.Duration {
 	stop := e.AutoAdvance(time.Millisecond)
 	defer stop()
 	procs := cfg.procs
@@ -140,7 +156,7 @@ func ingestEpoch(e *salsa.EpochCountMin, path string, cfg throughputConfig, data
 
 // ingest streams data into s from cfg.procs goroutines over the chosen path
 // and returns the wall-clock time for the whole stream.
-func ingest[S salsa.Sketch](s *salsa.Sharded[S], path string, cfg throughputConfig, data []uint64) time.Duration {
+func ingest[S salsa.Sketch](s shardedLayer[S], path string, cfg throughputConfig, data []uint64) time.Duration {
 	procs := cfg.procs
 	chunk := (len(data) + procs - 1) / procs
 	start := time.Now()

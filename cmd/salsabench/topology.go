@@ -26,87 +26,39 @@ type topologyConfig struct {
 	seed  uint64
 }
 
-// queryFunc returns the point-query surface of any built topology.
+// queryFunc returns the point-query surface of any built topology. Point
+// queries are matched by estimate type, so each concurrency layer's
+// typed products fall under the same cases as the sketches they wrap.
 func queryFunc(s salsa.Sketch) (func(uint64), error) {
 	switch x := s.(type) {
-	case *salsa.CountMin:
+	case interface{ Query(uint64) uint64 }:
 		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.CountSketch:
+	case interface{ Query(uint64) int64 }:
+		return func(i uint64) { _ = x.Query(i) }, nil
+	case interface{ Query(uint64) float64 }:
 		return func(i uint64) { _ = x.Query(i) }, nil
 	case *salsa.Monitor:
 		return func(i uint64) { _ = x.Sketch().Query(i) }, nil
 	case *salsa.TopK:
 		return func(i uint64) { _ = x.Sketch().Query(i) }, nil
-	case *salsa.WindowedCountMin:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.WindowedCountSketch:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.WindowedMonitor:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedCountMin:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedCountSketch:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedMonitor:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedWindowedCountMin:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedWindowedCountSketch:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedWindowedMonitor:
-		return func(i uint64) { _ = x.Query(i) }, nil
 	case *salsa.UnivMon:
 		// No per-item query; the closest point-query analogue is the
 		// top-level heavy-hitter scan, amortized here per probe.
 		return func(i uint64) { _ = x.Volume() }, nil
-	case *salsa.AEE:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedAEE:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.Distinct:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.WindowedDistinct:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedDistinct:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ColdFilter:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedColdFilter:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.Pyramid:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.ShardedPyramid:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochCountMin:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochCountSketch:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochMonitor:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochDistinct:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochWindowedCountMin:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochWindowedCountSketch:
-		return func(i uint64) { _ = x.Query(i) }, nil
-	case *salsa.EpochWindowedDistinct:
-		return func(i uint64) { _ = x.Query(i) }, nil
 	}
 	return nil, fmt.Errorf("no query surface for %T", s)
 }
 
 // isSharded reports whether the built topology tolerates concurrent
 // ingestion (decided by the concrete type Build returned, not by the
-// spec rendering). Epoch types qualify through their direct compatibility
-// path — serialized through the view lock, safe from any goroutine; use
-// -sweep for the lock-free writer path.
+// spec rendering): every ShardedBy product reports its Shards, and every
+// EpochShardedBy product hands out EpochWriters. Epoch types qualify
+// through their direct compatibility path — serialized through the view
+// lock, safe from any goroutine; use -sweep for the lock-free writer
+// path.
 func isSharded(s salsa.Sketch) bool {
 	switch s.(type) {
-	case *salsa.ShardedCountMin, *salsa.ShardedCountSketch, *salsa.ShardedMonitor,
-		*salsa.ShardedWindowedCountMin, *salsa.ShardedWindowedCountSketch,
-		*salsa.EpochCountMin, *salsa.EpochCountSketch, *salsa.EpochMonitor,
-		*salsa.EpochDistinct, *salsa.EpochWindowedCountMin,
-		*salsa.EpochWindowedCountSketch, *salsa.EpochWindowedDistinct:
+	case interface{ Shards() int }, interface{ NewWriter(int) *salsa.EpochWriter }:
 		return true
 	}
 	return false

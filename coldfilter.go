@@ -40,21 +40,8 @@ type ColdFilter struct {
 }
 
 // buildColdFilter realizes a Filtered(CountMinOf/ConservativeOf) spec.
-func buildColdFilter(opt Options, conservative bool) (*ColdFilter, error) {
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	if err := validateFilterWidth(opt.Width); err != nil {
-		return nil, err
-	}
-	stage2, err := buildCountMin(opt, conservative)
-	if err != nil {
-		return nil, err
-	}
+func buildColdFilter(opt Options, conservative bool) *ColdFilter {
+	stage2 := buildCountMin(opt, conservative)
 	o := stage2.Options()
 	cf := coldfilter.New(coldfilter.Config{
 		W1:   4 * o.Width,
@@ -63,7 +50,7 @@ func buildColdFilter(opt Options, conservative bool) (*ColdFilter, error) {
 		D2:   3,
 		Seed: filterSeed(o.Seed),
 	}, stage2.sk)
-	return &ColdFilter{cf: cf, stage2: stage2, opt: o, conservative: conservative}, nil
+	return &ColdFilter{cf: cf, stage2: stage2, opt: o, conservative: conservative}
 }
 
 // Update adds count occurrences of item; count must be non-negative.

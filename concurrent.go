@@ -10,13 +10,22 @@ import (
 // validateShardCount caps the shard count at the envelope decoder's
 // maxShards, so every constructible sharded topology is serializable. The
 // lower bound stays with the callers: the Spec algebra requires a positive
-// count, while the deprecated constructors keep their documented
-// round-up-to-minimum-1 behavior.
+// count, while NewSharded rounds non-positive counts up to one shard.
 func validateShardCount(shards int) error {
 	if shards > maxShards {
 		return fmt.Errorf("salsa: shard count %d exceeds the maximum %d", shards, maxShards)
 	}
 	return nil
+}
+
+// shardCount rounds a requested shard count up to the power of two the
+// router needs (minimum 1).
+func shardCount(shards int) int {
+	n := 1
+	for n < shards {
+		n *= 2
+	}
+	return n
 }
 
 // Sharded is the concurrent ingestion layer: a generic wrapper that routes
@@ -28,9 +37,9 @@ func validateShardCount(shards int) error {
 //
 // It works over any backend implementing Sketch: CountMin (plain or
 // conservative), CountSketch, and the Monitor heavy-hitter tracker all
-// qualify; use the typed constructors in sharded.go, or NewSharded with a
-// custom factory. Memory is the per-shard Options.Width times the shard
-// count; size widths accordingly.
+// qualify; Build(ShardedBy(...)) returns the typed wrappers in sharded.go,
+// and NewSharded takes a custom factory. Memory is the per-shard
+// Options.Width times the shard count; size widths accordingly.
 //
 // Single-item Update/Increment lock the owning shard per call. The batch
 // APIs (UpdateBatch/IncrementBatch and the typed QueryBatch wrappers)
@@ -56,17 +65,14 @@ type shard[S Sketch] struct {
 // (rounded up to a power of two, minimum 1), panicking beyond the
 // envelope's maximum so every constructible sharded topology stays
 // serializable. routeSeed drives the item-to-shard hash; factory builds
-// shard i's backend. Give shards distinct sketch seeds (as the typed
-// constructors do) unless you intend to Merge them later, in which case
-// they must share one.
+// shard i's backend. Give shards distinct sketch seeds (as ShardedBy does)
+// unless you intend to Merge them later, in which case they must share
+// one.
 func NewSharded[S Sketch](shards int, routeSeed uint64, factory func(shard int) S) *Sharded[S] {
 	if err := validateShardCount(shards); err != nil {
 		panic(err)
 	}
-	n := 1
-	for n < shards {
-		n *= 2
-	}
+	n := shardCount(shards)
 	s := &Sharded[S]{
 		shards: make([]shard[S], n),
 		mask:   uint64(n - 1),

@@ -1,6 +1,7 @@
 package salsa
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,31 +17,41 @@ import (
 func TestBatchEqualsSequential(t *testing.T) {
 	data := stream.Zipf(80000, 4000, 1.0, 21)
 	builds := map[string]func() Sketch{
-		"CountMinSALSA":      func() Sketch { return NewCountMin(Options{Width: 1 << 10, Seed: 9}) },
-		"CountMinBaseline":   func() Sketch { return NewCountMin(Options{Width: 1 << 10, Mode: ModeBaseline, Seed: 9}) },
-		"CountMinTango":      func() Sketch { return NewCountMin(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}) },
-		"CountMinTangoSum":   func() Sketch { return NewCountMin(Options{Width: 1 << 10, Mode: ModeTango, Merge: MergeSum, Seed: 9}) },
-		"CountMinCompact":    func() Sketch { return NewCountMin(Options{Width: 1 << 10, CompactEncoding: true, Seed: 9}) },
-		"ConservativeUpdate": func() Sketch { return NewConservativeUpdate(Options{Width: 1 << 10, Seed: 9}) },
-		"ConservativeTango":  func() Sketch { return NewConservativeUpdate(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}) },
-		"CountSketch":        func() Sketch { return NewCountSketch(Options{Width: 1 << 10, Seed: 9}) },
-		"Monitor":            func() Sketch { return NewMonitor(Options{Width: 1 << 10, Seed: 9}, 32) },
+		"CountMinSALSA": func() Sketch { return MustBuild(CountMinOf(Options{Width: 1 << 10, Seed: 9})) },
+		"CountMinBaseline": func() Sketch {
+			return MustBuild(CountMinOf(Options{Width: 1 << 10, Mode: ModeBaseline, Seed: 9}))
+		},
+		"CountMinTango": func() Sketch {
+			return MustBuild(CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}))
+		},
+		"CountMinTangoSum": func() Sketch {
+			return MustBuild(CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Merge: MergeSum, Seed: 9}))
+		},
+		"CountMinCompact": func() Sketch {
+			return MustBuild(CountMinOf(Options{Width: 1 << 10, CompactEncoding: true, Seed: 9}))
+		},
+		"ConservativeUpdate": func() Sketch { return MustBuild(ConservativeOf(Options{Width: 1 << 10, Seed: 9})) },
+		"ConservativeTango": func() Sketch {
+			return MustBuild(ConservativeOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}))
+		},
+		"CountSketch": func() Sketch { return MustBuild(CountSketchOf(Options{Width: 1 << 10, Seed: 9})) },
+		"Monitor":     func() Sketch { return MustBuild(MonitorOf(Options{Width: 1 << 10, Seed: 9}, 32)) },
 		// Windowed types: the 777-item test batches straddle the 2000-item
 		// rotation boundaries, so this also pins the batch-splitting path.
 		"WindowedCountMin": func() Sketch {
-			return NewWindowedCountMin(Options{Width: 1 << 10, Seed: 9}, 4, 2000)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, Seed: 9}), 4, 2000))
 		},
 		"WindowedTango": func() Sketch {
-			return NewWindowedCountMin(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}, 4, 2000)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}), 4, 2000))
 		},
 		"WindowedConservative": func() Sketch {
-			return NewWindowedConservativeUpdate(Options{Width: 1 << 10, Seed: 9}, 4, 2000)
+			return MustBuild(Windowed(ConservativeOf(Options{Width: 1 << 10, Seed: 9}), 4, 2000))
 		},
 		"WindowedCountSketch": func() Sketch {
-			return NewWindowedCountSketch(Options{Width: 1 << 10, Seed: 9}, 4, 2000)
+			return MustBuild(Windowed(CountSketchOf(Options{Width: 1 << 10, Seed: 9}), 4, 2000))
 		},
 		"WindowedMonitor": func() Sketch {
-			return NewWindowedMonitor(Options{Width: 1 << 10, Seed: 9}, 32, 4, 2000)
+			return MustBuild(Windowed(MonitorOf(Options{Width: 1 << 10, Seed: 9}, 32), 4, 2000))
 		},
 	}
 	type pointQuery interface{ Query(uint64) uint64 }
@@ -83,9 +94,11 @@ func TestBatchEqualsSequential(t *testing.T) {
 func TestShardedBatchEqualsSequential(t *testing.T) {
 	data := stream.Zipf(100000, 5000, 1.0, 33)
 	for name, build := range map[string]func() *ShardedCountMin{
-		"SALSA": func() *ShardedCountMin { return NewShardedCountMin(Options{Width: 1 << 10, Seed: 12}, 8) },
+		"SALSA": func() *ShardedCountMin {
+			return MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 10, Seed: 12}), 8)).(*ShardedCountMin)
+		},
 		"Tango": func() *ShardedCountMin {
-			return NewShardedCountMin(Options{Width: 1 << 10, Mode: ModeTango, Seed: 12}, 8)
+			return MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 12}), 8)).(*ShardedCountMin)
 		},
 		"Windowed": nil, // handled below; keeps the subtest names aligned
 	} {
@@ -103,8 +116,8 @@ func TestShardedBatchEqualsSequential(t *testing.T) {
 				opt := Options{Width: 1 << 10, Seed: 12}
 				// Per-shard rotation every 3000 substream items: batches
 				// straddle rotation boundaries shard by shard.
-				seq = NewShardedWindowedCountMin(opt, 3, 3000, 8)
-				bat = NewShardedWindowedCountMin(opt, 3, 3000, 8)
+				seq = MustBuild(ShardedBy(Windowed(CountMinOf(opt), 3, 3000), 8)).(*ShardedWindowedCountMin)
+				bat = MustBuild(ShardedBy(Windowed(CountMinOf(opt), 3, 3000), 8)).(*ShardedWindowedCountMin)
 			}
 			for _, x := range data {
 				seq.Increment(x)
@@ -141,13 +154,13 @@ func TestShardedMergeEqualsSequential(t *testing.T) {
 	data := stream.Zipf(120000, 5000, 1.0, 29)
 	for _, mode := range []Mode{ModeBaseline, ModeSALSA} {
 		opt := Options{Width: 1 << 10, Mode: mode, Merge: MergeSum, Seed: 5}
-		seq := NewCountMin(opt)
+		seq := MustBuild(CountMinOf(opt)).(*CountMin)
 		for _, x := range data {
 			seq.Increment(x)
 		}
-		sh := NewSharded(8, 999, func(int) *CountMin { return NewCountMin(opt) })
+		sh := NewSharded(8, 999, func(int) *CountMin { return MustBuild(CountMinOf(opt)).(*CountMin) })
 		sh.IncrementBatch(data)
-		merged := NewCountMin(opt)
+		merged := MustBuild(CountMinOf(opt)).(*CountMin)
 		for i := 0; i < sh.Shards(); i++ {
 			merged.Merge(sh.Shard(i))
 		}
@@ -165,8 +178,8 @@ func TestShardedMergeEqualsSequential(t *testing.T) {
 func TestWriterEqualsUnbuffered(t *testing.T) {
 	data := stream.Zipf(60000, 3000, 1.0, 41)
 	opt := Options{Width: 1 << 10, Seed: 17}
-	direct := NewShardedCountMin(opt, 4)
-	buffered := NewShardedCountMin(opt, 4)
+	direct := MustBuild(ShardedBy(CountMinOf(opt), 4)).(*ShardedCountMin)
+	buffered := MustBuild(ShardedBy(CountMinOf(opt), 4)).(*ShardedCountMin)
 	w := buffered.NewWriter(64)
 	for i, x := range data {
 		direct.Increment(x)
@@ -208,8 +221,8 @@ func hammer(t *testing.T, fn func(worker int)) {
 func TestShardedCountMinHammer(t *testing.T) {
 	const perG, universe = 4096, 64
 	for name, s := range map[string]*ShardedCountMin{
-		"CountMin":     NewShardedCountMin(Options{Width: 1 << 10, Seed: 7}, 8),
-		"Conservative": NewShardedConservativeUpdate(Options{Width: 1 << 10, Seed: 7}, 8),
+		"CountMin":     MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 10, Seed: 7}), 8)).(*ShardedCountMin),
+		"Conservative": MustBuild(ShardedBy(ConservativeOf(Options{Width: 1 << 10, Seed: 7}), 8)).(*ShardedCountMin),
 	} {
 		hammer(t, func(g int) {
 			batch := make([]uint64, 0, 128)
@@ -255,7 +268,7 @@ func TestShardedCountMinHammer(t *testing.T) {
 // TestShardedCountSketchHammer checks the signed path races clean and stays
 // plausibly near truth (Count Sketch is unbiased, not an overestimate).
 func TestShardedCountSketchHammer(t *testing.T) {
-	s := NewShardedCountSketch(Options{Width: 1 << 12, Seed: 13}, 8)
+	s := MustBuild(ShardedBy(CountSketchOf(Options{Width: 1 << 12, Seed: 13}), 8)).(*ShardedCountSketch)
 	const perG, universe = 4096, 64
 	hammer(t, func(g int) {
 		batch := make([]uint64, 0, 256)
@@ -283,7 +296,7 @@ func TestShardedCountSketchHammer(t *testing.T) {
 // TestShardedMonitorHammer runs the heavy-hitter tracker concurrently and
 // checks the merged top-k surfaces the planted heavy item.
 func TestShardedMonitorHammer(t *testing.T) {
-	s := NewShardedMonitor(Options{Width: 1 << 10, Seed: 23}, 16, 8)
+	s := MustBuild(ShardedBy(MonitorOf(Options{Width: 1 << 10, Seed: 23}, 16), 8)).(*ShardedMonitor)
 	const heavy = uint64(424242)
 	hammer(t, func(g int) {
 		for i := 0; i < 3000; i++ {
@@ -314,7 +327,7 @@ func TestShardedMonitorHammer(t *testing.T) {
 // (Top() alone truncates to k).
 func TestShardedMonitorHeavyHittersBeyondK(t *testing.T) {
 	const k, items, reps = 4, 20, 100
-	s := NewShardedMonitor(Options{Width: 1 << 10, Seed: 3}, k, 8)
+	s := MustBuild(ShardedBy(MonitorOf(Options{Width: 1 << 10, Seed: 3}, k), 8)).(*ShardedMonitor)
 	for x := uint64(1); x <= items; x++ {
 		for c := 0; c < reps; c++ {
 			s.Increment(x)
@@ -337,10 +350,30 @@ func TestShardedMonitorHeavyHittersBeyondK(t *testing.T) {
 	}
 }
 
+// TestShardedMonitorTopOrdersTiesByItem: equal estimates order by item, as
+// Monitor.Top and ShardedWindowedMonitor.Top do, so a k cut keeps the same
+// items whichever shard tracks them.
+func TestShardedMonitorTopOrdersTiesByItem(t *testing.T) {
+	opt := Options{Width: 1 << 10, Seed: 21}
+	sharded := MustBuild(ShardedBy(MonitorOf(opt, 8), 4)).(*ShardedMonitor)
+	plain := MustBuild(MonitorOf(opt, 8)).(*Monitor)
+	for x := uint64(1); x <= 6; x++ {
+		sharded.Update(x, 7)
+		plain.Update(x, 7)
+	}
+	want := []ItemCount{{1, 7}, {2, 7}, {3, 7}, {4, 7}, {5, 7}, {6, 7}}
+	if got := sharded.Top(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ShardedMonitor.Top = %v, want %v", got, want)
+	}
+	if got := plain.Top(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Monitor.Top = %v, want %v", got, want)
+	}
+}
+
 // TestWriterHammer gives each goroutine its own Writer over one shared
 // Sharded sketch — the intended amortized-flush ingestion topology.
 func TestWriterHammer(t *testing.T) {
-	s := NewShardedCountMin(Options{Width: 1 << 10, Seed: 31}, runtime.GOMAXPROCS(0))
+	s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 10, Seed: 31}), runtime.GOMAXPROCS(0))).(*ShardedCountMin)
 	const perG, universe = 5000, 100
 	hammer(t, func(g int) {
 		w := s.NewWriter(128)
@@ -369,7 +402,7 @@ func TestBatchIngestedMarshalRoundTrip(t *testing.T) {
 		{Width: 512, Mode: ModeBaseline, Seed: 3},
 		{Width: 512, CompactEncoding: true, Seed: 3},
 	} {
-		cm := NewCountMin(opt)
+		cm := MustBuild(CountMinOf(opt)).(*CountMin)
 		cm.IncrementBatch(data)
 		blob, err := cm.MarshalBinary()
 		if err != nil {
@@ -384,7 +417,7 @@ func TestBatchIngestedMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("opt %+v: query mismatch for %d", opt, x)
 			}
 		}
-		peer := NewCountMin(opt)
+		peer := MustBuild(CountMinOf(opt)).(*CountMin)
 		peer.UpdateBatch([]uint64{99, 99, 99}, 1)
 		back.Merge(peer)
 		if back.Query(99) < cm.Query(99)+3 {
@@ -392,7 +425,7 @@ func TestBatchIngestedMarshalRoundTrip(t *testing.T) {
 		}
 	}
 
-	cs := NewCountSketch(Options{Width: 1024, Seed: 6})
+	cs := MustBuild(CountSketchOf(Options{Width: 1024, Seed: 6})).(*CountSketch)
 	cs.UpdateBatch(data, 2)
 	blob, err := cs.MarshalBinary()
 	if err != nil {
@@ -414,7 +447,7 @@ func TestBatchIngestedMarshalRoundTrip(t *testing.T) {
 // which must answer exactly like the original.
 func TestShardedMarshalRoundTrip(t *testing.T) {
 	opt := Options{Width: 512, Seed: 61}
-	s := NewShardedCountMin(opt, 4)
+	s := MustBuild(ShardedBy(CountMinOf(opt), 4)).(*ShardedCountMin)
 	data := stream.Zipf(40000, 2000, 1.0, 71)
 	s.IncrementBatch(data)
 
@@ -463,7 +496,7 @@ func TestNewShardedBoundsShardCount(t *testing.T) {
 // TestWriterCloseSemantics pins the Writer lifecycle: Close flushes the
 // buffered tail, is idempotent, and any later use panics.
 func TestWriterCloseSemantics(t *testing.T) {
-	s := NewShardedCountMin(Options{Width: 1 << 10, Seed: 33}, 4)
+	s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1 << 10, Seed: 33}), 4)).(*ShardedCountMin)
 	w := s.NewWriter(128)
 	for i := 0; i < 100; i++ {
 		w.Increment(uint64(i % 10))
@@ -489,8 +522,8 @@ func TestWriterCloseSemantics(t *testing.T) {
 // buffering never smears items across bucket boundaries.
 func TestWriterFlushBeforeTickEquivalence(t *testing.T) {
 	opt := Options{Width: 1 << 10, Seed: 35}
-	buffered := NewShardedWindowedCountMin(opt, 4, 0, 4)
-	direct := NewShardedWindowedCountMin(opt, 4, 0, 4)
+	buffered := MustBuild(ShardedBy(Windowed(CountMinOf(opt), 4, 0), 4)).(*ShardedWindowedCountMin)
+	direct := MustBuild(ShardedBy(Windowed(CountMinOf(opt), 4, 0), 4)).(*ShardedWindowedCountMin)
 	trace := stream.Zipf(6000, 300, 0.99, 35)
 	w := buffered.NewWriter(64)
 	for i, x := range trace {
@@ -529,7 +562,7 @@ func TestWriterFlushBeforeTickEquivalence(t *testing.T) {
 // window never exceeds the ingested volume, and a tail ingested after the
 // ticker stops is fully visible (nothing wedged in a buffer or a lock).
 func TestWriterWindowedTickHammer(t *testing.T) {
-	s := NewShardedWindowedCountMin(Options{Width: 1 << 10, Seed: 37}, 4, 0, 4)
+	s := MustBuild(ShardedBy(Windowed(CountMinOf(Options{Width: 1 << 10, Seed: 37}), 4, 0), 4)).(*ShardedWindowedCountMin)
 	const perG, universe = 4000, 100
 	done := make(chan struct{})
 	var ticker sync.WaitGroup

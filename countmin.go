@@ -5,8 +5,9 @@ import (
 	"salsa/internal/topk"
 )
 
-// CountMin is a Count-Min Sketch (or, via NewConservativeUpdate, a
-// Conservative Update Sketch) over the configured counter backend. It
+// CountMin is a Count-Min Sketch (or, via ConservativeOf, a Conservative
+// Update Sketch: CMS accuracy improved by only raising the counters that
+// constrain the estimate, §III) over the configured counter backend. It
 // overestimates: truth ≤ Query(x), with the error bounds of the underlying
 // scheme (Theorems V.1–V.3 of the paper for the SALSA/Tango backends).
 type CountMin struct {
@@ -17,43 +18,13 @@ type CountMin struct {
 
 // buildCountMin realizes a CountMinOf/ConservativeOf leaf. By default
 // SALSA mode uses max-merge, which is correct for the Cash Register
-// streams (non-negative updates) most callers have; set Merge: MergeSum
-// for Strict Turnstile streams with decrements, and for sketches that will
-// be merged/subtracted.
-func buildCountMin(opt Options, conservative bool) (*CountMin, error) {
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
+// streams (non-negative updates) most callers have, and for Conservative
+// Update, which is restricted to that model (Theorem V.3); set Merge:
+// MergeSum for Strict Turnstile streams with decrements, and for sketches
+// that will be merged/subtracted.
+func buildCountMin(opt Options, conservative bool) *CountMin {
 	opt = opt.withDefaults(4, MergeMax)
-	var sk *sketch.CMS
-	if conservative {
-		sk = sketch.NewCUS(opt.Depth, opt.Width, rowSpec(opt), opt.Seed)
-	} else {
-		sk = sketch.NewCMS(opt.Depth, opt.Width, rowSpec(opt), opt.Seed)
-	}
-	return &CountMin{sk: sk, opt: opt, conservative: conservative}, nil
-}
-
-// NewCountMin returns a Count-Min Sketch, panicking on invalid Options.
-//
-// Deprecated: Use Build(CountMinOf(opt)), which returns construction
-// errors instead of panicking and composes with Windowed/ShardedBy.
-func NewCountMin(opt Options) *CountMin {
-	return mustSketch(buildCountMin(opt, false))
-}
-
-// NewConservativeUpdate returns a Conservative Update Sketch: CMS accuracy
-// improved by only raising the counters that constrain the estimate (§III).
-// Restricted to the Cash Register model; SALSA rows use max-merge
-// (Theorem V.3).
-//
-// Deprecated: Use Build(ConservativeOf(opt)).
-func NewConservativeUpdate(opt Options) *CountMin {
-	return mustSketch(buildCountMin(opt, true))
+	return &CountMin{sk: cmsRingOps(opt, conservative).New(), opt: opt, conservative: conservative}
 }
 
 func rowSpec(opt Options) sketch.RowSpec {
@@ -151,23 +122,8 @@ type Monitor struct {
 }
 
 // buildMonitor realizes a MonitorOf leaf.
-func buildMonitor(opt Options, k int) (*Monitor, error) {
-	if err := validateTrackerK("monitor", k); err != nil {
-		return nil, err
-	}
-	cm, err := buildCountMin(opt, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{cm: cm, heap: topk.New(k)}, nil
-}
-
-// NewMonitor returns a Monitor tracking the k items with the largest
-// estimates over the given sketch options.
-//
-// Deprecated: Use Build(MonitorOf(opt, k)).
-func NewMonitor(opt Options, k int) *Monitor {
-	return mustSketch(buildMonitor(opt, k))
+func buildMonitor(opt Options, k int) *Monitor {
+	return &Monitor{cm: buildCountMin(opt, true), heap: topk.New(k)}
 }
 
 // Process records one occurrence of item and refreshes its heap entry.
@@ -202,6 +158,32 @@ func (m *Monitor) UpdateBatch(items []uint64, count int64) {
 		m.Update(x, count)
 	}
 }
+
+// epochMonitorBuf is a Monitor's private per-writer half: a CU sketch
+// plus the epoch's top-k candidates by private estimate. On drain the
+// sketch merges into the view and the candidates are re-offered at their
+// merged estimates, in the heap's deterministic (count, item) order.
+type epochMonitorBuf struct {
+	cm   *sketch.CMS
+	heap *topk.Heap
+}
+
+func (b *epochMonitorBuf) Update(item uint64, count int64) {
+	offerEstimate(b.heap, item, b.cm.UpdateEstimate(item, count))
+}
+
+func (b *epochMonitorBuf) UpdateBatch(items []uint64, count int64) {
+	for _, x := range items {
+		b.Update(x, count)
+	}
+}
+
+func (b *epochMonitorBuf) Reset() {
+	b.cm.Reset()
+	b.heap.Reset()
+}
+
+func (b *epochMonitorBuf) SizeBits() int { return b.cm.SizeBits() }
 
 // MemoryBits returns the underlying sketch footprint in bits.
 func (m *Monitor) MemoryBits() int { return m.cm.MemoryBits() }

@@ -17,20 +17,9 @@ type CountSketch struct {
 
 // buildCountSketch realizes a CountSketchOf leaf. Merge policy is always
 // sum; ModeTango and MergeMax are composition errors.
-func buildCountSketch(opt Options) (*CountSketch, error) {
-	if err := opt.validateFor(kindCountSketch); err != nil {
-		return nil, err
-	}
+func buildCountSketch(opt Options) *CountSketch {
 	opt = opt.withDefaults(5, MergeSum)
-	return &CountSketch{sk: sketch.NewCountSketch(opt.Depth, opt.Width, signedRowSpec(opt), opt.Seed), opt: opt}, nil
-}
-
-// NewCountSketch returns a Count Sketch, panicking on invalid Options.
-//
-// Deprecated: Use Build(CountSketchOf(opt)), which returns construction
-// errors instead of panicking and composes with Windowed/ShardedBy.
-func NewCountSketch(opt Options) *CountSketch {
-	return mustSketch(buildCountSketch(opt))
+	return &CountSketch{sk: csRingOps(opt).New(), opt: opt}
 }
 
 // signedRowSpec maps validated Options to the Count Sketch row constructor.
@@ -103,22 +92,8 @@ type TopK struct {
 }
 
 // buildTopK realizes a TopKOf leaf.
-func buildTopK(opt Options, k int) (*TopK, error) {
-	if err := validateTrackerK("topk", k); err != nil {
-		return nil, err
-	}
-	cs, err := buildCountSketch(opt)
-	if err != nil {
-		return nil, err
-	}
-	return &TopK{cs: cs, heap: topk.New(k)}, nil
-}
-
-// NewTopK returns a Count Sketch top-k tracker.
-//
-// Deprecated: Use Build(TopKOf(opt, k)).
-func NewTopK(opt Options, k int) *TopK {
-	return mustSketch(buildTopK(opt, k))
+func buildTopK(opt Options, k int) *TopK {
+	return &TopK{cs: buildCountSketch(opt), heap: topk.New(k)}
 }
 
 // Process records one occurrence of item and refreshes its heap entry.
@@ -163,12 +138,14 @@ type ChangeDetector struct {
 	diffed        bool
 }
 
-// NewChangeDetector returns a detector; opt.Merge must be sum (default).
+// NewChangeDetector returns a detector over two Count Sketches of opt; it
+// panics on Options a CountSketchOf spec would reject (opt.Merge must be
+// sum, the default).
 func NewChangeDetector(opt Options) *ChangeDetector {
-	return &ChangeDetector{
-		before: mustSketch(buildCountSketch(opt)),
-		after:  mustSketch(buildCountSketch(opt)),
+	if err := opt.validateFor(kindCountSketch); err != nil {
+		panic(err.Error())
 	}
+	return &ChangeDetector{before: buildCountSketch(opt), after: buildCountSketch(opt)}
 }
 
 // ObserveBefore records an item in the first epoch.

@@ -47,18 +47,15 @@ func deltaErrf(op, format string, args ...any) error {
 // Advance before touching the returned view, and do not mutate it
 // concurrently with drains.
 func DeltaCore(s Sketch) (Sketch, error) {
-	switch t := s.(type) {
-	case *CountMin:
-		return t, nil
-	case *CountSketch:
-		return t, nil
-	case *EpochCountMin:
-		return t.View(), nil
-	case *EpochCountSketch:
-		return t.View(), nil
-	default:
-		return nil, deltaErrf("delta core", "topology %T has no counter-wise mergeable core", s)
+	core := s
+	if e, ok := s.(interface{ epochCore() *Epoch }); ok {
+		core = e.epochCore().view
 	}
+	switch core.(type) {
+	case *CountMin, *CountSketch:
+		return core, nil
+	}
+	return nil, deltaErrf("delta core", "topology %T has no counter-wise mergeable core", s)
 }
 
 // CloneSketch deep-copies s through the universal envelope codec. The

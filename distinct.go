@@ -14,16 +14,7 @@ type Distinct struct {
 }
 
 // buildDistinct realizes a DistinctOf spec.
-func buildDistinct(opt Options) (*Distinct, error) {
-	if err := opt.validateFor(kindDistinct); err != nil {
-		return nil, err
-	}
-	cm, err := buildCountMin(opt, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Distinct{cm: cm}, nil
-}
+func buildDistinct(opt Options) *Distinct { return &Distinct{cm: buildCountMin(opt, false)} }
 
 // Update adds count occurrences of item.
 func (d *Distinct) Update(item uint64, count int64) { d.cm.Update(item, count) }
@@ -63,15 +54,8 @@ type WindowedDistinct struct {
 }
 
 // buildWindowedDistinct realizes a Windowed(DistinctOf) spec.
-func buildWindowedDistinct(opt Options, buckets, bucketItems int) (*WindowedDistinct, error) {
-	if err := opt.validateFor(kindDistinct); err != nil {
-		return nil, err
-	}
-	w, err := buildWindowedCMS(opt, buckets, bucketItems, false)
-	if err != nil {
-		return nil, err
-	}
-	return &WindowedDistinct{w: w}, nil
+func buildWindowedDistinct(opt Options, buckets, bucketItems int) *WindowedDistinct {
+	return &WindowedDistinct{w: buildWindowedCMS(opt, buckets, bucketItems, false)}
 }
 
 // Update adds count occurrences of item to the current bucket.

@@ -110,6 +110,12 @@ func readBlock(data []byte) (block, rest []byte, err error) {
 	return data[:n], data[n:], nil
 }
 
+// concurrencyLayer is the marshal hook of the two concurrency layers,
+// Sharded and Epoch; their typed wrappers inherit it by embedding.
+type concurrencyLayer interface {
+	marshalLayer() ([]byte, error)
+}
+
 // Marshal encodes any supported sketch topology into the universal
 // envelope. Sharded topologies are snapshotted consistently: every shard
 // lock is held for the duration, so the payload is a point-in-time image
@@ -173,66 +179,14 @@ func Marshal(s Sketch) ([]byte, error) {
 		return marshalColdFilter(x)
 	case *Pyramid:
 		return marshalPyramid(x)
-	case *ShardedCountMin:
-		return marshalShards(x.Sharded)
-	case *ShardedCountSketch:
-		return marshalShards(x.Sharded)
-	case *ShardedMonitor:
-		return marshalShards(x.Sharded)
-	case *ShardedWindowedCountMin:
-		return marshalShards(x.Sharded)
-	case *ShardedWindowedCountSketch:
-		return marshalShards(x.Sharded)
-	case *ShardedWindowedMonitor:
-		return marshalShards(x.Sharded)
-	case *ShardedAEE:
-		return marshalShards(x.Sharded)
-	case *ShardedDistinct:
-		return marshalShards(x.Sharded)
-	case *ShardedColdFilter:
-		return marshalShards(x.Sharded)
-	case *ShardedPyramid:
-		return marshalShards(x.Sharded)
-	case *Sharded[*CountMin]:
-		return marshalShards(x)
-	case *Sharded[*CountSketch]:
-		return marshalShards(x)
-	case *Sharded[*Monitor]:
-		return marshalShards(x)
-	case *Sharded[*WindowedCountMin]:
-		return marshalShards(x)
-	case *Sharded[*WindowedCountSketch]:
-		return marshalShards(x)
-	case *Sharded[*WindowedMonitor]:
-		return marshalShards(x)
-	case *Sharded[*AEE]:
-		return marshalShards(x)
-	case *Sharded[*Distinct]:
-		return marshalShards(x)
-	case *Sharded[*ColdFilter]:
-		return marshalShards(x)
-	case *Sharded[*Pyramid]:
-		return marshalShards(x)
-	case *EpochCountMin:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochCountSketch:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochMonitor:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochDistinct:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochWindowedCountMin:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochWindowedCountSketch:
-		return marshalEpoch(x.Epoch, x.view)
-	case *EpochWindowedDistinct:
-		return marshalEpoch(x.Epoch, x.view)
+	case concurrencyLayer:
+		return x.marshalLayer()
 	}
 	return nil, fmt.Errorf("%w: %T", ErrUnsupportedTopology, s)
 }
 
-// marshalEpoch encodes an epoch topology: the configured writer count
-// followed by the shared view's own envelope. Marshal first cuts an epoch
+// marshalLayer encodes an epoch topology: the configured writer count
+// followed by the shared view's own envelope. It first cuts an epoch
 // (under the control lock, so it is a consistent snapshot: every
 // operation completed before the call is drained into the view), then
 // serializes the view alone. The epoch odometer and private buffers are
@@ -240,12 +194,12 @@ func Marshal(s Sketch) ([]byte, error) {
 // decoded instance starts at epoch 0 with empty privates, which is what
 // makes re-marshaling reproduce the payload byte for byte (the re-marshal
 // epoch cut drains nothing).
-func marshalEpoch[P epochPrivate](e *Epoch[P], view Sketch) ([]byte, error) {
+func (e *Epoch) marshalLayer() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.advanceLocked()
 	e.viewMu.Lock()
-	inner, err := Marshal(view)
+	inner, err := Marshal(e.view)
 	e.viewMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -255,8 +209,8 @@ func marshalEpoch[P epochPrivate](e *Epoch[P], view Sketch) ([]byte, error) {
 }
 
 // unmarshalEpoch decodes an epoch envelope: the writer count plus a
-// nested view envelope, rebuilt into the matching Epoch* wrapper with
-// fresh (empty) private slots. Hostile payloads wrapping a topology the
+// nested view envelope, rebuilt into the matching Epoch* type with fresh
+// (empty) private slots. Hostile payloads wrapping a topology the
 // EpochShardedBy spec cannot express — max-merge counters, count-rotated
 // windows, nested concurrency layers — are rejected.
 func unmarshalEpoch(payload []byte) (Sketch, error) {
@@ -278,42 +232,7 @@ func unmarshalEpoch(payload []byte) (Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := int(writers)
-	switch v := view.(type) {
-	case *CountMin:
-		if err := validateEpochMerge(v.opt); err != nil {
-			return nil, err
-		}
-		return newEpochCountMin(v, w), nil
-	case *CountSketch:
-		return newEpochCountSketch(v, w), nil
-	case *Monitor:
-		if err := validateEpochMerge(v.cm.opt); err != nil {
-			return nil, err
-		}
-		return newEpochMonitor(v, w), nil
-	case *Distinct:
-		if err := validateEpochMerge(v.cm.opt); err != nil {
-			return nil, err
-		}
-		return newEpochDistinct(v, w), nil
-	case *WindowedCountMin:
-		if v.BucketItems() != 0 {
-			return nil, errors.New("salsa: epoch windows are Tick-driven; decoded ring declares a rotation interval")
-		}
-		return newEpochWindowedCountMin(v, w), nil
-	case *WindowedCountSketch:
-		if v.BucketItems() != 0 {
-			return nil, errors.New("salsa: epoch windows are Tick-driven; decoded ring declares a rotation interval")
-		}
-		return newEpochWindowedCountSketch(v, w), nil
-	case *WindowedDistinct:
-		if v.w.BucketItems() != 0 {
-			return nil, errors.New("salsa: epoch windows are Tick-driven; decoded ring declares a rotation interval")
-		}
-		return newEpochWindowedDistinct(v, w), nil
-	}
-	return nil, fmt.Errorf("salsa: epoch envelope wraps unsupported topology %T", view)
+	return newEpochLayer(view, int(writers))
 }
 
 // Unmarshal decodes a universal-envelope payload into its topology's
@@ -750,11 +669,15 @@ func unmarshalWindowedMonitor(data []byte) (Sketch, error) {
 	return m, nil
 }
 
-// marshalShards encodes a sharded topology: the routing seed, the shard
+// marshalLayer encodes a sharded topology: the routing seed, the shard
 // count, and one nested envelope per shard in shard order. Every shard
 // lock is held for the whole snapshot, so the payload is consistent even
-// under concurrent ingestion.
-func marshalShards[S Sketch](s *Sharded[S]) ([]byte, error) {
+// under concurrent ingestion. Shards of a type the decoder cannot wrap
+// back into a sharded topology make the topology unsupported.
+func (s *Sharded[S]) marshalLayer() ([]byte, error) {
+	if shardedWrapper(s.shards[0].sk) == nil {
+		return nil, fmt.Errorf("%w: %T", ErrUnsupportedTopology, s)
+	}
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
 	}
@@ -808,102 +731,30 @@ func unmarshalSharded(data []byte) (Sketch, error) {
 	if len(data) != 0 {
 		return nil, ErrBadPayload
 	}
-	switch sks[0].(type) {
-	case *CountMin:
-		shards, err := typedShards[*CountMin](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedCountMin{newShardedFromShards(routeSeed, shards)}, nil
-	case *CountSketch:
-		shards, err := typedShards[*CountSketch](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedCountSketch{newShardedFromShards(routeSeed, shards)}, nil
-	case *Monitor:
-		shards, err := typedShards[*Monitor](sks)
-		if err != nil {
-			return nil, err
-		}
-		// The Spec algebra gives every shard the same k; a hostile payload
-		// mixing heap capacities would silently truncate the cross-shard
-		// candidate set to shard 0's.
-		for i, m := range shards {
-			if m.heap.Cap() != shards[0].heap.Cap() {
-				return nil, fmt.Errorf("salsa: shard %d heap capacity %d does not match shard 0's %d", i, m.heap.Cap(), shards[0].heap.Cap())
-			}
-		}
-		return &ShardedMonitor{
-			Sharded: newShardedFromShards(routeSeed, shards),
-			k:       shards[0].heap.Cap(),
-		}, nil
-	case *WindowedCountMin:
-		shards, err := typedShards[*WindowedCountMin](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedWindowedCountMin{newShardedFromShards(routeSeed, shards)}, nil
-	case *WindowedCountSketch:
-		shards, err := typedShards[*WindowedCountSketch](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedWindowedCountSketch{newShardedFromShards(routeSeed, shards)}, nil
-	case *WindowedMonitor:
-		shards, err := typedShards[*WindowedMonitor](sks)
-		if err != nil {
-			return nil, err
-		}
-		// Same-k rule as the Monitor dispatch: a hostile payload mixing
-		// heap capacities would silently truncate the merged candidates.
-		for i, m := range shards {
-			if m.k != shards[0].k {
-				return nil, fmt.Errorf("salsa: shard %d heap capacity %d does not match shard 0's %d", i, m.k, shards[0].k)
-			}
-		}
-		return &ShardedWindowedMonitor{
-			Sharded: newShardedFromShards(routeSeed, shards),
-			k:       shards[0].k,
-		}, nil
-	case *AEE:
-		shards, err := typedShards[*AEE](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedAEE{newShardedFromShards(routeSeed, shards)}, nil
-	case *Distinct:
-		shards, err := typedShards[*Distinct](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedDistinct{newShardedFromShards(routeSeed, shards)}, nil
-	case *ColdFilter:
-		shards, err := typedShards[*ColdFilter](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedColdFilter{newShardedFromShards(routeSeed, shards)}, nil
-	case *Pyramid:
-		shards, err := typedShards[*Pyramid](sks)
-		if err != nil {
-			return nil, err
-		}
-		return &ShardedPyramid{newShardedFromShards(routeSeed, shards)}, nil
+	wrap := shardedWrapper(sks[0])
+	if wrap == nil {
+		return nil, fmt.Errorf("salsa: shard type %T cannot back a sharded topology", sks[0])
 	}
-	return nil, fmt.Errorf("salsa: shard type %T cannot back a sharded topology", sks[0])
+	// The Spec algebra gives every tracker shard the same k; a hostile
+	// payload mixing heap capacities would silently truncate the
+	// cross-shard candidate set to shard 0's.
+	if k0, tracker := heapCapacity(sks[0]); tracker {
+		for i, sk := range sks {
+			if k, ok := heapCapacity(sk); ok && k != k0 {
+				return nil, fmt.Errorf("salsa: shard %d heap capacity %d does not match shard 0's %d", i, k, k0)
+			}
+		}
+	}
+	return wrap(routeSeed, sks)
 }
 
-// typedShards narrows decoded shard sketches to one concrete type,
-// rejecting mixed-type payloads.
-func typedShards[S Sketch](sks []Sketch) ([]S, error) {
-	out := make([]S, len(sks))
-	for i, sk := range sks {
-		s, ok := sk.(S)
-		if !ok {
-			return nil, fmt.Errorf("salsa: shard %d type %T does not match shard 0", i, sk)
-		}
-		out[i] = s
+// heapCapacity returns the candidate-heap capacity of a tracker shard.
+func heapCapacity(sk Sketch) (k int, tracker bool) {
+	switch x := sk.(type) {
+	case *Monitor:
+		return x.heap.Cap(), true
+	case *WindowedMonitor:
+		return x.k, true
 	}
-	return out, nil
+	return 0, false
 }

@@ -36,16 +36,17 @@ import (
 // (which reuses the buffer only after loading an epoch the merger stored
 // *after* resetting it).
 //
-// Queries read the shared view under a read-lock that excludes only drain
-// merges, never ingestion. Estimates trail ingestion by at most the data
-// of the current epoch plus any unflushed writer buffers — the bounded
-// staleness the Pending method quantifies.
+// Queries read the shared view under the view mutex, which excludes drain
+// merges and direct updates, never writer ingestion. Estimates trail
+// ingestion by at most the data of the current epoch plus any unflushed
+// writer buffers — the bounded staleness the Pending method quantifies.
 
-// epochPrivate is the operation surface a per-writer private sketch must
-// expose to the generic epoch core.
+// epochPrivate is the operation surface a per-writer private sketch
+// exposes to the epoch core.
 type epochPrivate interface {
 	Update(item uint64, count int64)
 	UpdateBatch(items []uint64, count int64)
+	Reset()
 	SizeBits() int
 }
 
@@ -63,12 +64,12 @@ const epochShrinkAfter = 3
 // seqlock words. Slots are stable heap allocations: growing the slot
 // slice copies pointers, never slots, so a writer's slot reference stays
 // valid across resizes.
-type epochSlot[P epochPrivate] struct {
+type epochSlot struct {
 	seq    atomic.Uint64 // odd while the owner is mid-operation
 	epoch  atomic.Uint64 // selects the absorbing buffer (epoch&1)
 	active atomic.Uint64 // epoch observed by the in-flight operation
 	counts [2]atomic.Uint64
-	bufs   [2]P
+	bufs   [2]epochPrivate
 
 	// Control-plane state, guarded by Epoch.mu.
 	claimed     bool
@@ -76,10 +77,11 @@ type epochSlot[P epochPrivate] struct {
 	emptyDrains int
 }
 
-// Epoch is the generic epoch-merged ingestion core shared by the typed
-// Epoch* wrappers. P is the private per-writer sketch type; the wrapper
-// owns the shared view and supplies the drain/reset hooks.
-type Epoch[P epochPrivate] struct {
+// Epoch is the epoch-merged ingestion core every Epoch* type embeds. It
+// owns the writer slots, the shared read view and the direct-path
+// Update/Increment/UpdateBatch that write that view; the Epoch* type adds
+// the read methods of its view's kind.
+type Epoch struct {
 	// mu serializes the control plane: Advance, NewWriter/Close slot
 	// claims, adaptive resizing, and Marshal. Never held on the ingest
 	// path.
@@ -93,12 +95,12 @@ type Epoch[P epochPrivate] struct {
 	// Sharded layer it replaces.
 	viewMu sync.Mutex
 
-	slots atomic.Pointer[[]*epochSlot[P]]
+	slots atomic.Pointer[[]*epochSlot]
 	epoch atomic.Uint64
 
-	newBuf func() P
-	drain  func(buf P, n uint64) // called with viewMu write-locked
-	reset  func(P)
+	view   Sketch
+	newBuf func() epochPrivate
+	drain  func(buf epochPrivate, n uint64) // called with viewMu held
 
 	base int // configured writer slots; the adaptive shrink floor
 
@@ -108,13 +110,19 @@ type Epoch[P epochPrivate] struct {
 	shrunk  uint64 // surplus slots released by empty-drain pressure
 }
 
-// newEpoch builds the core with writers slots. Private buffers are
-// allocated lazily on a slot's first claim, so memory scales with actual
-// writer goroutines (and decoded envelopes declaring many writer slots
-// cost nothing until writers appear).
-func newEpoch[P epochPrivate](writers int, newBuf func() P, drain func(P, uint64), reset func(P)) *Epoch[P] {
-	e := &Epoch[P]{newBuf: newBuf, drain: drain, reset: reset, base: writers}
-	slots := make([]*epochSlot[P], writers)
+// newEpoch builds the core over view with writers slots; newBuf makes a
+// private buffer and drain folds a retired one into view. Private buffers
+// are allocated lazily on a slot's first claim, so memory scales with
+// actual writer goroutines (and decoded envelopes declaring many writer
+// slots cost nothing until writers appear).
+func newEpoch[P epochPrivate](view Sketch, writers int, newBuf func() P, drain func(P, uint64)) *Epoch {
+	e := &Epoch{
+		view:   view,
+		newBuf: func() epochPrivate { return newBuf() },
+		drain:  func(buf epochPrivate, n uint64) { drain(buf.(P), n) },
+		base:   writers,
+	}
+	slots := make([]*epochSlot, writers)
 	for i := range slots {
 		slots[i] = e.newSlot()
 	}
@@ -122,8 +130,13 @@ func newEpoch[P epochPrivate](writers int, newBuf func() P, drain func(P, uint64
 	return e
 }
 
-func (e *Epoch[P]) newSlot() *epochSlot[P] {
-	sl := &epochSlot[P]{}
+// epochCore returns the core itself; the Epoch* types inherit it by
+// embedding, so code that needs the core reaches every epoch topology
+// through one interface case.
+func (e *Epoch) epochCore() *Epoch { return e }
+
+func (e *Epoch) newSlot() *epochSlot {
+	sl := &epochSlot{}
 	sl.epoch.Store(e.epoch.Load())
 	return sl
 }
@@ -132,9 +145,9 @@ func (e *Epoch[P]) newSlot() *epochSlot[P] {
 // buffer locally and flush into the goroutine's private sketch slot with
 // plain single-threaded loops. Methods must not be called concurrently
 // on one writer; create one writer per goroutine.
-type EpochWriter[P epochPrivate] struct {
-	e      *Epoch[P]
-	slot   *epochSlot[P]
+type EpochWriter struct {
+	e      *Epoch
+	slot   *epochSlot
 	seq    uint64 // local mirror of slot.seq (always even between ops)
 	buf    []uint64
 	closed bool
@@ -150,14 +163,14 @@ const defaultEpochBatch = 256
 // of adaptive resharding; surplus slots are released again after
 // epochShrinkAfter consecutive empty drains. NewWriter panics once
 // maxEpochWriters slots are claimed.
-func (e *Epoch[P]) NewWriter(batch int) *EpochWriter[P] {
+func (e *Epoch) NewWriter(batch int) *EpochWriter {
 	if batch <= 0 {
 		batch = defaultEpochBatch
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	slots := *e.slots.Load()
-	var sl *epochSlot[P]
+	var sl *epochSlot
 	for _, s := range slots {
 		if !s.claimed {
 			sl = s
@@ -169,7 +182,7 @@ func (e *Epoch[P]) NewWriter(batch int) *EpochWriter[P] {
 			panic(fmt.Sprintf("salsa: more than %d concurrent epoch writers", maxEpochWriters))
 		}
 		sl = e.newSlot()
-		grown := make([]*epochSlot[P], len(slots)+1)
+		grown := make([]*epochSlot, len(slots)+1)
 		copy(grown, slots)
 		grown[len(slots)] = sl
 		e.slots.Store(&grown)
@@ -181,7 +194,7 @@ func (e *Epoch[P]) NewWriter(batch int) *EpochWriter[P] {
 		sl.bufs[0], sl.bufs[1] = e.newBuf(), e.newBuf()
 		sl.allocated = true
 	}
-	return &EpochWriter[P]{
+	return &EpochWriter{
 		e:    e,
 		slot: sl,
 		seq:  sl.seq.Load(),
@@ -193,7 +206,7 @@ func (e *Epoch[P]) NewWriter(batch int) *EpochWriter[P] {
 // the absorbing buffer index.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) enter() int {
+func (w *EpochWriter) enter() int {
 	w.seq++
 	w.slot.seq.Store(w.seq) // odd: operation in flight
 	e := w.slot.epoch.Load()
@@ -204,7 +217,7 @@ func (w *EpochWriter[P]) enter() int {
 // exit records n ingested items and ends the operation.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) exit(b int, n uint64) {
+func (w *EpochWriter) exit(b int, n uint64) {
 	c := &w.slot.counts[b]
 	c.Store(c.Load() + n) // single-writer: load/store, no RMW needed
 	w.seq++
@@ -212,7 +225,7 @@ func (w *EpochWriter[P]) exit(b int, n uint64) {
 }
 
 //salsa:nolock
-func (w *EpochWriter[P]) mustOpen() {
+func (w *EpochWriter) mustOpen() {
 	if w.closed {
 		panic("salsa: operation on closed epoch writer")
 	}
@@ -222,7 +235,7 @@ func (w *EpochWriter[P]) mustOpen() {
 // into the private sketch when full.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) Increment(item uint64) {
+func (w *EpochWriter) Increment(item uint64) {
 	w.mustOpen()
 	w.buf = append(w.buf, item)
 	if len(w.buf) == cap(w.buf) {
@@ -235,7 +248,7 @@ func (w *EpochWriter[P]) Increment(item uint64) {
 // and apply immediately.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) Update(item uint64, count int64) {
+func (w *EpochWriter) Update(item uint64, count int64) {
 	if count == 1 {
 		w.Increment(item)
 		return
@@ -252,7 +265,7 @@ func (w *EpochWriter[P]) Update(item uint64, count int64) {
 // increments), so large batches pay the seqlock once.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) UpdateBatch(items []uint64, count int64) {
+func (w *EpochWriter) UpdateBatch(items []uint64, count int64) {
 	w.mustOpen()
 	w.flush()
 	if len(items) == 0 {
@@ -267,13 +280,13 @@ func (w *EpochWriter[P]) UpdateBatch(items []uint64, count int64) {
 // becomes globally visible only after the next epoch drain.
 //
 //salsa:nolock
-func (w *EpochWriter[P]) Flush() {
+func (w *EpochWriter) Flush() {
 	w.mustOpen()
 	w.flush()
 }
 
 //salsa:nolock
-func (w *EpochWriter[P]) flush() {
+func (w *EpochWriter) flush() {
 	if len(w.buf) == 0 {
 		return
 	}
@@ -285,7 +298,7 @@ func (w *EpochWriter[P]) flush() {
 
 // Close flushes and releases the writer's slot for reuse. The slot's
 // undrained data is folded into the view by the next Advance.
-func (w *EpochWriter[P]) Close() {
+func (w *EpochWriter) Close() {
 	if w.closed {
 		return
 	}
@@ -302,13 +315,13 @@ func (w *EpochWriter[P]) Close() {
 // visible to queries. Concurrent with ingestion it is a consistent cut:
 // an operation lands entirely in the retired epoch or entirely in the
 // new one.
-func (e *Epoch[P]) Advance() {
+func (e *Epoch) Advance() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.advanceLocked()
 }
 
-func (e *Epoch[P]) advanceLocked() {
+func (e *Epoch) advanceLocked() {
 	old := e.epoch.Load()
 	next := old + 1
 	slots := *e.slots.Load()
@@ -320,14 +333,14 @@ func (e *Epoch[P]) advanceLocked() {
 	retired := int(old & 1)
 	canDrop := len(slots) - e.base // never shrink below the configured count
 	dropped := 0
-	kept := make([]*epochSlot[P], 0, len(slots))
+	kept := make([]*epochSlot, 0, len(slots))
 	for _, sl := range slots {
 		waitSettled(sl, next)
 		if n := sl.counts[retired].Load(); n != 0 {
 			e.viewMu.Lock()
 			e.drain(sl.bufs[retired], n)
 			e.viewMu.Unlock()
-			e.reset(sl.bufs[retired])
+			sl.bufs[retired].Reset()
 			sl.counts[retired].Store(0)
 			sl.emptyDrains = 0
 			e.drained += n
@@ -353,7 +366,7 @@ func (e *Epoch[P]) advanceLocked() {
 // waitSettled blocks until sl's owner cannot be writing the retired
 // buffer: its seqlock is even (any later operation observes the new
 // epoch) or its in-flight operation already observed it.
-func waitSettled[P epochPrivate](sl *epochSlot[P], next uint64) {
+func waitSettled(sl *epochSlot, next uint64) {
 	for i := 0; ; i++ {
 		if sl.seq.Load()&1 == 0 || sl.active.Load() >= next {
 			return
@@ -369,7 +382,7 @@ func waitSettled[P epochPrivate](sl *epochSlot[P], next uint64) {
 // AutoAdvance starts a background merger goroutine advancing the epoch
 // every interval (≤ 0 means 1ms). The returned stop function performs a
 // final Advance and waits for the goroutine to exit; it is idempotent.
-func (e *Epoch[P]) AutoAdvance(interval time.Duration) (stop func()) {
+func (e *Epoch) AutoAdvance(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
@@ -402,7 +415,7 @@ func (e *Epoch[P]) AutoAdvance(interval time.Duration) (stop func()) {
 // Pending returns the number of items ingested into private sketches but
 // not yet drained into the view — the bounded-staleness gauge. Items
 // still in writers' local buffers (not yet Flushed) are not counted.
-func (e *Epoch[P]) Pending() uint64 {
+func (e *Epoch) Pending() uint64 {
 	var n uint64
 	for _, sl := range *e.slots.Load() {
 		n += sl.counts[0].Load() + sl.counts[1].Load()
@@ -411,7 +424,7 @@ func (e *Epoch[P]) Pending() uint64 {
 }
 
 // Epochs returns the number of epoch cuts performed.
-func (e *Epoch[P]) Epochs() uint64 { return e.epoch.Load() }
+func (e *Epoch) Epochs() uint64 { return e.epoch.Load() }
 
 // EpochStats is a point-in-time snapshot of the epoch layer's adaptive
 // state.
@@ -426,7 +439,7 @@ type EpochStats struct {
 }
 
 // Stats returns drain-pressure and resharding counters.
-func (e *Epoch[P]) Stats() EpochStats {
+func (e *Epoch) Stats() EpochStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	slots := *e.slots.Load()
@@ -446,16 +459,51 @@ func (e *Epoch[P]) Stats() EpochStats {
 	return st
 }
 
-// privateBits sums the private buffers' footprint for MemoryBits. It
-// takes the control-plane lock because buffer allocation is lazy.
-func (e *Epoch[P]) privateBits() int {
+// Update adds count occurrences of item to the shared view directly:
+// immediately visible to queries and serialized by the view lock — the
+// compatibility path that satisfies Sketch. Use NewWriter for the
+// lock-free path.
+func (e *Epoch) Update(item uint64, count int64) {
+	e.viewMu.Lock()
+	e.view.Update(item, count)
+	e.viewMu.Unlock()
+}
+
+// Increment adds one occurrence of item to the shared view directly.
+func (e *Epoch) Increment(item uint64) { e.Update(item, 1) }
+
+// UpdateBatch adds count occurrences of every item to the shared view
+// directly, serialized.
+func (e *Epoch) UpdateBatch(items []uint64, count int64) {
+	e.viewMu.Lock()
+	e.view.UpdateBatch(items, count)
+	e.viewMu.Unlock()
+}
+
+// MemoryBits returns the footprint in bits: the shared view plus both
+// private buffers of every writer slot. It takes the control-plane lock
+// because buffer allocation is lazy.
+func (e *Epoch) MemoryBits() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var bits int
+	bits := e.view.MemoryBits()
 	for _, sl := range *e.slots.Load() {
 		if sl.allocated {
 			bits += sl.bufs[0].SizeBits() + sl.bufs[1].SizeBits()
 		}
 	}
 	return bits
+}
+
+// tick cuts an epoch and then rotates the windowed view by one bucket, so
+// every operation completed before the call lands in the pre-Tick bucket.
+// Writer operations concurrent with tick land coherently in the pre- or
+// post-Tick bucket, never split. It backs the windowed Epoch* types' Tick.
+func (e *Epoch) tick() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.advanceLocked()
+	e.viewMu.Lock()
+	e.view.(interface{ Tick() }).Tick()
+	e.viewMu.Unlock()
 }

@@ -1,18 +1,19 @@
 package salsa
 
 import (
+	"errors"
 	"fmt"
 
 	"salsa/internal/sketch"
 	"salsa/internal/topk"
 )
 
-// Typed epoch-merged wrappers: the concrete sketches EpochShardedBy
-// builds. Each couples the generic Epoch core (private per-writer
-// sketches, seqlock epoch cuts) with a shared view of the matching
-// sketch type. All private sketches share the view's seeds — they merge
-// into it, unlike ShardedBy's hash-partitioned shards which deliberately
-// use distinct per-shard seeds.
+// Typed epoch-merged topologies: the concrete sketches EpochShardedBy
+// builds. Each embeds the Epoch core (private per-writer sketches,
+// seqlock epoch cuts, the shared view and its direct-path updates) and
+// adds the read methods of its view's kind. All private sketches share
+// the view's seeds — they merge into it, unlike ShardedBy's
+// hash-partitioned shards which deliberately use distinct per-shard seeds.
 //
 // Like windowed sketches, epoch sketches force sum-merge counters: a
 // drain merges private sketches of disjoint substreams, and only summing
@@ -24,7 +25,7 @@ import (
 //   - NewWriter returns a per-goroutine EpochWriter — the lock-free fast
 //     path. Data becomes visible to queries at the next epoch drain
 //     (Advance, AutoAdvance, or windowed Tick).
-//   - The wrapper's own Update/UpdateBatch satisfy Sketch by applying to
+//   - The core's own Update/UpdateBatch satisfy Sketch by applying to
 //     the shared view directly under the view lock — immediately
 //     visible, serialized, the compatibility path.
 
@@ -49,61 +50,64 @@ func validateEpochWriters(writers int) error {
 	return nil
 }
 
+// errEpochRotation rejects a decoded window that rotates by item count:
+// a drained epoch would split across buckets.
+var errEpochRotation = errors.New("salsa: epoch windows are Tick-driven; decoded ring declares a rotation interval")
+
+// newEpochLayer wires the epoch core onto view, returning the Epoch* type
+// for the view's kind. Build passes a view built from a validated spec;
+// the envelope decoder passes a decoded view, so the composition rules
+// validate enforces on specs are re-checked here.
+func newEpochLayer(view Sketch, writers int) (Sketch, error) {
+	switch v := view.(type) {
+	case *CountMin:
+		if err := validateEpochMerge(v.opt); err != nil {
+			return nil, err
+		}
+		return &EpochCountMin{newEpoch(v, writers, cmsRingOps(v.opt, v.conservative).New,
+			func(buf *sketch.CMS, _ uint64) { v.sk.MergeFrom(buf) }), v}, nil
+	case *CountSketch:
+		return &EpochCountSketch{newEpoch(v, writers, csRingOps(v.opt).New,
+			func(buf *sketch.CountSketch, _ uint64) { v.sk.MergeFrom(buf, 1) }), v}, nil
+	case *Monitor:
+		if err := validateEpochMerge(v.cm.opt); err != nil {
+			return nil, err
+		}
+		return &EpochMonitor{newEpochMonitor(v, writers), v}, nil
+	case *Distinct:
+		if err := validateEpochMerge(v.cm.opt); err != nil {
+			return nil, err
+		}
+		return &EpochDistinct{newEpoch(v, writers, cmsRingOps(v.cm.opt, false).New,
+			func(buf *sketch.CMS, _ uint64) { v.cm.sk.MergeFrom(buf) }), v}, nil
+	case *WindowedCountMin:
+		if v.BucketItems() != 0 {
+			return nil, errEpochRotation
+		}
+		return &EpochWindowedCountMin{newEpoch(v, writers, cmsRingOps(v.opt, v.conservative).New,
+			func(buf *sketch.CMS, n uint64) { v.ring.Cur().MergeFrom(buf); v.ring.Wrote(n) }), v}, nil
+	case *WindowedCountSketch:
+		if v.BucketItems() != 0 {
+			return nil, errEpochRotation
+		}
+		return &EpochWindowedCountSketch{newEpoch(v, writers, csRingOps(v.opt).New,
+			func(buf *sketch.CountSketch, n uint64) { v.ring.Cur().MergeFrom(buf, 1); v.ring.Wrote(n) }), v}, nil
+	case *WindowedDistinct:
+		if v.w.BucketItems() != 0 {
+			return nil, errEpochRotation
+		}
+		w := v.w
+		return &EpochWindowedDistinct{newEpoch(v, writers, cmsRingOps(w.opt, false).New,
+			func(buf *sketch.CMS, n uint64) { w.ring.Cur().MergeFrom(buf); w.ring.Wrote(n) }), v}, nil
+	}
+	return nil, fmt.Errorf("salsa: epoch envelope wraps unsupported topology %T", view)
+}
+
 // EpochCountMin is an epoch-merged CountMin (or Conservative Update)
 // sketch: lock-free per-writer ingestion drained into one shared CMS.
 type EpochCountMin struct {
-	*Epoch[*sketch.CMS]
+	*Epoch
 	view *CountMin
-}
-
-// buildEpochCountMin realizes an EpochShardedBy(CountMinOf/ConservativeOf)
-// spec.
-func buildEpochCountMin(opt Options, writers int, conservative bool) (*EpochCountMin, error) {
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	if err := validateEpochMerge(opt); err != nil {
-		return nil, err
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(4, MergeSum)
-	view := &CountMin{sk: cmsRingOps(opt, conservative).New(), opt: opt, conservative: conservative}
-	return newEpochCountMin(view, writers), nil
-}
-
-// newEpochCountMin wires the epoch core onto an existing view; the
-// envelope decoder reuses it with a decoded view.
-func newEpochCountMin(view *CountMin, writers int) *EpochCountMin {
-	ops := cmsRingOps(view.opt, view.conservative)
-	c := &EpochCountMin{view: view}
-	c.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CMS, n uint64) { view.sk.MergeFrom(buf) },
-		ops.Reset)
-	return c
-}
-
-// Update applies directly to the shared view (immediately visible,
-// serialized). Use NewWriter for the lock-free path.
-func (c *EpochCountMin) Update(item uint64, count int64) {
-	c.viewMu.Lock()
-	c.view.Update(item, count)
-	c.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the shared view.
-func (c *EpochCountMin) Increment(item uint64) { c.Update(item, 1) }
-
-// UpdateBatch applies directly to the shared view, serialized.
-func (c *EpochCountMin) UpdateBatch(items []uint64, count int64) {
-	c.viewMu.Lock()
-	c.view.UpdateBatch(items, count)
-	c.viewMu.Unlock()
 }
 
 // Query returns the merged-view frequency overestimate. It reflects every
@@ -122,10 +126,6 @@ func (c *EpochCountMin) QueryBatch(items []uint64, dst []uint64) []uint64 {
 	return c.view.QueryBatch(items, dst)
 }
 
-// MemoryBits returns the footprint in bits: the shared view plus both
-// private buffers of every writer slot.
-func (c *EpochCountMin) MemoryBits() int { return c.view.MemoryBits() + c.privateBits() }
-
 // Options returns the view configuration with defaults applied.
 func (c *EpochCountMin) Options() Options { return c.view.opt }
 
@@ -136,47 +136,8 @@ func (c *EpochCountMin) View() *CountMin { return c.view }
 // EpochCountSketch is an epoch-merged Count Sketch: lock-free per-writer
 // ingestion drained into one shared unbiased view.
 type EpochCountSketch struct {
-	*Epoch[*sketch.CountSketch]
+	*Epoch
 	view *CountSketch
-}
-
-// buildEpochCountSketch realizes an EpochShardedBy(CountSketchOf) spec.
-func buildEpochCountSketch(opt Options, writers int) (*EpochCountSketch, error) {
-	if err := opt.validateFor(kindCountSketch); err != nil {
-		return nil, err
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(5, MergeSum)
-	view := &CountSketch{sk: csRingOps(opt).New(), opt: opt}
-	return newEpochCountSketch(view, writers), nil
-}
-
-func newEpochCountSketch(view *CountSketch, writers int) *EpochCountSketch {
-	ops := csRingOps(view.opt)
-	c := &EpochCountSketch{view: view}
-	c.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CountSketch, n uint64) { view.sk.MergeFrom(buf, 1) },
-		ops.Reset)
-	return c
-}
-
-// Update applies directly to the shared view, serialized.
-func (c *EpochCountSketch) Update(item uint64, count int64) {
-	c.viewMu.Lock()
-	c.view.Update(item, count)
-	c.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the shared view.
-func (c *EpochCountSketch) Increment(item uint64) { c.Update(item, 1) }
-
-// UpdateBatch applies directly to the shared view, serialized.
-func (c *EpochCountSketch) UpdateBatch(items []uint64, count int64) {
-	c.viewMu.Lock()
-	c.view.UpdateBatch(items, count)
-	c.viewMu.Unlock()
 }
 
 // Query returns the merged-view (unbiased) frequency estimate.
@@ -194,101 +155,38 @@ func (c *EpochCountSketch) QueryBatch(items []uint64, dst []int64) []int64 {
 	return c.view.QueryBatch(items, dst)
 }
 
-// MemoryBits returns the view-plus-private-buffers footprint in bits.
-func (c *EpochCountSketch) MemoryBits() int { return c.view.MemoryBits() + c.privateBits() }
-
 // Options returns the view configuration with defaults applied.
 func (c *EpochCountSketch) Options() Options { return c.view.opt }
 
 // View exposes the shared read view.
 func (c *EpochCountSketch) View() *CountSketch { return c.view }
 
-// epochMonitorBuf is a Monitor's private per-writer half: a CU sketch
-// plus the epoch's top-k candidates by private estimate. On drain the
-// sketch merges into the view and the candidates are re-offered at their
-// merged estimates, in the heap's deterministic (count, item) order.
-type epochMonitorBuf struct {
-	cm   *sketch.CMS
-	heap *topk.Heap
+// newEpochMonitor wires the epoch core onto a Monitor view: each drain
+// merges a private sketch and re-offers its candidates at their merged
+// estimates.
+func newEpochMonitor(view *Monitor, writers int) *Epoch {
+	k := view.heap.Cap()
+	ops := cmsRingOps(view.cm.opt, true)
+	return newEpoch(view, writers,
+		func() *epochMonitorBuf { return &epochMonitorBuf{cm: ops.New(), heap: topk.New(k)} },
+		func(buf *epochMonitorBuf, _ uint64) {
+			view.cm.sk.MergeFrom(buf.cm)
+			for _, ent := range buf.heap.Items() {
+				view.heap.Offer(ent.Item, int64(view.cm.sk.Query(ent.Item)))
+			}
+		})
 }
-
-func (b *epochMonitorBuf) Update(item uint64, count int64) {
-	offerEstimate(b.heap, item, b.cm.UpdateEstimate(item, count))
-}
-
-func (b *epochMonitorBuf) UpdateBatch(items []uint64, count int64) {
-	for _, x := range items {
-		b.Update(x, count)
-	}
-}
-
-func (b *epochMonitorBuf) SizeBits() int { return b.cm.SizeBits() }
 
 // EpochMonitor is an epoch-merged heavy-hitter Monitor: each writer
 // tracks its epoch's candidates privately; drains merge the sketches and
 // re-estimate the candidates against the merged view.
 type EpochMonitor struct {
-	*Epoch[*epochMonitorBuf]
+	*Epoch
 	view *Monitor
-}
-
-// buildEpochMonitor realizes an EpochShardedBy(MonitorOf) spec.
-func buildEpochMonitor(opt Options, k, writers int) (*EpochMonitor, error) {
-	if err := validateTrackerK("monitor", k); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindConservative); err != nil {
-		return nil, err
-	}
-	if err := validateEpochMerge(opt); err != nil {
-		return nil, err
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(4, MergeSum)
-	view := &Monitor{
-		cm:   &CountMin{sk: cmsRingOps(opt, true).New(), opt: opt, conservative: true},
-		heap: topk.New(k),
-	}
-	return newEpochMonitor(view, writers), nil
-}
-
-func newEpochMonitor(view *Monitor, writers int) *EpochMonitor {
-	k := view.heap.Cap()
-	ops := cmsRingOps(view.cm.opt, true)
-	m := &EpochMonitor{view: view}
-	m.Epoch = newEpoch(writers,
-		func() *epochMonitorBuf { return &epochMonitorBuf{cm: ops.New(), heap: topk.New(k)} },
-		func(buf *epochMonitorBuf, n uint64) {
-			view.cm.sk.MergeFrom(buf.cm)
-			for _, ent := range buf.heap.Items() {
-				view.heap.Offer(ent.Item, int64(view.cm.sk.Query(ent.Item)))
-			}
-		},
-		func(buf *epochMonitorBuf) {
-			buf.cm.Reset()
-			buf.heap.Reset()
-		})
-	return m
-}
-
-// Update applies directly to the shared view, serialized.
-func (m *EpochMonitor) Update(item uint64, count int64) {
-	m.viewMu.Lock()
-	m.view.Update(item, count)
-	m.viewMu.Unlock()
 }
 
 // Process records one occurrence of item on the shared view.
 func (m *EpochMonitor) Process(item uint64) { m.Update(item, 1) }
-
-// UpdateBatch applies directly to the shared view, serialized.
-func (m *EpochMonitor) UpdateBatch(items []uint64, count int64) {
-	m.viewMu.Lock()
-	m.view.UpdateBatch(items, count)
-	m.viewMu.Unlock()
-}
 
 // Query returns the merged-view frequency overestimate.
 func (m *EpochMonitor) Query(item uint64) uint64 {
@@ -315,9 +213,6 @@ func (m *EpochMonitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
 // K returns the tracker capacity.
 func (m *EpochMonitor) K() int { return m.view.heap.Cap() }
 
-// MemoryBits returns the view-plus-private-buffers footprint in bits.
-func (m *EpochMonitor) MemoryBits() int { return m.view.MemoryBits() + m.privateBits() }
-
 // Options returns the view configuration with defaults applied.
 func (m *EpochMonitor) Options() Options { return m.view.cm.opt }
 
@@ -325,50 +220,8 @@ func (m *EpochMonitor) Options() Options { return m.view.cm.opt }
 // private CMS sketches merge into one shared view whose zero-counter
 // fractions feed the cardinality estimate.
 type EpochDistinct struct {
-	*Epoch[*sketch.CMS]
+	*Epoch
 	view *Distinct
-}
-
-// buildEpochDistinct realizes an EpochShardedBy(DistinctOf) spec.
-func buildEpochDistinct(opt Options, writers int) (*EpochDistinct, error) {
-	if err := opt.validateFor(kindDistinct); err != nil {
-		return nil, err
-	}
-	if err := validateEpochMerge(opt); err != nil {
-		return nil, err
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults(4, MergeSum)
-	view := &Distinct{cm: &CountMin{sk: cmsRingOps(opt, false).New(), opt: opt}}
-	return newEpochDistinct(view, writers), nil
-}
-
-func newEpochDistinct(view *Distinct, writers int) *EpochDistinct {
-	ops := cmsRingOps(view.cm.opt, false)
-	d := &EpochDistinct{view: view}
-	d.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CMS, n uint64) { view.cm.sk.MergeFrom(buf) },
-		ops.Reset)
-	return d
-}
-
-// Update applies directly to the shared view, serialized.
-func (d *EpochDistinct) Update(item uint64, count int64) {
-	d.viewMu.Lock()
-	d.view.Update(item, count)
-	d.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the shared view.
-func (d *EpochDistinct) Increment(item uint64) { d.Update(item, 1) }
-
-// UpdateBatch applies directly to the shared view, serialized.
-func (d *EpochDistinct) UpdateBatch(items []uint64, count int64) {
-	d.viewMu.Lock()
-	d.view.UpdateBatch(items, count)
-	d.viewMu.Unlock()
 }
 
 // Query returns the merged-view frequency estimate.
@@ -390,9 +243,6 @@ func (d *EpochDistinct) Estimate() (float64, error) {
 // cardinality f0.
 func (d *EpochDistinct) StdError(f0 float64) float64 { return d.view.StdError(f0) }
 
-// MemoryBits returns the view-plus-private-buffers footprint in bits.
-func (d *EpochDistinct) MemoryBits() int { return d.view.MemoryBits() + d.privateBits() }
-
 // Options returns the view configuration with defaults applied.
 func (d *EpochDistinct) Options() Options { return d.view.Options() }
 
@@ -403,53 +253,8 @@ func (d *EpochDistinct) Options() Options { return d.view.Options() }
 // layer rejects count-based rotation, which would split a drained epoch
 // across buckets).
 type EpochWindowedCountMin struct {
-	*Epoch[*sketch.CMS]
+	*Epoch
 	view *WindowedCountMin
-}
-
-// buildEpochWindowedCMS realizes an
-// EpochShardedBy(Windowed(CountMinOf/ConservativeOf)) spec.
-func buildEpochWindowedCMS(opt Options, buckets, bucketItems, writers int, conservative bool) (*EpochWindowedCountMin, error) {
-	if bucketItems != 0 {
-		return nil, fmt.Errorf("salsa: epoch windows are Tick-driven; bucketItems must be 0, got %d", bucketItems)
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	w, err := buildWindowedCMS(opt, buckets, 0, conservative)
-	if err != nil {
-		return nil, err
-	}
-	return newEpochWindowedCountMin(w, writers), nil
-}
-
-func newEpochWindowedCountMin(w *WindowedCountMin, writers int) *EpochWindowedCountMin {
-	ops := cmsRingOps(w.opt, w.conservative)
-	ew := &EpochWindowedCountMin{view: w}
-	ew.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CMS, n uint64) {
-			w.ring.Cur().MergeFrom(buf)
-			w.ring.Wrote(n)
-		},
-		ops.Reset)
-	return ew
-}
-
-// Update applies directly to the window's current bucket, serialized.
-func (w *EpochWindowedCountMin) Update(item uint64, count int64) {
-	w.viewMu.Lock()
-	w.view.Update(item, count)
-	w.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the current bucket.
-func (w *EpochWindowedCountMin) Increment(item uint64) { w.Update(item, 1) }
-
-// UpdateBatch applies directly to the current bucket, serialized.
-func (w *EpochWindowedCountMin) UpdateBatch(items []uint64, count int64) {
-	w.viewMu.Lock()
-	w.view.UpdateBatch(items, count)
-	w.viewMu.Unlock()
 }
 
 // Query returns the live-window frequency overestimate from the merged
@@ -468,18 +273,9 @@ func (w *EpochWindowedCountMin) QueryBatch(items []uint64, dst []uint64) []uint6
 	return w.view.QueryBatch(items, dst)
 }
 
-// Tick rotates the window by one bucket — after cutting an epoch, so all
-// previously retired private data lands in the pre-Tick bucket. Writer
-// operations concurrent with Tick land coherently in the pre- or
-// post-Tick bucket, never split.
-func (w *EpochWindowedCountMin) Tick() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advanceLocked()
-	w.viewMu.Lock()
-	w.view.Tick()
-	w.viewMu.Unlock()
-}
+// Tick rotates the window by one bucket after cutting an epoch, so all
+// previously retired private data lands in the pre-Tick bucket.
+func (w *EpochWindowedCountMin) Tick() { w.tick() }
 
 // Buckets returns the number of ring buckets B.
 func (w *EpochWindowedCountMin) Buckets() int { return w.view.Buckets() }
@@ -501,62 +297,14 @@ func (w *EpochWindowedCountMin) WindowVolume() uint64 {
 	return w.view.WindowVolume()
 }
 
-// MemoryBits returns the ring-plus-private-buffers footprint in bits.
-func (w *EpochWindowedCountMin) MemoryBits() int { return w.view.MemoryBits() + w.privateBits() }
-
 // Options returns the bucket sketch configuration with defaults applied.
 func (w *EpochWindowedCountMin) Options() Options { return w.view.opt }
 
 // EpochWindowedCountSketch is an epoch-merged sliding-window Count
 // Sketch; see EpochWindowedCountMin for the drain/Tick semantics.
 type EpochWindowedCountSketch struct {
-	*Epoch[*sketch.CountSketch]
+	*Epoch
 	view *WindowedCountSketch
-}
-
-// buildEpochWindowedCountSketch realizes an
-// EpochShardedBy(Windowed(CountSketchOf)) spec.
-func buildEpochWindowedCountSketch(opt Options, buckets, bucketItems, writers int) (*EpochWindowedCountSketch, error) {
-	if bucketItems != 0 {
-		return nil, fmt.Errorf("salsa: epoch windows are Tick-driven; bucketItems must be 0, got %d", bucketItems)
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	w, err := buildWindowedCountSketch(opt, buckets, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newEpochWindowedCountSketch(w, writers), nil
-}
-
-func newEpochWindowedCountSketch(w *WindowedCountSketch, writers int) *EpochWindowedCountSketch {
-	ops := csRingOps(w.opt)
-	ew := &EpochWindowedCountSketch{view: w}
-	ew.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CountSketch, n uint64) {
-			w.ring.Cur().MergeFrom(buf, 1)
-			w.ring.Wrote(n)
-		},
-		ops.Reset)
-	return ew
-}
-
-// Update applies directly to the window's current bucket, serialized.
-func (w *EpochWindowedCountSketch) Update(item uint64, count int64) {
-	w.viewMu.Lock()
-	w.view.Update(item, count)
-	w.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the current bucket.
-func (w *EpochWindowedCountSketch) Increment(item uint64) { w.Update(item, 1) }
-
-// UpdateBatch applies directly to the current bucket, serialized.
-func (w *EpochWindowedCountSketch) UpdateBatch(items []uint64, count int64) {
-	w.viewMu.Lock()
-	w.view.UpdateBatch(items, count)
-	w.viewMu.Unlock()
 }
 
 // Query returns the live-window (unbiased) frequency estimate.
@@ -575,14 +323,7 @@ func (w *EpochWindowedCountSketch) QueryBatch(items []uint64, dst []int64) []int
 }
 
 // Tick rotates the window by one bucket after cutting an epoch.
-func (w *EpochWindowedCountSketch) Tick() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advanceLocked()
-	w.viewMu.Lock()
-	w.view.Tick()
-	w.viewMu.Unlock()
-}
+func (w *EpochWindowedCountSketch) Tick() { w.tick() }
 
 // Buckets returns the number of ring buckets B.
 func (w *EpochWindowedCountSketch) Buckets() int { return w.view.Buckets() }
@@ -604,9 +345,6 @@ func (w *EpochWindowedCountSketch) WindowVolume() uint64 {
 	return w.view.WindowVolume()
 }
 
-// MemoryBits returns the ring-plus-private-buffers footprint in bits.
-func (w *EpochWindowedCountSketch) MemoryBits() int { return w.view.MemoryBits() + w.privateBits() }
-
 // Options returns the bucket sketch configuration with defaults applied.
 func (w *EpochWindowedCountSketch) Options() Options { return w.view.opt }
 
@@ -615,53 +353,8 @@ func (w *EpochWindowedCountSketch) Options() Options { return w.view.opt }
 // — all private sketches merge into one ring, so Linear Counting reads a
 // single view.
 type EpochWindowedDistinct struct {
-	*Epoch[*sketch.CMS]
+	*Epoch
 	view *WindowedDistinct
-}
-
-// buildEpochWindowedDistinct realizes an
-// EpochShardedBy(Windowed(DistinctOf)) spec.
-func buildEpochWindowedDistinct(opt Options, buckets, bucketItems, writers int) (*EpochWindowedDistinct, error) {
-	if bucketItems != 0 {
-		return nil, fmt.Errorf("salsa: epoch windows are Tick-driven; bucketItems must be 0, got %d", bucketItems)
-	}
-	if err := validateEpochWriters(writers); err != nil {
-		return nil, err
-	}
-	d, err := buildWindowedDistinct(opt, buckets, 0)
-	if err != nil {
-		return nil, err
-	}
-	return newEpochWindowedDistinct(d, writers), nil
-}
-
-func newEpochWindowedDistinct(d *WindowedDistinct, writers int) *EpochWindowedDistinct {
-	ops := cmsRingOps(d.w.opt, false)
-	ew := &EpochWindowedDistinct{view: d}
-	ew.Epoch = newEpoch(writers, ops.New,
-		func(buf *sketch.CMS, n uint64) {
-			d.w.ring.Cur().MergeFrom(buf)
-			d.w.ring.Wrote(n)
-		},
-		ops.Reset)
-	return ew
-}
-
-// Update applies directly to the window's current bucket, serialized.
-func (d *EpochWindowedDistinct) Update(item uint64, count int64) {
-	d.viewMu.Lock()
-	d.view.Update(item, count)
-	d.viewMu.Unlock()
-}
-
-// Increment adds one occurrence of item to the current bucket.
-func (d *EpochWindowedDistinct) Increment(item uint64) { d.Update(item, 1) }
-
-// UpdateBatch applies directly to the current bucket, serialized.
-func (d *EpochWindowedDistinct) UpdateBatch(items []uint64, count int64) {
-	d.viewMu.Lock()
-	d.view.UpdateBatch(items, count)
-	d.viewMu.Unlock()
 }
 
 // Query returns the live-window frequency estimate.
@@ -684,14 +377,7 @@ func (d *EpochWindowedDistinct) Estimate() (float64, error) {
 func (d *EpochWindowedDistinct) StdError(f0 float64) float64 { return d.view.StdError(f0) }
 
 // Tick rotates the window by one bucket after cutting an epoch.
-func (d *EpochWindowedDistinct) Tick() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.advanceLocked()
-	d.viewMu.Lock()
-	d.view.Tick()
-	d.viewMu.Unlock()
-}
+func (d *EpochWindowedDistinct) Tick() { d.tick() }
 
 // Buckets returns the number of ring buckets B.
 func (d *EpochWindowedDistinct) Buckets() int { return d.view.w.Buckets() }
@@ -709,9 +395,6 @@ func (d *EpochWindowedDistinct) WindowVolume() uint64 {
 	defer d.viewMu.Unlock()
 	return d.view.WindowVolume()
 }
-
-// MemoryBits returns the ring-plus-private-buffers footprint in bits.
-func (d *EpochWindowedDistinct) MemoryBits() int { return d.view.MemoryBits() + d.privateBits() }
 
 // Options returns the bucket sketch configuration with defaults applied.
 func (d *EpochWindowedDistinct) Options() Options { return d.view.Options() }

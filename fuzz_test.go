@@ -82,7 +82,7 @@ func fuzzSeedsCountMin(f *testing.F) {
 		{Width: 64, CompactEncoding: true, Seed: 5},
 		{Width: 64, Merge: MergeSum, Depth: 2, Seed: 5},
 	} {
-		cm := NewCountMin(opt)
+		cm := MustBuild(CountMinOf(opt)).(*CountMin)
 		cm.IncrementBatch(data)
 		blob, err := cm.MarshalBinary()
 		if err != nil {
@@ -90,7 +90,7 @@ func fuzzSeedsCountMin(f *testing.F) {
 		}
 		f.Add(blob)
 	}
-	cu := NewConservativeUpdate(Options{Width: 64, Seed: 6})
+	cu := MustBuild(ConservativeOf(Options{Width: 64, Seed: 6})).(*CountMin)
 	cu.IncrementBatch(data)
 	blob, err := cu.MarshalBinary()
 	if err != nil {
@@ -134,7 +134,7 @@ func FuzzUnmarshalCountSketch(f *testing.F) {
 		{Width: 64, CompactEncoding: true, Seed: 5},
 		{Width: 64, Depth: 3, Seed: 5},
 	} {
-		cs := NewCountSketch(opt)
+		cs := MustBuild(CountSketchOf(opt)).(*CountSketch)
 		cs.UpdateBatch(data, -2)
 		blob, err := cs.MarshalBinary()
 		if err != nil {

@@ -26,7 +26,7 @@ func TestDistributedAggregationPipeline(t *testing.T) {
 	// Each worker sketches its shard and ships bytes.
 	payloads := make([][]byte, workers)
 	for wkr := 0; wkr < workers; wkr++ {
-		cm := NewCountMin(opt)
+		cm := MustBuild(CountMinOf(opt)).(*CountMin)
 		for i := wkr; i < len(full); i += workers {
 			cm.Increment(full[i])
 		}
@@ -98,7 +98,7 @@ func TestEpochChangeDetectionPipeline(t *testing.T) {
 // paths — CUS+heap and UnivMon's level-0 heap — on the same stream.
 func TestMonitorAgainstUnivMon(t *testing.T) {
 	data := stream.NY18.Generate(150_000, 11)
-	mon := NewMonitor(Options{Width: 1 << 13, Seed: 31}, 20)
+	mon := MustBuild(MonitorOf(Options{Width: 1 << 13, Seed: 31}, 20)).(*Monitor)
 	um := MustBuild(UnivMonOf(Options{Width: 1 << 11, Seed: 31}, 12, 0)).(*UnivMon)
 	exact := stream.NewExact()
 	for _, x := range data {
@@ -135,9 +135,9 @@ func TestEqualMemoryAccuracyOrdering(t *testing.T) {
 		cm   *CountMin
 	}
 	contenders := []contender{
-		{"baseline-cms", NewCountMin(Options{Width: 1 << 11, Mode: ModeBaseline, Seed: 41})},
-		{"salsa-cms", NewCountMin(Options{Width: 1 << 13, Seed: 41})},
-		{"salsa-cus", NewConservativeUpdate(Options{Width: 1 << 13, Seed: 41})},
+		{"baseline-cms", MustBuild(CountMinOf(Options{Width: 1 << 11, Mode: ModeBaseline, Seed: 41})).(*CountMin)},
+		{"salsa-cms", MustBuild(CountMinOf(Options{Width: 1 << 13, Seed: 41})).(*CountMin)},
+		{"salsa-cus", MustBuild(ConservativeOf(Options{Width: 1 << 13, Seed: 41})).(*CountMin)},
 	}
 	exact := stream.NewExact()
 	mse := make([]float64, len(contenders))
@@ -161,8 +161,8 @@ func TestDistinctAcrossBackends(t *testing.T) {
 	for _, ds := range stream.Datasets() {
 		data := ds.Generate(100_000, 13)
 		exact := stream.NewExact()
-		baseline := NewCountMin(Options{Width: 1 << 14, Mode: ModeBaseline, Merge: MergeSum, Seed: 51})
-		slim := NewCountMin(Options{Width: 1 << 14, Merge: MergeSum, Seed: 51})
+		baseline := MustBuild(CountMinOf(Options{Width: 1 << 14, Mode: ModeBaseline, Merge: MergeSum, Seed: 51})).(*CountMin)
+		slim := MustBuild(CountMinOf(Options{Width: 1 << 14, Merge: MergeSum, Seed: 51})).(*CountMin)
 		for _, x := range data {
 			exact.Observe(x)
 			baseline.Increment(x)

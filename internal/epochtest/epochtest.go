@@ -43,8 +43,8 @@ import (
 	"salsa/internal/stream"
 )
 
-// Writer is the per-goroutine ingestion surface the driver needs; all
-// salsa.EpochWriter instantiations satisfy it.
+// Writer is the per-goroutine ingestion surface the driver needs;
+// *salsa.EpochWriter satisfies it.
 type Writer interface {
 	UpdateBatch(items []uint64, count int64)
 	Flush()
@@ -63,51 +63,40 @@ type Target struct {
 	Pending   func() uint64
 }
 
+// epochLayer is the surface every EpochShardedBy product shares through
+// its embedded *salsa.Epoch.
+type epochLayer interface {
+	salsa.Sketch
+	NewWriter(batch int) *salsa.EpochWriter
+	Advance()
+	Stats() salsa.EpochStats
+	Pending() uint64
+}
+
 // Wrap adapts a built epoch sketch (any EpochShardedBy product) into a
-// Target.
+// Target. Windowed products are recognized by their Tick method.
 func Wrap(s salsa.Sketch) (*Target, error) {
-	t := &Target{Sketch: s}
-	switch x := s.(type) {
-	case *salsa.EpochCountMin:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Query = func(item uint64) int64 { return int64(x.Query(item)) }
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochCountSketch:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Query = x.Query
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochMonitor:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Query = func(item uint64) int64 { return int64(x.Query(item)) }
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochDistinct:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Query = func(item uint64) int64 { return int64(x.Query(item)) }
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochWindowedCountMin:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Tick = x.Tick
-		t.Query = func(item uint64) int64 { return int64(x.Query(item)) }
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochWindowedCountSketch:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Tick = x.Tick
-		t.Query = x.Query
-		t.Stats, t.Pending = x.Stats, x.Pending
-	case *salsa.EpochWindowedDistinct:
-		t.NewWriter = func() Writer { return x.NewWriter(0) }
-		t.Advance = x.Advance
-		t.Tick = x.Tick
-		t.Query = func(item uint64) int64 { return int64(x.Query(item)) }
-		t.Stats, t.Pending = x.Stats, x.Pending
-	default:
+	e, ok := s.(epochLayer)
+	if !ok {
 		return nil, fmt.Errorf("epochtest: %T is not an epoch topology", s)
+	}
+	t := &Target{
+		Sketch:    s,
+		NewWriter: func() Writer { return e.NewWriter(0) },
+		Advance:   e.Advance,
+		Stats:     e.Stats,
+		Pending:   e.Pending,
+	}
+	if w, ok := s.(interface{ Tick() }); ok {
+		t.Tick = w.Tick
+	}
+	switch q := s.(type) {
+	case interface{ Query(uint64) uint64 }:
+		t.Query = func(item uint64) int64 { return int64(q.Query(item)) }
+	case interface{ Query(uint64) int64 }:
+		t.Query = q.Query
+	default:
+		return nil, fmt.Errorf("epochtest: %T has no point query", s)
 	}
 	return t, nil
 }

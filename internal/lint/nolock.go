@@ -26,8 +26,8 @@ import (
 // Call-graph discipline mirrors hotpath: within this module a nolock
 // function may only call nolock functions, so annotating
 // EpochWriter.UpdateBatch transitively pins enter/exit/flush. Dynamic
-// calls (the private sketch's type-parameter methods) are not
-// statically resolvable; the race-hammer CI job covers those.
+// calls (the private sketch's interface methods) are not statically
+// resolvable; the race-hammer CI job covers those.
 var NoLock = &analysis.Analyzer{
 	Name: "nolock",
 	Doc:  "//salsa:nolock functions must not reach mutexes, atomic RMW ops, or channels",

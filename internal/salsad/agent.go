@@ -87,11 +87,11 @@ var ErrPushFailed = errors.New("salsad: push not acknowledged")
 type Agent struct {
 	cfg  AgentConfig
 	live salsa.Sketch
-	// ingest/cut/core/pending abstract over the plain and epoch-wrapped
-	// backends.
+	// ingest/cut/pending abstract over the plain and epoch-wrapped
+	// backends; core is the delta-capable sketch inside live.
 	ingest  func(item uint64, count int64)
 	cut     func()
-	core    func() salsa.Sketch
+	core    salsa.Sketch
 	pending func() uint64
 
 	// shadow is the last acknowledged snapshot: everything the aggregator
@@ -182,9 +182,18 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	return a, nil
 }
 
-// buildLive realizes the spec and wires the ingest/cut/core hooks for its
-// concrete type. Also called to rebuild from scratch during a replaying
-// resync.
+// epochLayer is the writer surface every EpochShardedBy product shares
+// through its embedded *salsa.Epoch.
+type epochLayer interface {
+	NewWriter(batch int) *salsa.EpochWriter
+	Advance()
+	Pending() uint64
+}
+
+// buildLive realizes the spec and wires the ingest/cut/pending hooks: an
+// epoch topology ingests through one writer and cuts an epoch before each
+// snapshot, a plain sketch ingests directly. Also called to rebuild from
+// scratch during a replaying resync.
 func (a *Agent) buildLive() error {
 	built, err := salsa.Build(a.cfg.Spec)
 	if err != nil {
@@ -193,33 +202,20 @@ func (a *Agent) buildLive() error {
 	if err := salsa.DeltaCapable(built); err != nil {
 		return err
 	}
-	a.live = built
-	switch s := built.(type) {
-	case *salsa.EpochCountMin:
-		w := s.NewWriter(0)
+	core, err := salsa.DeltaCore(built)
+	if err != nil {
+		return err
+	}
+	a.live, a.core = built, core
+	if e, ok := built.(epochLayer); ok {
+		w := e.NewWriter(0)
 		a.ingest = w.Update
-		a.cut = func() { w.Flush(); s.Advance() }
-		a.core = func() salsa.Sketch { return s.View() }
-		a.pending = s.Pending
-	case *salsa.EpochCountSketch:
-		w := s.NewWriter(0)
-		a.ingest = w.Update
-		a.cut = func() { w.Flush(); s.Advance() }
-		a.core = func() salsa.Sketch { return s.View() }
-		a.pending = s.Pending
-	case *salsa.CountMin:
-		a.ingest = s.Update
+		a.cut = func() { w.Flush(); e.Advance() }
+		a.pending = e.Pending
+	} else {
+		a.ingest = built.Update
 		a.cut = func() {}
-		a.core = func() salsa.Sketch { return s }
 		a.pending = func() uint64 { return 0 }
-	case *salsa.CountSketch:
-		a.ingest = s.Update
-		a.cut = func() {}
-		a.core = func() salsa.Sketch { return s }
-		a.pending = func() uint64 { return 0 }
-	default:
-		// DeltaCapable already screened these; kept for defense.
-		return fmt.Errorf("salsad: unsupported agent topology %T", built)
 	}
 	return nil
 }
@@ -373,8 +369,7 @@ func (a *Agent) freezeFrame(p *Push, state salsa.Sketch, n uint64) error {
 // snapshot to advance the shadow to, and a scratch copy the delta is
 // computed in.
 func (a *Agent) snapshotPair() (cur, scratch salsa.Sketch, err error) {
-	core := a.core()
-	blob, err := salsa.Marshal(core)
+	blob, err := salsa.Marshal(a.core)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,7 +14,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 		{Width: 512, Mode: ModeBaseline, Seed: 3},
 		{Width: 512, CompactEncoding: true, Seed: 3},
 	} {
-		cm := NewCountMin(opt)
+		cm := MustBuild(CountMinOf(opt)).(*CountMin)
 		data := stream.Zipf(20000, 500, 1.0, 4)
 		for _, x := range data {
 			cm.Increment(x)
@@ -37,7 +37,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 		}
 		// A decoded sketch must keep working and interoperate with the
 		// original's peers (shared seeds).
-		peer := NewCountMin(opt)
+		peer := MustBuild(CountMinOf(opt)).(*CountMin)
 		peer.Update(99, 7)
 		back.Merge(peer)
 		if back.Query(99) < cm.Query(99)+7 {
@@ -47,7 +47,7 @@ func TestCountMinMarshalRoundTrip(t *testing.T) {
 }
 
 func TestConservativeSurvivesMarshal(t *testing.T) {
-	cu := NewConservativeUpdate(Options{Width: 256, Seed: 5})
+	cu := MustBuild(ConservativeOf(Options{Width: 256, Seed: 5})).(*CountMin)
 	cu.Increment(1)
 	blob, _ := cu.MarshalBinary()
 	back, err := UnmarshalCountMin(blob)
@@ -60,7 +60,7 @@ func TestConservativeSurvivesMarshal(t *testing.T) {
 }
 
 func TestCountSketchMarshalRoundTrip(t *testing.T) {
-	cs := NewCountSketch(Options{Width: 1024, Seed: 6})
+	cs := MustBuild(CountSketchOf(Options{Width: 1024, Seed: 6})).(*CountSketch)
 	cs.Update(1, 300)
 	cs.Update(2, -50)
 	blob, err := cs.MarshalBinary()
@@ -75,7 +75,7 @@ func TestCountSketchMarshalRoundTrip(t *testing.T) {
 		t.Fatal("queries changed")
 	}
 	// Change detection across the serialization boundary.
-	other := NewCountSketch(Options{Width: 1024, Seed: 6})
+	other := MustBuild(CountSketchOf(Options{Width: 1024, Seed: 6})).(*CountSketch)
 	other.Update(1, 100)
 	back.Subtract(other)
 	if back.Query(1) != 200 {
@@ -90,7 +90,7 @@ func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := UnmarshalCountSketch(nil); err == nil {
 		t.Fatal("accepted nil")
 	}
-	cm := NewCountMin(Options{Width: 128})
+	cm := MustBuild(CountMinOf(Options{Width: 128})).(*CountMin)
 	blob, _ := cm.MarshalBinary()
 	if _, err := UnmarshalCountSketch(blob); err == nil {
 		t.Fatal("accepted a CountMin payload as CountSketch")
@@ -98,7 +98,7 @@ func TestUnmarshalGarbage(t *testing.T) {
 }
 
 func TestTangoMarshalRoundTrip(t *testing.T) {
-	cm := NewCountMin(Options{Width: 128, Mode: ModeTango, Seed: 5})
+	cm := MustBuild(CountMinOf(Options{Width: 128, Mode: ModeTango, Seed: 5})).(*CountMin)
 	for i := uint64(0); i < 5000; i++ {
 		cm.Update(i%97, int64(i%13)+1) // force fine-grained merges
 	}
@@ -135,7 +135,7 @@ func TestTangoMarshalRoundTrip(t *testing.T) {
 }
 
 func TestShardedCountMinConcurrent(t *testing.T) {
-	s := NewShardedCountMin(Options{Width: 1024, Seed: 7}, 4)
+	s := MustBuild(ShardedBy(CountMinOf(Options{Width: 1024, Seed: 7}), 4)).(*ShardedCountMin)
 	if s.Shards() != 4 {
 		t.Fatalf("Shards = %d", s.Shards())
 	}
@@ -164,7 +164,7 @@ func TestShardedCountMinConcurrent(t *testing.T) {
 }
 
 func TestShardedRoutesConsistently(t *testing.T) {
-	s := NewShardedCountMin(Options{Width: 256, Seed: 8}, 3) // rounds to 4
+	s := MustBuild(ShardedBy(CountMinOf(Options{Width: 256, Seed: 8}), 3)).(*ShardedCountMin) // rounds to 4
 	if s.Shards() != 4 {
 		t.Fatalf("Shards = %d, want rounding to 4", s.Shards())
 	}

@@ -50,18 +50,9 @@ type Pyramid struct {
 }
 
 // buildPyramid realizes a Tiered(CountMinOf) spec.
-func buildPyramid(opt Options) (*Pyramid, error) {
-	if err := opt.validateFor(kindCountMin); err != nil {
-		return nil, err
-	}
-	if err := validatePyramidWidth(opt.Width); err != nil {
-		return nil, err
-	}
+func buildPyramid(opt Options) *Pyramid {
 	opt = opt.withDefaults(4, MergeSum)
-	return &Pyramid{
-		py:  pyramid.New(opt.Depth, opt.Width, pyramidLayers, opt.Seed),
-		opt: opt,
-	}, nil
+	return &Pyramid{py: pyramid.New(opt.Depth, opt.Width, pyramidLayers, opt.Seed), opt: opt}
 }
 
 // Update adds count occurrences of item; count must be non-negative.

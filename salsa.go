@@ -191,8 +191,7 @@ func optionsErrf(field, format string, args ...any) error {
 // Validate reports whether the Options are usable by any sketch kind. It
 // checks the kind-independent invariants; kind-specific rules (CountSketch
 // rejecting ModeTango, windowed sketches rejecting MergeMax, ...) are
-// enforced by Build on the full topology Spec. The deprecated New*
-// constructors panic where Build returns these same errors.
+// enforced by Build on the full topology Spec.
 func (o Options) Validate() error {
 	if o.Width <= 0 || o.Width&(o.Width-1) != 0 {
 		return optionsErrf("Width", "Width %d must be a positive power of two", o.Width)

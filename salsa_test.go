@@ -21,7 +21,7 @@ func TestCountMinModes(t *testing.T) {
 		{Width: 512, Merge: MergeSum},
 		{Width: 512, CounterBits: 4},
 	} {
-		cm := NewCountMin(opt)
+		cm := MustBuild(CountMinOf(opt)).(*CountMin)
 		for _, x := range data {
 			cm.Increment(x)
 		}
@@ -34,7 +34,7 @@ func TestCountMinModes(t *testing.T) {
 }
 
 func TestCountMinDefaults(t *testing.T) {
-	cm := NewCountMin(Options{Width: 256})
+	cm := MustBuild(CountMinOf(Options{Width: 256})).(*CountMin)
 	if cm.Depth() != 4 || cm.Width() != 256 {
 		t.Fatalf("geometry %dx%d", cm.Depth(), cm.Width())
 	}
@@ -42,7 +42,7 @@ func TestCountMinDefaults(t *testing.T) {
 	if o.Mode != ModeSALSA || o.CounterBits != 8 || o.Merge != MergeMax {
 		t.Fatalf("defaults wrong: %+v", o)
 	}
-	b := NewCountMin(Options{Width: 256, Mode: ModeBaseline})
+	b := MustBuild(CountMinOf(Options{Width: 256, Mode: ModeBaseline})).(*CountMin)
 	if b.Options().CounterBits != 32 {
 		t.Fatal("baseline default should be 32-bit")
 	}
@@ -54,8 +54,8 @@ func TestCountMinDefaults(t *testing.T) {
 func TestConservativeUpdateMoreAccurate(t *testing.T) {
 	data := stream.Zipf(100000, 3000, 1.0, 2)
 	exact := stream.NewExact()
-	cm := NewCountMin(Options{Width: 256, Seed: 3})
-	cu := NewConservativeUpdate(Options{Width: 256, Seed: 3})
+	cm := MustBuild(CountMinOf(Options{Width: 256, Seed: 3})).(*CountMin)
+	cu := MustBuild(ConservativeOf(Options{Width: 256, Seed: 3})).(*CountMin)
 	for _, x := range data {
 		exact.Observe(x)
 		cm.Increment(x)
@@ -79,9 +79,9 @@ func TestSalsaBeatsBaselineAtEqualMemory(t *testing.T) {
 	// more counters beat the 32-bit baseline on skewed streams.
 	data := stream.Zipf(200000, 20000, 1.0, 4)
 	exact := stream.NewExact()
-	baseline := NewCountMin(Options{Width: 512, Mode: ModeBaseline, Seed: 5})
+	baseline := MustBuild(CountMinOf(Options{Width: 512, Mode: ModeBaseline, Seed: 5})).(*CountMin)
 	// Equal counter memory: 512·32 bits = 2048·8 bits (plus 1/8 overhead).
-	salsaSketch := NewCountMin(Options{Width: 2048, Seed: 5})
+	salsaSketch := MustBuild(CountMinOf(Options{Width: 2048, Seed: 5})).(*CountMin)
 	for _, x := range data {
 		exact.Observe(x)
 		baseline.Increment(x)
@@ -106,7 +106,7 @@ func TestKeyBytes(t *testing.T) {
 	if KeyString("flow") != KeyBytes([]byte("flow")) {
 		t.Fatal("KeyString inconsistent with KeyBytes")
 	}
-	cm := NewCountMin(Options{Width: 1024})
+	cm := MustBuild(CountMinOf(Options{Width: 1024})).(*CountMin)
 	cm.UpdateBytes([]byte("10.0.0.1:443"), 3)
 	if got := cm.QueryBytes([]byte("10.0.0.1:443")); got != 3 {
 		t.Fatalf("QueryBytes = %d", got)
@@ -115,8 +115,8 @@ func TestKeyBytes(t *testing.T) {
 
 func TestCountMinMergeSubtract(t *testing.T) {
 	opt := Options{Width: 512, Merge: MergeSum, Seed: 9}
-	a := NewCountMin(opt)
-	b := NewCountMin(opt)
+	a := MustBuild(CountMinOf(opt)).(*CountMin)
+	b := MustBuild(CountMinOf(opt)).(*CountMin)
 	a.Update(1, 10)
 	b.Update(1, 5)
 	b.Update(2, 7)
@@ -133,7 +133,7 @@ func TestCountMinMergeSubtract(t *testing.T) {
 func TestMonitorTracksHeavyHitters(t *testing.T) {
 	data := stream.Zipf(80000, 5000, 1.2, 11)
 	exact := stream.NewExact()
-	m := NewMonitor(Options{Width: 1024, Seed: 12}, 32)
+	m := MustBuild(MonitorOf(Options{Width: 1024, Seed: 12}, 32)).(*Monitor)
 	for _, x := range data {
 		exact.Observe(x)
 		m.Process(x)
@@ -166,7 +166,7 @@ func TestCountSketchBasics(t *testing.T) {
 		{Width: 4096, Mode: ModeBaseline},
 		{Width: 4096, CompactEncoding: true},
 	} {
-		cs := NewCountSketch(opt)
+		cs := MustBuild(CountSketchOf(opt)).(*CountSketch)
 		if cs.Depth() != 5 {
 			t.Fatalf("default depth = %d", cs.Depth())
 		}
@@ -180,10 +180,11 @@ func TestCountSketchBasics(t *testing.T) {
 
 func TestCountSketchRejectsBadOptions(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewCountSketch(Options{Width: 128, Mode: ModeTango}) },
-		func() { NewCountSketch(Options{Width: 128, Merge: MergeMax}) },
-		func() { NewCountSketch(Options{Width: 100}) },
-		func() { NewCountMin(Options{Width: 0}) },
+		func() { MustBuild(CountSketchOf(Options{Width: 128, Mode: ModeTango})) },
+		func() { MustBuild(CountSketchOf(Options{Width: 128, Merge: MergeMax})) },
+		func() { MustBuild(CountSketchOf(Options{Width: 100})) },
+		func() { MustBuild(CountMinOf(Options{Width: 0})) },
+		func() { NewChangeDetector(Options{Width: 128, Merge: MergeMax}) },
 	} {
 		func() {
 			defer func() {
@@ -199,7 +200,7 @@ func TestCountSketchRejectsBadOptions(t *testing.T) {
 func TestTopKTracker(t *testing.T) {
 	data := stream.Zipf(60000, 3000, 1.2, 13)
 	exact := stream.NewExact()
-	tk := NewTopK(Options{Width: 2048, Seed: 14}, 16)
+	tk := MustBuild(TopKOf(Options{Width: 2048, Seed: 14}, 16)).(*TopK)
 	for _, x := range data {
 		exact.Observe(x)
 		tk.Process(x)
@@ -256,7 +257,7 @@ func TestChangeDetectorSealsAfterDiff(t *testing.T) {
 }
 
 func TestDistinctEstimate(t *testing.T) {
-	cm := NewCountMin(Options{Width: 1 << 14, Seed: 16})
+	cm := MustBuild(CountMinOf(Options{Width: 1 << 14, Seed: 16})).(*CountMin)
 	data := stream.Zipf(30000, 4000, 0.8, 17)
 	exact := stream.NewExact()
 	for _, x := range data {

@@ -1,57 +1,68 @@
 package salsa
 
 import (
+	"fmt"
 	"sort"
 )
 
-// Typed Sharded constructors and query wrappers. Sharded[S] itself is
-// query-agnostic (CountMin estimates are uint64, CountSketch's int64, a
-// Monitor answers top-k), so each backend gets a thin wrapper adding its
-// query surface. Shard sketch seeds are derived per shard, so distinct
-// shards never share hash functions with each other.
+// Typed Sharded query wrappers. Sharded[S] itself is query-agnostic
+// (CountMin estimates are uint64, CountSketch's int64, a Monitor answers
+// top-k), so each backend gets a thin wrapper adding its query surface.
+// Shard sketch seeds are derived per shard, so distinct shards never share
+// hash functions with each other.
 
-// ShardedCountMin is a concurrency-safe CountMin (or, via
-// NewShardedConservativeUpdate, Conservative Update) sketch. Estimates keep
-// the CountMin overestimate guarantee: each shard is a complete sketch of
-// its substream. Merging the shards into one sketch is not needed for
-// point queries.
+// shardedWrapper returns the function that wraps shard backends of sk's
+// type into the Sharded* type Build produces for them, or nil when sk's
+// type cannot back a sharded topology. Build, Marshal and the envelope
+// decoder share it, so the three agree on the sharded type set.
+func shardedWrapper(sk Sketch) func(routeSeed uint64, sks []Sketch) (Sketch, error) {
+	switch sk.(type) {
+	case *CountMin:
+		return wrapShards(func(s *Sharded[*CountMin]) Sketch { return &ShardedCountMin{s} })
+	case *CountSketch:
+		return wrapShards(func(s *Sharded[*CountSketch]) Sketch { return &ShardedCountSketch{s} })
+	case *Monitor:
+		return wrapShards(func(s *Sharded[*Monitor]) Sketch { return &ShardedMonitor{s} })
+	case *WindowedCountMin:
+		return wrapShards(func(s *Sharded[*WindowedCountMin]) Sketch { return &ShardedWindowedCountMin{s} })
+	case *WindowedCountSketch:
+		return wrapShards(func(s *Sharded[*WindowedCountSketch]) Sketch { return &ShardedWindowedCountSketch{s} })
+	case *WindowedMonitor:
+		return wrapShards(func(s *Sharded[*WindowedMonitor]) Sketch { return &ShardedWindowedMonitor{s} })
+	case *AEE:
+		return wrapShards(func(s *Sharded[*AEE]) Sketch { return &ShardedAEE{s} })
+	case *Distinct:
+		return wrapShards(func(s *Sharded[*Distinct]) Sketch { return &ShardedDistinct{s} })
+	case *ColdFilter:
+		return wrapShards(func(s *Sharded[*ColdFilter]) Sketch { return &ShardedColdFilter{s} })
+	case *Pyramid:
+		return wrapShards(func(s *Sharded[*Pyramid]) Sketch { return &ShardedPyramid{s} })
+	}
+	return nil
+}
+
+// wrapShards narrows shard backends to S, rejecting mixed-type shard sets,
+// and wraps them with the given routing seed.
+func wrapShards[S Sketch](wrap func(*Sharded[S]) Sketch) func(uint64, []Sketch) (Sketch, error) {
+	return func(routeSeed uint64, sks []Sketch) (Sketch, error) {
+		shards := make([]S, len(sks))
+		for i, sk := range sks {
+			s, ok := sk.(S)
+			if !ok {
+				return nil, fmt.Errorf("salsa: shard %d type %T does not match shard 0", i, sk)
+			}
+			shards[i] = s
+		}
+		return wrap(newShardedFromShards(routeSeed, shards)), nil
+	}
+}
+
+// ShardedCountMin is a concurrency-safe CountMin (or Conservative Update)
+// sketch. Estimates keep the CountMin overestimate guarantee: each shard
+// is a complete sketch of its substream. Merging the shards into one
+// sketch is not needed for point queries.
 type ShardedCountMin struct {
 	*Sharded[*CountMin]
-}
-
-// buildShardedCountMin realizes a ShardedBy(CountMinOf/ConservativeOf)
-// spec.
-func buildShardedCountMin(opt Options, shards int, conservative bool) (*ShardedCountMin, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	return &ShardedCountMin{NewSharded(shards, routeSeed(opt), func(i int) *CountMin {
-		return mustSketch(buildCountMin(shardOptions(opt, i), conservative))
-	})}, nil
-}
-
-// NewShardedCountMin returns a sharded CountMin with the given number of
-// shards (rounded up to a power of two, minimum 1).
-//
-// Deprecated: Use Build(ShardedBy(CountMinOf(opt), shards)), which returns
-// construction errors instead of panicking.
-func NewShardedCountMin(opt Options, shards int) *ShardedCountMin {
-	return mustSketch(buildShardedCountMin(opt, shards, false))
-}
-
-// NewShardedConservativeUpdate is NewShardedCountMin over Conservative
-// Update shards.
-//
-// Deprecated: Use Build(ShardedBy(ConservativeOf(opt), shards)).
-func NewShardedConservativeUpdate(opt Options, shards int) *ShardedCountMin {
-	return mustSketch(buildShardedCountMin(opt, shards, true))
 }
 
 // Query returns the frequency estimate; safe for concurrent use.
@@ -69,27 +80,6 @@ func (s *ShardedCountMin) QueryBatch(items []uint64, dst []uint64) []uint64 {
 // ShardedCountSketch is a concurrency-safe CountSketch.
 type ShardedCountSketch struct {
 	*Sharded[*CountSketch]
-}
-
-// buildShardedCountSketch realizes a ShardedBy(CountSketchOf) spec.
-func buildShardedCountSketch(opt Options, shards int) (*ShardedCountSketch, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindCountSketch); err != nil {
-		return nil, err
-	}
-	return &ShardedCountSketch{NewSharded(shards, routeSeed(opt), func(i int) *CountSketch {
-		return mustSketch(buildCountSketch(shardOptions(opt, i)))
-	})}, nil
-}
-
-// NewShardedCountSketch returns a sharded CountSketch with the given number
-// of shards (rounded up to a power of two, minimum 1).
-//
-// Deprecated: Use Build(ShardedBy(CountSketchOf(opt), shards)).
-func NewShardedCountSketch(opt Options, shards int) *ShardedCountSketch {
-	return mustSketch(buildShardedCountSketch(opt, shards))
 }
 
 // Query returns the (unbiased) frequency estimate; safe for concurrent use.
@@ -111,34 +101,6 @@ func (s *ShardedCountSketch) QueryBatch(items []uint64, dst []int64) []int64 {
 // owning shard.
 type ShardedMonitor struct {
 	*Sharded[*Monitor]
-	k int
-}
-
-// buildShardedMonitor realizes a ShardedBy(MonitorOf) spec.
-func buildShardedMonitor(opt Options, k, shards int) (*ShardedMonitor, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := validateTrackerK("monitor", k); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindConservative); err != nil {
-		return nil, err
-	}
-	return &ShardedMonitor{
-		Sharded: NewSharded(shards, routeSeed(opt), func(i int) *Monitor {
-			return mustSketch(buildMonitor(shardOptions(opt, i), k))
-		}),
-		k: k,
-	}, nil
-}
-
-// NewShardedMonitor returns a sharded Monitor tracking the k largest items
-// per shard.
-//
-// Deprecated: Use Build(ShardedBy(MonitorOf(opt, k), shards)).
-func NewShardedMonitor(opt Options, k, shards int) *ShardedMonitor {
-	return mustSketch(buildShardedMonitor(opt, k, shards))
 }
 
 // Query returns the frequency estimate from the owning shard's sketch.
@@ -147,27 +109,15 @@ func (s *ShardedMonitor) Query(item uint64) uint64 {
 }
 
 // candidates returns every tracked item across all shards (up to k·shards
-// of them), sorted by descending estimate.
+// of them), in Top order.
 func (s *ShardedMonitor) candidates() []ItemCount {
-	var all []ItemCount
-	for i := 0; i < s.Shards(); i++ {
-		sh := &s.Sharded.shards[i]
-		sh.mu.Lock()
-		all = append(all, sh.sk.Top()...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Count > all[j].Count })
-	return all
+	return shardCandidates(s.Sharded, (*Monitor).Top)
 }
 
 // Top returns the k tracked items with the largest estimates across all
-// shards, in descending order.
+// shards, in descending order; equal estimates order by item.
 func (s *ShardedMonitor) Top() []ItemCount {
-	all := s.candidates()
-	if len(all) > s.k {
-		all = all[:s.k]
-	}
-	return all
+	return topK(s.candidates(), s.Shard(0).heap.Cap())
 }
 
 // HeavyHitters returns the tracked items whose estimate is at least phi
@@ -185,54 +135,14 @@ func (s *ShardedMonitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
 }
 
 // ShardedWindowedCountMin is a concurrency-safe sliding-window CountMin
-// (or, via NewShardedWindowedConservativeUpdate, Conservative Update)
-// sketch: each shard runs a complete WindowedCountMin over its substream.
+// (or Conservative Update) sketch: each shard runs a complete
+// WindowedCountMin over its substream.
 // With count-based rotation every shard rotates on its own substream count,
 // so shard windows slide independently at roughly the global rate divided
 // by the shard count; size bucketItems per shard, or use Tick to rotate all
 // shards together from one timer.
 type ShardedWindowedCountMin struct {
 	*Sharded[*WindowedCountMin]
-}
-
-// buildShardedWindowedCMS realizes a
-// ShardedBy(Windowed(CountMinOf/ConservativeOf)) spec.
-func buildShardedWindowedCMS(opt Options, buckets, bucketItems, shards int, conservative bool) (*ShardedWindowedCountMin, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	if err := validateWindow(opt, buckets, bucketItems); err != nil {
-		return nil, err
-	}
-	return &ShardedWindowedCountMin{NewSharded(shards, routeSeed(opt), func(i int) *WindowedCountMin {
-		return mustSketch(buildWindowedCMS(shardOptions(opt, i), buckets, bucketItems, conservative))
-	})}, nil
-}
-
-// NewShardedWindowedCountMin returns a sharded windowed CountMin with the
-// given number of shards (rounded up to a power of two, minimum 1);
-// bucketItems counts each shard's own substream (0 = Tick-driven).
-//
-// Deprecated: Use
-// Build(ShardedBy(Windowed(CountMinOf(opt), buckets, bucketItems), shards)).
-func NewShardedWindowedCountMin(opt Options, buckets, bucketItems, shards int) *ShardedWindowedCountMin {
-	return mustSketch(buildShardedWindowedCMS(opt, buckets, bucketItems, shards, false))
-}
-
-// NewShardedWindowedConservativeUpdate is NewShardedWindowedCountMin over
-// Conservative Update shards.
-//
-// Deprecated: Use
-// Build(ShardedBy(Windowed(ConservativeOf(opt), buckets, bucketItems), shards)).
-func NewShardedWindowedConservativeUpdate(opt Options, buckets, bucketItems, shards int) *ShardedWindowedCountMin {
-	return mustSketch(buildShardedWindowedCMS(opt, buckets, bucketItems, shards, true))
 }
 
 // Query returns the windowed frequency estimate; safe for concurrent use.
@@ -256,32 +166,6 @@ func (s *ShardedWindowedCountMin) Tick() {
 // CountSketch; rotation semantics are as for ShardedWindowedCountMin.
 type ShardedWindowedCountSketch struct {
 	*Sharded[*WindowedCountSketch]
-}
-
-// buildShardedWindowedCountSketch realizes a
-// ShardedBy(Windowed(CountSketchOf)) spec.
-func buildShardedWindowedCountSketch(opt Options, buckets, bucketItems, shards int) (*ShardedWindowedCountSketch, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindCountSketch); err != nil {
-		return nil, err
-	}
-	if err := validateWindow(opt, buckets, bucketItems); err != nil {
-		return nil, err
-	}
-	return &ShardedWindowedCountSketch{NewSharded(shards, routeSeed(opt), func(i int) *WindowedCountSketch {
-		return mustSketch(buildWindowedCountSketch(shardOptions(opt, i), buckets, bucketItems))
-	})}, nil
-}
-
-// NewShardedWindowedCountSketch returns a sharded windowed CountSketch with
-// the given number of shards (rounded up to a power of two, minimum 1).
-//
-// Deprecated: Use
-// Build(ShardedBy(Windowed(CountSketchOf(opt), buckets, bucketItems), shards)).
-func NewShardedWindowedCountSketch(opt Options, buckets, bucketItems, shards int) *ShardedWindowedCountSketch {
-	return mustSketch(buildShardedWindowedCountSketch(opt, buckets, bucketItems, shards))
 }
 
 // Query returns the (unbiased) windowed estimate; safe for concurrent use.
@@ -308,19 +192,6 @@ type ShardedAEE struct {
 	*Sharded[*AEE]
 }
 
-// buildShardedAEE realizes a ShardedBy(AEEOf) spec.
-func buildShardedAEE(opt Options, shards int) (*ShardedAEE, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindAEE); err != nil {
-		return nil, err
-	}
-	return &ShardedAEE{NewSharded(shards, routeSeed(opt), func(i int) *AEE {
-		return mustSketch(buildAEE(shardOptions(opt, i)))
-	})}, nil
-}
-
 // Query returns the frequency estimate from the owning shard's estimator;
 // safe for concurrent use.
 func (s *ShardedAEE) Query(item uint64) float64 {
@@ -332,19 +203,6 @@ func (s *ShardedAEE) Query(item uint64) float64 {
 // count disjoint item sets and Estimate sums them.
 type ShardedDistinct struct {
 	*Sharded[*Distinct]
-}
-
-// buildShardedDistinct realizes a ShardedBy(DistinctOf) spec.
-func buildShardedDistinct(opt Options, shards int) (*ShardedDistinct, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindDistinct); err != nil {
-		return nil, err
-	}
-	return &ShardedDistinct{NewSharded(shards, routeSeed(opt), func(i int) *Distinct {
-		return mustSketch(buildDistinct(shardOptions(opt, i)))
-	})}, nil
 }
 
 // Query returns the frequency estimate from the owning shard's sketch;
@@ -377,26 +235,6 @@ type ShardedColdFilter struct {
 	*Sharded[*ColdFilter]
 }
 
-// buildShardedColdFilter realizes a ShardedBy(Filtered(...)) spec.
-func buildShardedColdFilter(opt Options, conservative bool, shards int) (*ShardedColdFilter, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	if err := validateFilterWidth(opt.Width); err != nil {
-		return nil, err
-	}
-	return &ShardedColdFilter{NewSharded(shards, routeSeed(opt), func(i int) *ColdFilter {
-		return mustSketch(buildColdFilter(shardOptions(opt, i), conservative))
-	})}, nil
-}
-
 // Query returns the conservative frequency estimate from the owning
 // shard's pipeline; safe for concurrent use.
 func (s *ShardedColdFilter) Query(item uint64) uint64 {
@@ -406,22 +244,6 @@ func (s *ShardedColdFilter) Query(item uint64) uint64 {
 // ShardedPyramid is a concurrency-safe Pyramid sketch.
 type ShardedPyramid struct {
 	*Sharded[*Pyramid]
-}
-
-// buildShardedPyramid realizes a ShardedBy(Tiered(...)) spec.
-func buildShardedPyramid(opt Options, shards int) (*ShardedPyramid, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindCountMin); err != nil {
-		return nil, err
-	}
-	if err := validatePyramidWidth(opt.Width); err != nil {
-		return nil, err
-	}
-	return &ShardedPyramid{NewSharded(shards, routeSeed(opt), func(i int) *Pyramid {
-		return mustSketch(buildPyramid(shardOptions(opt, i)))
-	})}, nil
 }
 
 // Query returns the frequency estimate from the owning shard's sketch;
@@ -438,30 +260,6 @@ func (s *ShardedPyramid) Query(item uint64) uint64 {
 // Tick to rotate all shards together from one timer.
 type ShardedWindowedMonitor struct {
 	*Sharded[*WindowedMonitor]
-	k int
-}
-
-// buildShardedWindowedMonitor realizes a ShardedBy(Windowed(MonitorOf))
-// spec.
-func buildShardedWindowedMonitor(opt Options, k, buckets, bucketItems, shards int) (*ShardedWindowedMonitor, error) {
-	if err := validateShardCount(shards); err != nil {
-		return nil, err
-	}
-	if err := validateTrackerK("monitor", k); err != nil {
-		return nil, err
-	}
-	if err := opt.validateFor(kindConservative); err != nil {
-		return nil, err
-	}
-	if err := validateWindow(opt, buckets, bucketItems); err != nil {
-		return nil, err
-	}
-	return &ShardedWindowedMonitor{
-		Sharded: NewSharded(shards, routeSeed(opt), func(i int) *WindowedMonitor {
-			return mustSketch(buildWindowedMonitor(shardOptions(opt, i), k, buckets, bucketItems))
-		}),
-		k: k,
-	}, nil
 }
 
 // Query returns the windowed frequency estimate from the owning shard.
@@ -488,13 +286,27 @@ func (s *ShardedWindowedMonitor) WindowVolume() uint64 {
 }
 
 // candidates returns every shard's windowed candidate set (up to
-// k·B·shards items), sorted by descending estimate.
+// k·B·shards items), in Top order.
 func (s *ShardedWindowedMonitor) candidates() []ItemCount {
+	return shardCandidates(s.Sharded, (*WindowedMonitor).candidates)
+}
+
+// Top returns the k candidates with the largest windowed estimates across
+// all shards, in descending order; equal estimates order by item.
+func (s *ShardedWindowedMonitor) Top() []ItemCount {
+	return topK(s.candidates(), s.Shard(0).k)
+}
+
+// shardCandidates gathers every shard's candidates under its lock and
+// sorts them by descending estimate, equal estimates by ascending item —
+// the order Monitor.Top and WindowedMonitor.Top use, so a k cut keeps the
+// same items whether or not the tracker is sharded.
+func shardCandidates[S Sketch](s *Sharded[S], of func(S) []ItemCount) []ItemCount {
 	var all []ItemCount
-	for i := 0; i < s.Shards(); i++ {
-		sh := &s.Sharded.shards[i]
+	for i := range s.shards {
+		sh := &s.shards[i]
 		sh.mu.Lock()
-		all = append(all, sh.sk.candidates()...)
+		all = append(all, of(sh.sk)...)
 		sh.mu.Unlock()
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -506,12 +318,10 @@ func (s *ShardedWindowedMonitor) candidates() []ItemCount {
 	return all
 }
 
-// Top returns the k candidates with the largest windowed estimates across
-// all shards, in descending order.
-func (s *ShardedWindowedMonitor) Top() []ItemCount {
-	all := s.candidates()
-	if len(all) > s.k {
-		all = all[:s.k]
+// topK truncates Top-ordered candidates to the tracker capacity k.
+func topK(all []ItemCount, k int) []ItemCount {
+	if len(all) > k {
+		all = all[:k]
 	}
 	return all
 }

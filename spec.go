@@ -8,10 +8,10 @@ import (
 // Spec describes a sketch topology declaratively: a leaf picks the sketch
 // kind (CountMinOf, ConservativeOf, CountSketchOf, MonitorOf, TopKOf,
 // UnivMonOf, AEEOf, DistinctOf) and decorators layer the deployment shape
-// on top (Windowed, ShardedBy, Filtered, Tiered). A Spec is inert data —
-// Build realizes it, returning the same concrete monomorphic sketch types
-// the deprecated New* constructors produced, so the devirtualized hot
-// paths are unaffected by how a sketch is declared.
+// on top (Windowed, ShardedBy, EpochShardedBy, Filtered, Tiered). A Spec
+// is inert data — Build, the only constructor, realizes it as a concrete
+// monomorphic sketch type, so the devirtualized hot paths are unaffected
+// by how a sketch is declared.
 //
 // The orthogonal choices compose freely within the supported surface:
 //
@@ -60,8 +60,9 @@ type Spec interface {
 	String() string
 	// validate and build are unexported: the algebra is a closed set, so
 	// Build can guarantee an exhaustive, panic-free composition check.
+	// build assumes validate accepted the spec.
 	validate() error
-	build() (Sketch, error)
+	build() Sketch
 }
 
 // CompositionError is the typed error Build returns when a structurally
@@ -245,12 +246,10 @@ func (s leafSpec) validate() error {
 	return nil
 }
 
-func (s leafSpec) build() (Sketch, error) {
+func (s leafSpec) build() Sketch {
 	switch s.kind {
-	case kindCountMin:
-		return buildCountMin(s.opt, false)
-	case kindConservative:
-		return buildCountMin(s.opt, true)
+	case kindCountMin, kindConservative:
+		return buildCountMin(s.opt, s.kind == kindConservative)
 	case kindCountSketch:
 		return buildCountSketch(s.opt)
 	case kindMonitor:
@@ -264,7 +263,7 @@ func (s leafSpec) build() (Sketch, error) {
 	case kindDistinct:
 		return buildDistinct(s.opt)
 	}
-	return nil, fmt.Errorf("salsa: unknown sketch kind %v", s.kind)
+	panic(fmt.Sprintf("salsa: unknown sketch kind %v", s.kind))
 }
 
 // windowedSpec decorates a leaf with a sliding window.
@@ -308,24 +307,17 @@ func (s windowedSpec) validate() error {
 	return validateWindow(leaf.opt, s.buckets, s.bucketItems)
 }
 
-func (s windowedSpec) build() (Sketch, error) {
-	leaf, ok := s.inner.(leafSpec)
-	if !ok {
-		return nil, s.validate()
-	}
+func (s windowedSpec) build() Sketch {
+	leaf := s.inner.(leafSpec)
 	switch leaf.kind {
-	case kindCountMin:
-		return buildWindowedCMS(leaf.opt, s.buckets, s.bucketItems, false)
-	case kindConservative:
-		return buildWindowedCMS(leaf.opt, s.buckets, s.bucketItems, true)
+	case kindCountMin, kindConservative:
+		return buildWindowedCMS(leaf.opt, s.buckets, s.bucketItems, leaf.kind == kindConservative)
 	case kindCountSketch:
 		return buildWindowedCountSketch(leaf.opt, s.buckets, s.bucketItems)
 	case kindMonitor:
 		return buildWindowedMonitor(leaf.opt, leaf.k, s.buckets, s.bucketItems)
-	case kindDistinct:
-		return buildWindowedDistinct(leaf.opt, s.buckets, s.bucketItems)
 	}
-	return nil, s.validate()
+	return buildWindowedDistinct(leaf.opt, s.buckets, s.bucketItems)
 }
 
 // shardedSpec decorates a topology with the concurrent ingestion layer.
@@ -375,46 +367,23 @@ func (s shardedSpec) validate() error {
 	return compositionErr("ShardedBy", s.inner, "ShardedBy must be the outermost decorator")
 }
 
-func (s shardedSpec) build() (Sketch, error) {
-	switch inner := s.inner.(type) {
-	case leafSpec:
-		switch inner.kind {
-		case kindCountMin:
-			return buildShardedCountMin(inner.opt, s.shards, false)
-		case kindConservative:
-			return buildShardedCountMin(inner.opt, s.shards, true)
-		case kindCountSketch:
-			return buildShardedCountSketch(inner.opt, s.shards)
-		case kindMonitor:
-			return buildShardedMonitor(inner.opt, inner.k, s.shards)
-		case kindAEE:
-			return buildShardedAEE(inner.opt, s.shards)
-		case kindDistinct:
-			return buildShardedDistinct(inner.opt, s.shards)
-		}
-	case windowedSpec:
-		if leaf, ok := inner.inner.(leafSpec); ok {
-			switch leaf.kind {
-			case kindCountMin:
-				return buildShardedWindowedCMS(leaf.opt, inner.buckets, inner.bucketItems, s.shards, false)
-			case kindConservative:
-				return buildShardedWindowedCMS(leaf.opt, inner.buckets, inner.bucketItems, s.shards, true)
-			case kindCountSketch:
-				return buildShardedWindowedCountSketch(leaf.opt, inner.buckets, inner.bucketItems, s.shards)
-			case kindMonitor:
-				return buildShardedWindowedMonitor(leaf.opt, leaf.k, inner.buckets, inner.bucketItems, s.shards)
-			}
-		}
-	case filteredSpec:
-		if leaf, ok := inner.inner.(leafSpec); ok {
-			return buildShardedColdFilter(leaf.opt, leaf.kind == kindConservative, s.shards)
-		}
-	case tieredSpec:
-		if leaf, ok := inner.inner.(leafSpec); ok {
-			return buildShardedPyramid(leaf.opt, s.shards)
-		}
+// build gives every shard its own copy of the inner topology, seeded per
+// shard (shardOptions), and wraps them in the Sharded* type for their
+// kind.
+func (s shardedSpec) build() Sketch {
+	var route uint64 // the routing seed, derived from the leaf Options
+	sks := make([]Sketch, shardCount(s.shards))
+	for i := range sks {
+		sks[i] = mapLeafOptions(s.inner, func(o Options) Options {
+			route = routeSeed(o)
+			return shardOptions(o, i)
+		}).build()
 	}
-	return nil, s.validate()
+	sk, err := shardedWrapper(sks[0])(route, sks)
+	if err != nil {
+		panic(err) // unreachable: every shard has the same type
+	}
+	return sk
 }
 
 // epochSpec decorates a topology with the epoch-merged lock-free
@@ -478,36 +447,20 @@ func (s epochSpec) validate() error {
 	return compositionErr("EpochShardedBy", s.inner, "EpochShardedBy must be the outermost decorator")
 }
 
-func (s epochSpec) build() (Sketch, error) {
-	switch inner := s.inner.(type) {
-	case leafSpec:
-		switch inner.kind {
-		case kindCountMin:
-			return buildEpochCountMin(inner.opt, s.writers, false)
-		case kindConservative:
-			return buildEpochCountMin(inner.opt, s.writers, true)
-		case kindCountSketch:
-			return buildEpochCountSketch(inner.opt, s.writers)
-		case kindMonitor:
-			return buildEpochMonitor(inner.opt, inner.k, s.writers)
-		case kindDistinct:
-			return buildEpochDistinct(inner.opt, s.writers)
+// build realizes the inner topology over sum-merge counters as the shared
+// view and wires the epoch core onto it.
+func (s epochSpec) build() Sketch {
+	view := mapLeafOptions(s.inner, func(o Options) Options {
+		if o.Merge == MergeDefault {
+			o.Merge = MergeSum
 		}
-	case windowedSpec:
-		if leaf, ok := inner.inner.(leafSpec); ok {
-			switch leaf.kind {
-			case kindCountMin:
-				return buildEpochWindowedCMS(leaf.opt, inner.buckets, inner.bucketItems, s.writers, false)
-			case kindConservative:
-				return buildEpochWindowedCMS(leaf.opt, inner.buckets, inner.bucketItems, s.writers, true)
-			case kindCountSketch:
-				return buildEpochWindowedCountSketch(leaf.opt, inner.buckets, inner.bucketItems, s.writers)
-			case kindDistinct:
-				return buildEpochWindowedDistinct(leaf.opt, inner.buckets, inner.bucketItems, s.writers)
-			}
-		}
+		return o
+	}).build()
+	sk, err := newEpochLayer(view, s.writers)
+	if err != nil {
+		panic(err) // unreachable: validate admits only views the layer accepts
 	}
-	return nil, s.validate()
+	return sk
 }
 
 // filteredSpec decorates a frequency leaf with the Cold Filter front end.
@@ -544,11 +497,8 @@ func (s filteredSpec) validate() error {
 	return validateFilterWidth(leaf.opt.Width)
 }
 
-func (s filteredSpec) build() (Sketch, error) {
-	leaf, ok := s.inner.(leafSpec)
-	if !ok {
-		return nil, s.validate()
-	}
+func (s filteredSpec) build() Sketch {
+	leaf := s.inner.(leafSpec)
 	return buildColdFilter(leaf.opt, leaf.kind == kindConservative)
 }
 
@@ -584,13 +534,7 @@ func (s tieredSpec) validate() error {
 	return validatePyramidWidth(leaf.opt.Width)
 }
 
-func (s tieredSpec) build() (Sketch, error) {
-	leaf, ok := s.inner.(leafSpec)
-	if !ok {
-		return nil, s.validate()
-	}
-	return buildPyramid(leaf.opt)
-}
+func (s tieredSpec) build() Sketch { return buildPyramid(s.inner.(leafSpec).opt) }
 
 // Build realizes a Spec, returning the topology's concrete sketch type
 // behind the Sketch interface (type-assert for the query surface). All
@@ -603,7 +547,7 @@ func Build(spec Spec) (Sketch, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	return spec.build()
+	return spec.build(), nil
 }
 
 // MustBuild is Build for specs known valid at compile time; it panics on
@@ -616,11 +560,23 @@ func MustBuild(spec Spec) Sketch {
 	return s
 }
 
-// mustSketch unwraps a builder result whose inputs were already validated;
-// the deprecated panicking constructors are thin shims over it.
-func mustSketch[S any](s S, err error) S {
-	if err != nil {
-		panic(err.Error())
+// mapLeafOptions returns spec — a leaf, or a leaf under one Windowed,
+// Filtered or Tiered decorator, as validate admits inside a concurrency
+// layer — with its leaf's Options replaced by f(opt).
+func mapLeafOptions(spec Spec, f func(Options) Options) Spec {
+	switch s := spec.(type) {
+	case leafSpec:
+		s.opt = f(s.opt)
+		return s
+	case windowedSpec:
+		s.inner = mapLeafOptions(s.inner, f)
+		return s
+	case filteredSpec:
+		s.inner = mapLeafOptions(s.inner, f)
+		return s
+	case tieredSpec:
+		s.inner = mapLeafOptions(s.inner, f)
+		return s
 	}
-	return s
+	panic(fmt.Sprintf("salsa: %v is not a leaf or single-leaf decorator", spec))
 }

@@ -1,7 +1,6 @@
 package salsa
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -264,62 +263,6 @@ func typeName(v any) string {
 		return "*ShardedPyramid"
 	}
 	return "unknown"
-}
-
-// TestBuildMatchesDeprecatedConstructors pins Build to the shims: a built
-// sketch and its constructor-built twin marshal byte-identically after the
-// same stream (same defaults, same seeds, same row layouts).
-func TestBuildMatchesDeprecatedConstructors(t *testing.T) {
-	opt := Options{Width: 256, Seed: 5}
-	data := roundTripItems[:2000]
-
-	built := MustBuild(CountMinOf(opt)).(*CountMin)
-	legacy := NewCountMin(opt)
-	built.UpdateBatch(data, 1)
-	legacy.UpdateBatch(data, 1)
-	b1, err := built.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := legacy.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("Build(CountMinOf) and NewCountMin diverge")
-	}
-
-	wb := MustBuild(Windowed(ConservativeOf(opt), 4, 300)).(*WindowedCountMin)
-	wl := NewWindowedConservativeUpdate(opt, 4, 300)
-	wb.UpdateBatch(data, 1)
-	wl.UpdateBatch(data, 1)
-	for _, x := range data[:128] {
-		if wb.Query(x) != wl.Query(x) {
-			t.Fatal("Build(Windowed(ConservativeOf)) and NewWindowedConservativeUpdate diverge")
-		}
-	}
-}
-
-// TestDeprecatedShimsStillPanic pins the compatibility contract: the old
-// constructors keep their panic-on-invalid behavior.
-func TestDeprecatedShimsStillPanic(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("NewCountMin bad width", func() { NewCountMin(Options{Width: 100}) })
-	mustPanic("NewCountSketch tango", func() { NewCountSketch(Options{Width: 64, Mode: ModeTango}) })
-	mustPanic("NewWindowedCountMin maxmerge", func() {
-		NewWindowedCountMin(Options{Width: 64, Merge: MergeMax}, 4, 100)
-	})
-	mustPanic("NewMonitor zero k", func() { NewMonitor(Options{Width: 64}, 0) })
-	mustPanic("NewShardedCountMin huge shards", func() { NewShardedCountMin(Options{Width: 64}, 1<<17) })
-	mustPanic("MustBuild", func() { MustBuild(CountMinOf(Options{Width: 3})) })
 }
 
 // TestSpecString pins the expression syntax ParseSpec consumes.

@@ -24,10 +24,7 @@ type UnivMon struct {
 }
 
 // buildUnivMon realizes a UnivMonOf spec.
-func buildUnivMon(opt Options, levels, heapK int) (*UnivMon, error) {
-	if err := (leafSpec{kind: kindUnivMon, opt: opt, k: heapK, levels: levels}).validate(); err != nil {
-		return nil, err
-	}
+func buildUnivMon(opt Options, levels, heapK int) *UnivMon {
 	opt = opt.withDefaults(5, MergeSum)
 	um := univmon.New(univmon.Config{
 		Levels: levels,
@@ -37,7 +34,7 @@ func buildUnivMon(opt Options, levels, heapK int) (*UnivMon, error) {
 		Rows:   signedRowSpec(opt),
 		Seed:   opt.Seed,
 	})
-	return &UnivMon{um: um, opt: opt, levels: levels, k: heapK}, nil
+	return &UnivMon{um: um, opt: opt, levels: levels, k: heapK}
 }
 
 // Update adds count occurrences of item; count must be non-negative.

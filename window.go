@@ -29,13 +29,17 @@ import (
 // (see internal/window; the suffix sketches are allocated at the first
 // stack flip, so rings that never rotate stay at B+2).
 //
-// The windowed types satisfy Sketch, so they compose with the Sharded
-// concurrency layer and its batch APIs; see NewShardedWindowedCountMin.
+// The windowed types satisfy Sketch, so they compose with the concurrency
+// layers and their batch APIs: ShardedBy(Windowed(...)) and, for
+// Tick-driven windows, EpochShardedBy(Windowed(...)).
 
-// WindowedCountMin is a CountMin (or, via NewWindowedConservativeUpdate,
+// WindowedCountMin is a CountMin (or, via Windowed(ConservativeOf(...)),
 // Conservative Update) sketch over a sliding window of the stream. Query
 // returns an overestimate of the item's frequency within the live window,
-// with the merged-sketch guarantees of the underlying backend.
+// with the merged-sketch guarantees of the underlying backend. Every
+// counter mode composes, including ModeTango; under conservative update
+// every row counter still overestimates its items' bucket substream
+// counts, so the summed window view keeps the overestimate guarantee.
 type WindowedCountMin struct {
 	ring         *window.Ring[*sketch.CMS]
 	opt          Options
@@ -50,20 +54,10 @@ type WindowedCountMin struct {
 // (max-merge is the tighter policy for counter merges within one stream,
 // Theorem V.2, but taking the max across buckets would under-count items
 // spread over the window). MergeMax is a composition error.
-func buildWindowedCMS(opt Options, buckets, bucketItems int, conservative bool) (*WindowedCountMin, error) {
-	kind := kindCountMin
-	if conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
-	if err := validateWindow(opt, buckets, bucketItems); err != nil {
-		return nil, err
-	}
+func buildWindowedCMS(opt Options, buckets, bucketItems int, conservative bool) *WindowedCountMin {
 	opt = opt.withDefaults(4, MergeSum)
 	ring := window.NewRing(buckets, uint64(bucketItems), cmsRingOps(opt, conservative))
-	return &WindowedCountMin{ring: ring, opt: opt, conservative: conservative}, nil
+	return &WindowedCountMin{ring: ring, opt: opt, conservative: conservative}
 }
 
 // cmsRingOps binds the ring bucket operations to *sketch.CMS for
@@ -80,29 +74,6 @@ func cmsRingOps(opt Options, conservative bool) window.Ops[*sketch.CMS] {
 		Reset: (*sketch.CMS).Reset,
 		Merge: (*sketch.CMS).MergeFrom,
 	}
-}
-
-// NewWindowedCountMin returns a windowed Count-Min Sketch of buckets ring
-// buckets. bucketItems > 0 rotates the window automatically every
-// bucketItems updates; bucketItems == 0 leaves rotation to Tick. All modes
-// are supported, including ModeTango. MergeMax panics; windowed sketches
-// force sum-merge counters.
-//
-// Deprecated: Use Build(Windowed(CountMinOf(opt), buckets, bucketItems)),
-// which returns construction errors instead of panicking.
-func NewWindowedCountMin(opt Options, buckets, bucketItems int) *WindowedCountMin {
-	return mustSketch(buildWindowedCMS(opt, buckets, bucketItems, false))
-}
-
-// NewWindowedConservativeUpdate is NewWindowedCountMin with the
-// conservative-update rule applied within each bucket (Cash Register
-// streams only). Like all windowed sketches it uses sum-merge counters;
-// every CU row counter overestimates its items' bucket substream counts,
-// so the summed window view keeps the overestimate guarantee.
-//
-// Deprecated: Use Build(Windowed(ConservativeOf(opt), buckets, bucketItems)).
-func NewWindowedConservativeUpdate(opt Options, buckets, bucketItems int) *WindowedCountMin {
-	return mustSketch(buildWindowedCMS(opt, buckets, bucketItems, true))
 }
 
 // validateWindow checks the window-decorator parameters and the
@@ -213,16 +184,10 @@ type WindowedCountSketch struct {
 }
 
 // buildWindowedCountSketch realizes a Windowed(CountSketchOf) spec.
-func buildWindowedCountSketch(opt Options, buckets, bucketItems int) (*WindowedCountSketch, error) {
-	if err := opt.validateFor(kindCountSketch); err != nil {
-		return nil, err
-	}
-	if err := validateWindow(opt, buckets, bucketItems); err != nil {
-		return nil, err
-	}
+func buildWindowedCountSketch(opt Options, buckets, bucketItems int) *WindowedCountSketch {
 	opt = opt.withDefaults(5, MergeSum)
 	ring := window.NewRing(buckets, uint64(bucketItems), csRingOps(opt))
-	return &WindowedCountSketch{ring: ring, opt: opt}, nil
+	return &WindowedCountSketch{ring: ring, opt: opt}
 }
 
 // csRingOps binds the ring bucket operations to *sketch.CountSketch for
@@ -234,14 +199,6 @@ func csRingOps(opt Options) window.Ops[*sketch.CountSketch] {
 		Reset: (*sketch.CountSketch).Reset,
 		Merge: func(dst, src *sketch.CountSketch) { dst.MergeFrom(src, 1) },
 	}
-}
-
-// NewWindowedCountSketch returns a windowed Count Sketch of buckets ring
-// buckets, rotating every bucketItems updates (0 = Tick-driven).
-//
-// Deprecated: Use Build(Windowed(CountSketchOf(opt), buckets, bucketItems)).
-func NewWindowedCountSketch(opt Options, buckets, bucketItems int) *WindowedCountSketch {
-	return mustSketch(buildWindowedCountSketch(opt, buckets, bucketItems))
 }
 
 // Update adds count occurrences of item (count of either sign) to the
@@ -311,15 +268,8 @@ type WindowedMonitor struct {
 }
 
 // buildWindowedMonitor realizes a Windowed(MonitorOf) spec.
-func buildWindowedMonitor(opt Options, k, buckets, bucketItems int) (*WindowedMonitor, error) {
-	if err := validateTrackerK("monitor", k); err != nil {
-		return nil, err
-	}
-	w, err := buildWindowedCMS(opt, buckets, bucketItems, true)
-	if err != nil {
-		return nil, err
-	}
-	return newWindowedMonitor(w, k), nil
+func buildWindowedMonitor(opt Options, k, buckets, bucketItems int) *WindowedMonitor {
+	return newWindowedMonitor(buildWindowedCMS(opt, buckets, bucketItems, true), k)
 }
 
 // newWindowedMonitor wires the per-bucket candidate heaps onto a windowed
@@ -335,15 +285,6 @@ func newWindowedMonitor(w *WindowedCountMin, k int) *WindowedMonitor {
 	}
 	m.w.ring.OnRotate(func(cur int) { m.heaps[cur].Reset() })
 	return m
-}
-
-// NewWindowedMonitor returns a windowed heavy-hitter tracker keeping the k
-// largest items per bucket, over buckets ring buckets rotating every
-// bucketItems updates (0 = Tick-driven).
-//
-// Deprecated: Use Build(Windowed(MonitorOf(opt, k), buckets, bucketItems)).
-func NewWindowedMonitor(opt Options, k, buckets, bucketItems int) *WindowedMonitor {
-	return mustSketch(buildWindowedMonitor(opt, k, buckets, bucketItems))
 }
 
 // Process records one occurrence of item and refreshes the current

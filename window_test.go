@@ -37,19 +37,19 @@ func TestWindowedQueryEqualsFromScratchMerge(t *testing.T) {
 	const buckets, interval = 4, 2500
 	builds := map[string]func() *WindowedCountMin{
 		"SALSA": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: 1 << 10, Seed: 9}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, Seed: 9}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Baseline": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: 1 << 10, Mode: ModeBaseline, Seed: 9}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, Mode: ModeBaseline, Seed: 9}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Compact": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: 1 << 10, CompactEncoding: true, Seed: 9}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, CompactEncoding: true, Seed: 9}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Tango": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 9}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Conservative": func() *WindowedCountMin {
-			return NewWindowedConservativeUpdate(Options{Width: 1 << 10, Seed: 9}, buckets, interval)
+			return MustBuild(Windowed(ConservativeOf(Options{Width: 1 << 10, Seed: 9}), buckets, interval)).(*WindowedCountMin)
 		},
 	}
 	for name, build := range builds {
@@ -93,7 +93,7 @@ func TestWindowedCountSketchEqualsFromScratchMerge(t *testing.T) {
 		"SALSA":    {Width: 1 << 10, Seed: 4},
 		"Baseline": {Width: 1 << 10, Mode: ModeBaseline, Seed: 4},
 	} {
-		w := NewWindowedCountSketch(opt, buckets, interval)
+		w := MustBuild(Windowed(CountSketchOf(opt), buckets, interval)).(*WindowedCountSketch)
 		for i, x := range data {
 			w.Update(x, 1+int64(i%3)) // mixed positive weights
 			if i%2503 != 0 && (i+1)%interval != 0 {
@@ -153,13 +153,13 @@ func TestWindowedOracleProperty(t *testing.T) {
 	}
 	for name, build := range map[string]func() *WindowedCountMin{
 		"CountMin": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: width, Seed: 55}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: width, Seed: 55}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Baseline": func() *WindowedCountMin {
-			return NewWindowedCountMin(Options{Width: width, Mode: ModeBaseline, Seed: 55}, buckets, interval)
+			return MustBuild(Windowed(CountMinOf(Options{Width: width, Mode: ModeBaseline, Seed: 55}), buckets, interval)).(*WindowedCountMin)
 		},
 		"Conservative": func() *WindowedCountMin {
-			return NewWindowedConservativeUpdate(Options{Width: width, Seed: 55}, buckets, interval)
+			return MustBuild(Windowed(ConservativeOf(Options{Width: width, Seed: 55}), buckets, interval)).(*WindowedCountMin)
 		},
 	} {
 		w := build()
@@ -201,8 +201,8 @@ func TestWindowedOracleProperty(t *testing.T) {
 func TestWindowedEviction(t *testing.T) {
 	const heavy = uint64(0xdeadbeef)
 	opt := Options{Width: 1 << 12, Seed: 3}
-	w := NewWindowedCountMin(opt, 3, 1000)
-	whole := NewCountMin(opt)
+	w := MustBuild(Windowed(CountMinOf(opt), 3, 1000)).(*WindowedCountMin)
+	whole := MustBuild(CountMinOf(opt)).(*CountMin)
 	for i := 0; i < 1000; i++ {
 		w.Increment(heavy)
 		whole.Increment(heavy)
@@ -219,7 +219,7 @@ func TestWindowedEviction(t *testing.T) {
 		t.Fatal("whole-stream sketch lost the heavy hitter")
 	}
 
-	cs := NewWindowedCountSketch(opt, 3, 1000)
+	cs := MustBuild(Windowed(CountSketchOf(opt), 3, 1000)).(*WindowedCountSketch)
 	for i := 0; i < 1000; i++ {
 		cs.Increment(heavy)
 	}
@@ -243,7 +243,7 @@ func TestWindowedMonitorCandidateUnion(t *testing.T) {
 		perBucketHeavies     = 3 // fits each bucket's k-entry candidate set
 		reps                 = 300
 	)
-	m := NewWindowedMonitor(Options{Width: 1 << 12, Seed: 31}, k, buckets, interval)
+	m := MustBuild(Windowed(MonitorOf(Options{Width: 1 << 12, Seed: 31}, k), buckets, interval)).(*WindowedMonitor)
 	// Each bucket phase plants its own set of 3 heavy items amid unique
 	// background noise; across the B−1 closed live buckets that is 6
 	// window-wide heavy hitters — more than k, so a merged view truncated
@@ -299,8 +299,8 @@ func TestWindowedMonitorCandidateUnion(t *testing.T) {
 // to the historically largest item.
 func TestWindowedMonitorTracksRecency(t *testing.T) {
 	opt := Options{Width: 1 << 12, Seed: 19}
-	wm := NewWindowedMonitor(opt, 4, 3, 2000)
-	whole := NewMonitor(opt, 4)
+	wm := MustBuild(Windowed(MonitorOf(opt, 4), 3, 2000)).(*WindowedMonitor)
+	whole := MustBuild(MonitorOf(opt, 4)).(*Monitor)
 	feed := func(heavy uint64, n int, seed uint64) {
 		bg := stream.Zipf(n, 3000, 0.8, seed)
 		for i, x := range bg {
@@ -341,7 +341,7 @@ func TestWindowedMonitorTracksRecency(t *testing.T) {
 // tick-free epilogue then pins the overestimate guarantee for items whose
 // full history is inside every shard's current bucket.
 func TestShardedWindowedCountMinHammer(t *testing.T) {
-	s := NewShardedWindowedCountMin(Options{Width: 1 << 10, Seed: 47}, 4, 0, 8)
+	s := MustBuild(ShardedBy(Windowed(CountMinOf(Options{Width: 1 << 10, Seed: 47}), 4, 0), 8)).(*ShardedWindowedCountMin)
 	const perG, universe = 4096, 64
 	var ticks atomic.Int64
 	var wg sync.WaitGroup
@@ -408,7 +408,7 @@ func TestShardedWindowedCountMinHammer(t *testing.T) {
 // TestShardedWindowedCountSketchSmoke checks the signed windowed backend
 // under the sharded layer: batch ingestion, queries, and a global Tick.
 func TestShardedWindowedCountSketchSmoke(t *testing.T) {
-	s := NewShardedWindowedCountSketch(Options{Width: 1 << 12, Seed: 11}, 3, 0, 4)
+	s := MustBuild(ShardedBy(Windowed(CountSketchOf(Options{Width: 1 << 12, Seed: 11}), 3, 0), 4)).(*ShardedWindowedCountSketch)
 	data := stream.Zipf(30000, 1000, 1.0, 13)
 	s.IncrementBatch(data)
 	truth := make(map[uint64]int64)
@@ -439,10 +439,10 @@ func TestShardedWindowedCountSketchSmoke(t *testing.T) {
 // TestWindowedPanics pins constructor validation.
 func TestWindowedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero buckets":      func() { NewWindowedCountMin(Options{Width: 64}, 0, 10) },
-		"negative interval": func() { NewWindowedCountMin(Options{Width: 64}, 2, -1) },
-		"tango countsketch": func() { NewWindowedCountSketch(Options{Width: 64, Mode: ModeTango}, 2, 10) },
-		"max-merge window":  func() { NewWindowedCountMin(Options{Width: 64, Merge: MergeMax}, 2, 10) },
+		"zero buckets":      func() { MustBuild(Windowed(CountMinOf(Options{Width: 64}), 0, 10)) },
+		"negative interval": func() { MustBuild(Windowed(CountMinOf(Options{Width: 64}), 2, -1)) },
+		"tango countsketch": func() { MustBuild(Windowed(CountSketchOf(Options{Width: 64, Mode: ModeTango}), 2, 10)) },
+		"max-merge window":  func() { MustBuild(Windowed(CountMinOf(Options{Width: 64, Merge: MergeMax}), 2, 10)) },
 	} {
 		func() {
 			defer func() {
