@@ -159,32 +159,6 @@ func (m *Monitor) UpdateBatch(items []uint64, count int64) {
 	}
 }
 
-// epochMonitorBuf is a Monitor's private per-writer half: a CU sketch
-// plus the epoch's top-k candidates by private estimate. On drain the
-// sketch merges into the view and the candidates are re-offered at their
-// merged estimates, in the heap's deterministic (count, item) order.
-type epochMonitorBuf struct {
-	cm   *sketch.CMS
-	heap *topk.Heap
-}
-
-func (b *epochMonitorBuf) Update(item uint64, count int64) {
-	offerEstimate(b.heap, item, b.cm.UpdateEstimate(item, count))
-}
-
-func (b *epochMonitorBuf) UpdateBatch(items []uint64, count int64) {
-	for _, x := range items {
-		b.Update(x, count)
-	}
-}
-
-func (b *epochMonitorBuf) Reset() {
-	b.cm.Reset()
-	b.heap.Reset()
-}
-
-func (b *epochMonitorBuf) SizeBits() int { return b.cm.SizeBits() }
-
 // MemoryBits returns the underlying sketch footprint in bits.
 func (m *Monitor) MemoryBits() int { return m.cm.MemoryBits() }
 
@@ -219,3 +193,29 @@ func (m *Monitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
 	}
 	return out
 }
+
+// epochMonitorBuf is a Monitor's private per-writer half: a CU sketch
+// plus the epoch's top-k candidates by private estimate. On drain the
+// sketch merges into the view and the candidates are re-offered at their
+// merged estimates, in the heap's deterministic (count, item) order.
+type epochMonitorBuf struct {
+	cm   *sketch.CMS
+	heap *topk.Heap
+}
+
+func (b *epochMonitorBuf) Update(item uint64, count int64) {
+	offerEstimate(b.heap, item, b.cm.UpdateEstimate(item, count))
+}
+
+func (b *epochMonitorBuf) UpdateBatch(items []uint64, count int64) {
+	for _, x := range items {
+		b.Update(x, count)
+	}
+}
+
+func (b *epochMonitorBuf) Reset() {
+	b.cm.Reset()
+	b.heap.Reset()
+}
+
+func (b *epochMonitorBuf) SizeBits() int { return b.cm.SizeBits() }

@@ -66,7 +66,6 @@ type Target struct {
 // epochLayer is the surface every EpochShardedBy product shares through
 // its embedded *salsa.Epoch.
 type epochLayer interface {
-	salsa.Sketch
 	NewWriter(batch int) *salsa.EpochWriter
 	Advance()
 	Stats() salsa.EpochStats

@@ -136,11 +136,11 @@ func (s *ShardedMonitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
 
 // ShardedWindowedCountMin is a concurrency-safe sliding-window CountMin
 // (or Conservative Update) sketch: each shard runs a complete
-// WindowedCountMin over its substream.
-// With count-based rotation every shard rotates on its own substream count,
-// so shard windows slide independently at roughly the global rate divided
-// by the shard count; size bucketItems per shard, or use Tick to rotate all
-// shards together from one timer.
+// WindowedCountMin over its substream. With count-based rotation every
+// shard rotates on its own substream count, so shard windows slide
+// independently at roughly the global rate divided by the shard count;
+// size bucketItems per shard, or use Tick to rotate all shards together
+// from one timer.
 type ShardedWindowedCountMin struct {
 	*Sharded[*WindowedCountMin]
 }

@@ -2,6 +2,7 @@ package salsa
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -207,62 +208,10 @@ func TestBuildConcreteTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%s): %v", tc.spec, err)
 		}
-		if gotT, wantT := typeName(s), typeName(tc.want); gotT != wantT {
+		if gotT, wantT := fmt.Sprintf("%T", s), fmt.Sprintf("%T", tc.want); gotT != wantT {
 			t.Fatalf("Build(%s) = %s, want %s", tc.spec, gotT, wantT)
 		}
 	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case *CountMin:
-		return "*CountMin"
-	case *CountSketch:
-		return "*CountSketch"
-	case *Monitor:
-		return "*Monitor"
-	case *TopK:
-		return "*TopK"
-	case *WindowedCountMin:
-		return "*WindowedCountMin"
-	case *WindowedCountSketch:
-		return "*WindowedCountSketch"
-	case *WindowedMonitor:
-		return "*WindowedMonitor"
-	case *ShardedCountMin:
-		return "*ShardedCountMin"
-	case *ShardedCountSketch:
-		return "*ShardedCountSketch"
-	case *ShardedMonitor:
-		return "*ShardedMonitor"
-	case *ShardedWindowedCountMin:
-		return "*ShardedWindowedCountMin"
-	case *ShardedWindowedCountSketch:
-		return "*ShardedWindowedCountSketch"
-	case *ShardedWindowedMonitor:
-		return "*ShardedWindowedMonitor"
-	case *UnivMon:
-		return "*UnivMon"
-	case *AEE:
-		return "*AEE"
-	case *Distinct:
-		return "*Distinct"
-	case *WindowedDistinct:
-		return "*WindowedDistinct"
-	case *ColdFilter:
-		return "*ColdFilter"
-	case *Pyramid:
-		return "*Pyramid"
-	case *ShardedAEE:
-		return "*ShardedAEE"
-	case *ShardedDistinct:
-		return "*ShardedDistinct"
-	case *ShardedColdFilter:
-		return "*ShardedColdFilter"
-	case *ShardedPyramid:
-		return "*ShardedPyramid"
-	}
-	return "unknown"
 }
 
 // TestSpecString pins the expression syntax ParseSpec consumes.
