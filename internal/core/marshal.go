@@ -202,7 +202,8 @@ func (c *Salsa) MarshalBinary() ([]byte, error) {
 	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
-// UnmarshalSalsa decodes a Salsa array.
+// UnmarshalSalsa decodes a Salsa array. Simple-encoding merge bits that
+// describe no layout are rejected with ErrBadPayload.
 func UnmarshalSalsa(data []byte) (*Salsa, error) {
 	s, policy, compact, width, rest, err := readHeader(data, kindSalsa)
 	if err != nil {
@@ -227,6 +228,9 @@ func UnmarshalSalsa(data []byte) (*Salsa, error) {
 	}
 	fillWords(c.words, counters)
 	fillWords(layWords, lay)
+	if c.blWords != nil && !validMergeBits(c.blWords, width, c.maxLvl) {
+		return nil, ErrBadPayload
+	}
 	return c, nil
 }
 
@@ -322,7 +326,8 @@ func (c *SalsaSign) MarshalBinary() ([]byte, error) {
 	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
-// UnmarshalSalsaSign decodes a SalsaSign array.
+// UnmarshalSalsaSign decodes a SalsaSign array, rejecting merge bits as
+// UnmarshalSalsa does.
 func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
 	s, _, compact, width, rest, err := readHeader(data, kindSalsaSign)
 	if err != nil {
@@ -346,5 +351,8 @@ func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
 	}
 	fillWords(c.words, counters)
 	fillWords(layWords, lay)
+	if c.blWords != nil && !validMergeBits(c.blWords, width, c.maxLvl) {
+		return nil, ErrBadPayload
+	}
 	return c, nil
 }

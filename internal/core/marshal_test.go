@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -111,5 +112,47 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	data, _ = c.MarshalBinary()
 	if _, err := UnmarshalSalsa(data[:len(data)-4]); err == nil {
 		t.Fatal("accepted truncated payload")
+	}
+}
+
+// TestUnmarshalRejectsInvalidMergeBits crafts simple-encoding merge bits
+// that describe no layout and requires both SALSA decoders to refuse them:
+// a level-2 bit without both level-1 bits under it, a bit at a counter
+// word's last slot (a counter spanning two words), and a bit past the
+// width. Valid layouts of the same rows still decode.
+func TestUnmarshalRejectsInvalidMergeBits(t *testing.T) {
+	cases := []struct {
+		name  string
+		width int
+		bits  uint64
+		ok    bool
+	}{
+		{"level-2 bit missing a half", 64, 1<<0 | 1<<1, false},
+		{"bit at a word's last slot", 64, 1 << 7, false},
+		{"bit at the last slot of a later word", 64, 1 << 63, false},
+		{"bit past the width", 8, 1 << 8, false},
+		{"level-3 counter", 64, 0x7f, true},
+		{"mixed levels", 64, 1<<0 | 1<<1 | 1<<2 | 1<<12, true},
+	}
+	for _, tc := range cases {
+		c := NewSalsa(tc.width, 8, SumMerge, false)
+		c.blWords[0] = tc.bits
+		data, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = UnmarshalSalsa(data)
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadPayload)) {
+			t.Errorf("Salsa %s: err = %v", tc.name, err)
+		}
+		cs := NewSalsaSign(tc.width, 8, false)
+		cs.blWords[0] = tc.bits
+		if data, err = cs.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = UnmarshalSalsaSign(data)
+		if tc.ok != (err == nil) || (err != nil && !errors.Is(err, ErrBadPayload)) {
+			t.Errorf("SalsaSign %s: err = %v", tc.name, err)
+		}
 	}
 }
