@@ -46,9 +46,10 @@ func FuzzSalsaOps(f *testing.F) {
 // arbitrary op bytes, merges them through the word-parallel kernels and
 // through the per-counter reference paths, and requires marshal-byte-
 // identical results — the deep-exploration companion to the randomized
-// TestSWARKernelEquivalence* suite. The odd trailing byte steers both the
-// counter size and whether the rows share a layout (cloning before merge),
-// so the pure-SWAR, fallback, and bailout paths all get fuzzed.
+// TestSWARKernelEquivalence* suite, for merges and subtractions. The odd
+// trailing byte steers both the counter size and whether the rows share a
+// layout (cloning before merge), so the same-layout, overflow-replay and
+// widened paths all get fuzzed.
 func FuzzMergeKernels(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0xff, 0x10, 0x03})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x7f, 0x7f, 0x00})
@@ -91,6 +92,21 @@ func FuzzMergeKernels(f *testing.F) {
 		fastBlob, _ := fast.MarshalBinary()
 		slowBlob, _ := slow.MarshalBinary()
 		mergeEqual(fastBlob, slowBlob, "salsa")
+
+		// Subtract b back out of the union (contained), and out of a's own
+		// layout, where counters clamp.
+		fast.SubtractFrom(b)
+		slow.subtractFromGeneric(b)
+		fastBlob, _ = fast.MarshalBinary()
+		slowBlob, _ = slow.MarshalBinary()
+		mergeEqual(fastBlob, slowBlob, "salsa-subtract")
+		fast, _ = UnmarshalSalsa(ablob)
+		slow, _ = UnmarshalSalsa(ablob)
+		fast.SubtractFrom(b)
+		slow.subtractFromGeneric(b)
+		fastBlob, _ = fast.MarshalBinary()
+		slowBlob, _ = slow.MarshalBinary()
+		mergeEqual(fastBlob, slowBlob, "salsa-subtract-clamp")
 
 		fablob, _ := fa.MarshalBinary()
 		ffast, _ := UnmarshalFixed(fablob)

@@ -190,43 +190,131 @@ func pendHitsCounterTop(pend, mw uint64, s uint) bool {
 	return false
 }
 
+// laneGeom holds, for one base counter size s, the masks the SALSA word
+// kernels use to move between a counter word's L = 64/s merge bits (a lane
+// layout: bit q is lane q's merge bit) and the word's own bits.
+type laneGeom struct {
+	s, lanes, maxLvl uint
+	lmask            uint64    // the low L bits
+	hi               uint64    // every lane's top bit
+	levels           [7]uint64 // levels[ℓ]: the lanes holding level-ℓ merge bits
+	spread           [6]uint64 // spreadLanes' masks, coarsest step first
+}
+
+// laneGeoms is indexed by log2(s).
+var laneGeoms = func() (gs [6]laneGeom) {
+	for i := range gs {
+		g := &gs[i]
+		g.s = 1 << i
+		g.lanes = 64 / g.s
+		g.maxLvl = uint(bits.TrailingZeros(g.lanes))
+		g.lmask = laneBitsMask(g.lanes)
+		g.hi = laneTopMask(g.s)
+		for l := uint(1); l <= g.maxLvl; l++ {
+			g.levels[l] = laneTopMask(1<<l) >> (1 << (l - 1)) & g.lmask
+		}
+		for k, c := 0, g.lanes/2; c > 0; k, c = k+1, c/2 {
+			for off := uint(0); off < 64; off += c * g.s {
+				g.spread[k] |= laneBitsMask(c) << off
+			}
+		}
+	}
+	return gs
+}()
+
+func laneGeomFor(s uint) *laneGeom { return &laneGeoms[bits.TrailingZeros(s)] }
+
+// spreadLanes moves lane bit q of x to bit q·s, the lane's lowest bit,
+// halving the distance between groups of lanes at each step.
+func (g *laneGeom) spreadLanes(x uint64) uint64 {
+	if g.s == 1 {
+		return x
+	}
+	for k, c := 0, g.lanes/2; c > 0; k, c = k+1, c/2 {
+		x = (x | x<<(c*(g.s-1))) & g.spread[k]
+	}
+	return x
+}
+
+// tops returns the top bit of every counter of lane layout u: the lane tops
+// whose merge bit is clear.
+func (g *laneGeom) tops(u uint64) uint64 { return g.spreadLanes(^u&g.lmask) << (g.s - 1) }
+
+// widen re-encodes counter word x from lane layout from to the layout
+// to ⊇ from. Level by level, every block that to joins and from does not
+// gets the sum of its two half-fields in the doubled field; each half is
+// below 2^h, so the sum fits and widening never overflows.
+func (g *laneGeom) widen(x, from, to uint64) uint64 {
+	join := to &^ from
+	for l := uint(1); l <= g.maxLvl && join != 0; l++ {
+		j := join & g.levels[l]
+		if j == 0 {
+			continue
+		}
+		join &^= j
+		h := g.s << (l - 1)
+		st := g.spreadLanes(j) >> (h - g.s) // each joined block's lowest bit
+		lo := st<<h - st
+		x = x&^(lo|lo<<h) | (x&lo + x>>h&lo)
+	}
+	return x
+}
+
+// counterLanes returns the lane count of the counter whose top lane is q in
+// the lane layout u: one more than the run of set merge bits below q.
+func counterLanes(u uint64, q uint) uint {
+	return 1 + uint(bits.LeadingZeros64(^(u << (64 - q))))
+}
+
 // mergeBitsFor returns the L=64/s merge bits guarding counter word w: bit q
 // set means base slots wL+q and wL+q+1 belong to the same counter, so a
 // carry out of lane q's top bit is an intra-counter carry (harmless),
 // while a carry out of a lane with a clear bit overflows a whole counter.
 // Counters are at most 64 bits, so the L bits never straddle a merge word
-// and the last lane's bit is always clear.
+// and the last lane's bit is always clear (decoders reject payloads that
+// break this).
 func mergeBitsFor(blWords []uint64, w int, lanes uint) uint64 {
 	off := uint(w) * lanes
 	return blWords[off>>6] >> (off & 63)
 }
 
+// setMergeBits ORs the lane layout u into the merge bits of counter word w.
+func setMergeBits(blWords []uint64, w int, lanes uint, u uint64) {
+	off := uint(w) * lanes
+	blWords[off>>6] |= u << (off & 63)
+}
+
 // mergeFast is the word-parallel MergeFrom for two simple-encoding rows.
 // Counters never span words, and merges and level-raises are word-local, so
-// the rows compare layouts one counter word at a time: a word whose L merge
-// bits match on both sides combines with one 64-bit add, with the merge
-// bits distinguishing harmless intra-counter carries from genuine counter
-// overflow. Words whose layouts differ — and overflowing words, which must
-// trigger the same level-raises the scalar path performs — replay
-// per-counter through raiseTo/store (mergeWordUnify), reaching the same
-// values and layout as the scalar path (for matching layouts the raise
-// odometer matches exactly too; across mismatched words the odometer may
-// count the same raises in a different grouping). This word granularity is
-// what keeps the window rotation's aggregate∪bucket merges fast: a loaded
-// aggregate disagrees with a fresh bucket only in its heavy words.
+// the rows combine one counter word at a time. A word whose L merge bits
+// match on both sides combines with one 64-bit add, with the merge bits
+// distinguishing harmless intra-counter carries from genuine counter
+// overflow; an overflowing word replays per-counter through raiseTo/store
+// (mergeWordUnify), so values, layout and the raise odometer all match the
+// scalar path. A sum-merge word whose layouts differ is widened to the
+// union layout and summed by mergeWordWiden, which reaches the scalar
+// path's values and layout (its odometer counts the joined blocks, which
+// may group raises differently). Max-merge words with differing layouts,
+// and words where a 64-bit counter saturates, replay per-counter.
 // Returns false when either row uses the compact encoding.
 func (c *Salsa) mergeFast(other *Salsa) bool {
 	if c.blWords == nil || other.blWords == nil {
 		return false
 	}
-	lanes := 64 / c.s
-	lmask := laneBitsMask(lanes)
-	hi := laneTopMask(c.s)
+	g := laneGeomFor(c.s)
+	lanes := g.lanes
 	sum := c.policy == SumMerge
 	for w, b := range other.words {
-		mw := mergeBitsFor(c.blWords, w, lanes) & lmask
-		if mw != mergeBitsFor(other.blWords, w, lanes)&lmask {
-			c.mergeWordUnify(other, w, lanes)
+		mw := mergeBitsFor(c.blWords, w, lanes) & g.lmask
+		if ow := mergeBitsFor(other.blWords, w, lanes) & g.lmask; mw != ow {
+			switch {
+			case !sum:
+				c.mergeWordUnify(other, w, lanes)
+			case b == 0 && ow&^mw == 0:
+				// c's layout already covers a zero word.
+			case !c.mergeWordWiden(g, w, b, mw, ow):
+				c.mergeWordUnify(other, w, lanes)
+			}
 			continue
 		}
 		if b == 0 {
@@ -247,12 +335,54 @@ func (c *Salsa) mergeFast(other *Salsa) bool {
 			continue
 		}
 		s := a + b
-		if pend := carryOut(a, b, s) & hi; pend != 0 && pendHitsCounterTop(pend, mw, c.s) {
+		if pend := carryOut(a, b, s) & g.hi; pend != 0 && pendHitsCounterTop(pend, mw, c.s) {
 			c.mergeWordUnify(other, w, lanes)
 			continue
 		}
 		c.words[w] = s
 	}
+	return true
+}
+
+// mergeWordWiden sums other's counter word b into c's word w when their
+// lane layouts mw and ow differ. Both words are widened to the union
+// u = mw|ow (a valid layout: each of its counters is the larger of the two
+// covering that slot) and added with the carry split at u's counter tops,
+// which reads every counter's overflow exactly. Each counter that carries
+// out joins its sibling block — extents are read from the layout the pass
+// started with, so a counter whose sibling also overflowed joins only
+// once — and the pass repeats on the widened operands until every counter
+// holds its sum. With non-negative values every join is forced, so the
+// loop ends at the least layout whose counters hold their sums: the one
+// store's cascade reaches. The odometer adds the blocks joined. Returns
+// false, leaving c untouched, when a 64-bit counter would saturate.
+func (c *Salsa) mergeWordWiden(g *laneGeom, w int, b, mw, ow uint64) bool {
+	u := mw | ow
+	a := g.widen(c.words[w], mw, u)
+	b = g.widen(b, ow, u)
+	for {
+		top := g.tops(u)
+		low := a&^top + b&^top
+		carry := (a&b | low&(a^b)) & top
+		if carry == 0 {
+			c.words[w] = low ^ (a^b)&top
+			break
+		}
+		nu := u
+		for t := carry; t != 0; t &= t - 1 {
+			q := uint(bits.TrailingZeros64(t)) / g.s
+			n := counterLanes(u, q)
+			if n == g.lanes {
+				return false
+			}
+			n <<= 1 // the parent block: set all its interior merge bits
+			nu |= laneBitsMask(n-1) << ((q + 1 - n/2) &^ (n - 1))
+		}
+		a, b = g.widen(a, u, nu), g.widen(b, u, nu)
+		u = nu
+	}
+	setMergeBits(c.blWords, w, g.lanes, u)
+	c.merges += uint64(bits.OnesCount64(u) - bits.OnesCount64(mw))
 	return true
 }
 
@@ -283,59 +413,57 @@ func (c *Salsa) mergeWordUnify(other *Salsa, w int, lanes uint) {
 }
 
 // subtractFast is the word-parallel SubtractFrom for two simple-encoding
-// rows: one 64-bit subtract per layout-matching word, with the merge bits
-// separating intra-counter borrows from counter clamps. Mismatched and
-// clamping words replay per-counter.
+// rows. A word whose layouts match and whose counters do not clamp is one
+// 64-bit subtract, with the merge bits separating intra-counter borrows
+// from counter clamps; every other word goes through subtractWordWiden.
 func (c *Salsa) subtractFast(other *Salsa) bool {
 	if c.blWords == nil || other.blWords == nil {
 		return false
 	}
-	lanes := 64 / c.s
-	lmask := laneBitsMask(lanes)
-	hi := laneTopMask(c.s)
+	g := laneGeomFor(c.s)
+	lanes := g.lanes
 	for w, b := range other.words {
-		mw := mergeBitsFor(c.blWords, w, lanes) & lmask
-		if mw != mergeBitsFor(other.blWords, w, lanes)&lmask {
-			c.subtractWordUnify(other, w, lanes)
+		mw := mergeBitsFor(c.blWords, w, lanes) & g.lmask
+		ow := mergeBitsFor(other.blWords, w, lanes) & g.lmask
+		if b == 0 && ow&^mw == 0 {
 			continue
 		}
-		if b == 0 {
-			continue
+		if mw == ow {
+			a := c.words[w]
+			d := a - b
+			if pend := borrowOut(a, b, d) & g.hi; pend == 0 || !pendHitsCounterTop(pend, mw, c.s) {
+				c.words[w] = d
+				continue
+			}
 		}
-		a := c.words[w]
-		d := a - b
-		if pend := borrowOut(a, b, d) & hi; pend != 0 && pendHitsCounterTop(pend, mw, c.s) {
-			c.subtractWordUnify(other, w, lanes)
-			continue
-		}
-		c.words[w] = d
+		c.subtractWordWiden(g, w, b, mw, ow)
 	}
 	return true
 }
 
-// subtractWordUnify replays the scalar subtraction for the counters of word
-// w: raise c to cover other's levels (subtraction is SumMerge-only, so the
-// raise sums exactly as the scalar path's), then clamp counter-wise.
-func (c *Salsa) subtractWordUnify(other *Salsa, w int, lanes uint) {
-	base := w * int(lanes)
-	for i, end := base, base+int(lanes); i < end; {
-		lvl := other.level(i)
-		val := readAligned(other.words, uint(i)*other.s, other.s<<lvl)
-		if c.level(i) < lvl {
-			c.raiseTo(i, lvl)
-		}
-		myLvl := c.level(i)
-		myStart := i &^ (1<<myLvl - 1)
-		size := c.s << myLvl
-		cur := readAligned(c.words, uint(myStart)*c.s, size)
-		if val >= cur {
-			cur = 0
-		} else {
-			cur -= val
-		}
-		writeAligned(c.words, uint(myStart)*c.s, size, cur)
-		i += 1 << lvl
+// subtractWordWiden subtracts other's counter word b from c's word w over
+// the union layout u = mw|ow: both words are widened to u and subtracted
+// with the borrow split at u's counter tops. A borrow out of a counter top
+// means the counter would go negative, and it is clamped to zero; a borrow
+// at a lane top inside a counter is ordinary. The scalar path raises c to
+// u and clamps per counter, and because other's values are non-negative,
+// clamping once against their sum is the same as clamping after each. The
+// odometer adds the blocks joined.
+func (c *Salsa) subtractWordWiden(g *laneGeom, w int, b, mw, ow uint64) {
+	u := mw | ow
+	a := g.widen(c.words[w], mw, u)
+	b = g.widen(b, ow, u)
+	top := g.tops(u)
+	low := (a | top) - b&^top
+	d := low ^ (a^^b)&top
+	for t := (^a&b | ^(a^b)&^low) & top; t != 0; t &= t - 1 {
+		q := uint(bits.TrailingZeros64(t)) / g.s
+		n := counterLanes(u, q)
+		d &^= maxValue(n*g.s) << ((q + 1 - n) * g.s)
 	}
+	c.words[w] = d
+	setMergeBits(c.blWords, w, g.lanes, u)
+	c.merges += uint64(bits.OnesCount64(u) - bits.OnesCount64(mw))
 }
 
 // --- SalsaSign --------------------------------------------------------------

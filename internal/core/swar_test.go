@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,9 +17,12 @@ import (
 // Known, documented relaxations (see also the internal/window package doc):
 //   - the in-memory merges odometer is path-dependent (it counts raise
 //     operations, which depend on merge order); it is not serialized, so
-//     marshal-byte comparisons are unaffected, and the equivalence tests
-//     compare it only between the kernel and the reference path, where it
-//     must match exactly.
+//     marshal-byte comparisons are unaffected. On words whose layouts
+//     already agree the kernel replays overflows per counter, and the
+//     equivalence tests require its odometer to match the reference's
+//     exactly; on words widened to a union layout it counts the blocks
+//     joined, which may group the reference's raises differently, so there
+//     only the bytes are compared.
 //   - signed counter arrays lose byte-level associativity once mixed-sign
 //     values make intermediate magnitudes cross a counter-size threshold in
 //     one grouping but not another (TestSalsaSignMixedSignGrouping shows the
@@ -195,8 +199,9 @@ func TestSWARKernelEquivalenceFixedSign(t *testing.T) {
 
 // TestSWARKernelEquivalenceSalsa pins the same-layout word path (clone pairs
 // share layouts bit-for-bit, so doubling values exercises the overflow
-// fallback and its level-raises) and the mismatched-layout bailout, for both
-// policies and all base sizes, including the raise odometer.
+// fallback and its level-raises, odometer included) and the differing-layout
+// words, which sum-merge rows widen to the union layout and max-merge rows
+// replay per counter, for both policies and all base sizes.
 func TestSWARKernelEquivalenceSalsa(t *testing.T) {
 	rng := rand.New(rand.NewSource(1703))
 	for _, s := range []uint{1, 2, 4, 8, 16, 32} {
@@ -216,8 +221,8 @@ func TestSWARKernelEquivalenceSalsa(t *testing.T) {
 				if fast.Merges() != slow.Merges() {
 					t.Fatalf("s=%d %v trial=%d: raise odometer %d != %d", s, policy, trial, fast.Merges(), slow.Merges())
 				}
-				// Independent pair: layouts usually differ, so the fast path
-				// must bail out and match the reference trivially.
+				// Independent pair: layouts differ in most words, which the
+				// kernel widens (sum) or replays per counter (max).
 				b := randSalsa(rng, width, s, policy, 4)
 				fast2, slow2 := cloneSalsa(t, a), cloneSalsa(t, a)
 				fast2.MergeFrom(b)
@@ -235,7 +240,118 @@ func TestSWARKernelEquivalenceSalsa(t *testing.T) {
 				}
 			}
 		}
+		for trial := 0; trial < 12; trial++ {
+			width := 64 * (1 + rng.Intn(4))
+			what := func(c string) string { return fmt.Sprintf("s=%d trial=%d: %s", s, trial, c) }
+			// An aggregate of 8–16 independent rows covers a single
+			// contribution's layout in most words.
+			agg := NewSalsa(width, s, SumMerge, false)
+			for m := 8 + rng.Intn(9); m > 0; m-- {
+				agg.mergeFromGeneric(randSalsa(rng, width, s, SumMerge, 4))
+			}
+			member := randSalsa(rng, width, s, SumMerge, 4)
+			checkSalsaMerge(t, what("aggregate ∪ fresh row"), agg, member)
+			base := cloneSalsa(t, member)
+			for op := 0; op < width/4; op++ {
+				member.Add(rng.Intn(width), rng.Int63n(1<<uint(rng.Intn(int(s)+4))))
+			}
+			delta := cloneSalsa(t, member)
+			delta.subtractFromGeneric(base)
+			checkSalsaMerge(t, what("aggregate ∪ delta"), agg, delta)
+			agg.mergeFromGeneric(member)
+			checkSalsaSubtract(t, what("aggregate − contained member"), agg, member)
+			checkSalsaSubtract(t, what("aggregate − contained delta"), agg, delta)
+			checkSalsaSubtract(t, what("member − aggregate (clamping)"), member, agg)
+			// Near-full rows with independent layouts: most union counters
+			// overflow, joins cascade, and some 64-bit counters saturate.
+			x, y := nearFullSalsa(rng, width, s), nearFullSalsa(rng, width, s)
+			checkSalsaMerge(t, what("near-full ∪ near-full"), x, y)
+			checkSalsaSubtract(t, what("near-full − near-full (clamping)"), x, y)
+		}
+		x, y := siblingOverflowPair(s)
+		checkSalsaMerge(t, fmt.Sprintf("s=%d: sibling counters overflow together", s), x, y)
+		checkSalsaSubtract(t, fmt.Sprintf("s=%d: subtract across the sibling layouts", s), x, y)
 	}
+}
+
+// checkSalsaMerge merges src into clones of dst through MergeFrom and
+// through the reference and requires identical bytes.
+func checkSalsaMerge(t *testing.T, what string, dst, src *Salsa) {
+	t.Helper()
+	fast, slow := cloneSalsa(t, dst), cloneSalsa(t, dst)
+	fast.MergeFrom(src)
+	slow.mergeFromGeneric(src)
+	if !bytes.Equal(marshalOf(t, fast), marshalOf(t, slow)) {
+		t.Fatalf("%s: kernel merge differs from reference", what)
+	}
+}
+
+// checkSalsaSubtract is checkSalsaMerge for SubtractFrom.
+func checkSalsaSubtract(t *testing.T, what string, dst, src *Salsa) {
+	t.Helper()
+	fast, slow := cloneSalsa(t, dst), cloneSalsa(t, dst)
+	fast.SubtractFrom(src)
+	slow.subtractFromGeneric(src)
+	if !bytes.Equal(marshalOf(t, fast), marshalOf(t, slow)) {
+		t.Fatalf("%s: kernel subtract differs from reference", what)
+	}
+}
+
+// setSalsaCounter makes the 2^lvl-aligned block at start one counter
+// holding v.
+func setSalsaCounter(c *Salsa, start int, lvl uint, v uint64) {
+	if lvl > 0 {
+		c.lay.mergeTo(start, lvl)
+	}
+	writeAligned(c.words, uint(start)*c.s, c.s<<lvl, v)
+}
+
+// nearFullSalsa builds a sum-merge row with a random layout whose counters
+// below 64 bits sit in the top quarter of their range; 64-bit counters take
+// any value.
+func nearFullSalsa(rng *rand.Rand, width int, s uint) *Salsa {
+	c := NewSalsa(width, s, SumMerge, false)
+	for i := 0; i < width; {
+		lvl := uint(rng.Intn(int(c.maxLvl) + 1))
+		for i%(1<<lvl) != 0 {
+			lvl--
+		}
+		v := rng.Uint64()
+		if size := s << lvl; size < 64 {
+			v = maxValue(size) - v%(maxValue(size)/4+1)
+		}
+		setSalsaCounter(c, i, lvl, v)
+		i += 1 << lvl
+	}
+	return c
+}
+
+// siblingOverflowPair returns two rows whose first counter words hold
+// differing layouts with two sibling union counters that both overflow,
+// so each must join its parent block exactly once, and whose second words
+// sum to more than a 64-bit counter holds.
+func siblingOverflowPair(s uint) (x, y *Salsa) {
+	x, y = NewSalsa(128, s, SumMerge, false), NewSalsa(128, s, SumMerge, false)
+	lanes := int(64 / s)
+	if lanes >= 4 {
+		// Lanes 0–1 are one counter in x, lanes 2–3 one counter in y; the
+		// union adds a full counter to the sum of two base counters.
+		setSalsaCounter(x, 0, 1, maxValue(2*s))
+		setSalsaCounter(x, 2, 0, maxValue(s))
+		setSalsaCounter(x, 3, 0, maxValue(s))
+		setSalsaCounter(y, 0, 0, 1)
+		setSalsaCounter(y, 1, 0, 1)
+		setSalsaCounter(y, 2, 1, maxValue(2*s))
+	} else {
+		setSalsaCounter(x, 0, 0, maxValue(s))
+		setSalsaCounter(x, 1, 0, maxValue(s))
+		setSalsaCounter(y, 0, 1, 3)
+	}
+	setSalsaCounter(x, lanes, x.maxLvl, ^uint64(0)-5)
+	for i := lanes; i < 2*lanes; i++ {
+		setSalsaCounter(y, i, 0, 3)
+	}
+	return x, y
 }
 
 // TestSWARKernelEquivalenceSalsaSign is the sign-magnitude version: the word
@@ -280,10 +396,8 @@ func TestSWARKernelEquivalenceSalsaSign(t *testing.T) {
 	}
 }
 
-// mergeGroupings folds the rows at indices of order into a fresh clone of
-// the row at order[0]'s... rather: it returns the three-way groupings
-// ((A∪B)∪C, A∪(B∪C), (A∪C)∪B) of rows a, b, c using the given clone and
-// merge functions.
+// mergeGroupings returns the three-way groupings ((A∪B)∪C, A∪(B∪C),
+// (A∪C)∪B) of rows a, b, c, built with the given clone and merge functions.
 func mergeGroupings[R any](clone func(R) R, merge func(dst, src R), a, b, c R) [3]R {
 	ab := clone(a)
 	merge(ab, b)

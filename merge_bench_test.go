@@ -11,7 +11,11 @@ package salsa
 // src back out and merges it again, returning dst to the identical state —
 // so every iteration performs one same-layout subtraction and one
 // same-layout merge of loaded rows (the case window rotation and sharded
-// snapshots hit), with no drift toward saturation across iterations.
+// snapshots hit), with no drift toward saturation across iterations. Its
+// cms-salsa8-aggregate case instead merges one contribution into a fresh
+// copy, decoded outside the timer, of a 16-contribution total: the
+// differing-layout merge a salsad root or relay runs when it folds its
+// members.
 // BenchmarkWindowRotation measures amortized per-rotation cost: each op
 // ingests one fixed bucket interval and ticks, so the two ring sizes differ
 // only in how much closed-window maintenance a rotation performs (use
@@ -50,6 +54,36 @@ func BenchmarkMergeFrom(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			d.Subtract(s)
 			d.Merge(s)
+		}
+	})
+	b.Run("cms-salsa8-aggregate", func(b *testing.B) {
+		// A root's or relay's fold: one loaded contribution merged into the
+		// total of 16 others fed different streams, whose layouts differ
+		// from the contribution's in most counter words.
+		spec := CountMinOf(Options{Width: 1 << 14, Merge: MergeSum, Seed: 3})
+		agg := MustBuild(spec).(*CountMin)
+		for m := uint64(0); m < 16; m++ {
+			member := MustBuild(spec).(*CountMin)
+			member.UpdateBatch(stream.Zipf(1<<16, 1<<16, 1.0, 100+m), 1)
+			agg.Merge(member)
+		}
+		src := MustBuild(spec).(*CountMin)
+		src.UpdateBatch(stream.Zipf(1<<16, 1<<16, 1.0, 99), 1)
+		blob, err := Marshal(agg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dst, err := Unmarshal(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := dst.(*CountMin)
+			b.StartTimer()
+			d.Merge(src)
 		}
 	})
 	b.Run("cms-fixed32", func(b *testing.B) {
