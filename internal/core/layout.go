@@ -77,28 +77,22 @@ func (l *bitLayout) mergeTo(i int, lvl uint) {
 	}
 }
 
-// validMergeBits reports whether words, the simple encoding's merge bits for
-// width slots in blocks of 2^maxLvl slots (one counter word), describe a
-// layout: a set level-ℓ bit (ℓ ≥ 2) needs the level-(ℓ−1) bits of both its
-// halves, no bit sits at a block's last slot (that would be a counter wider
-// than 64 bits, spanning two counter words), and no bit lies past width.
-// Decoders check it before trusting payload bits, because level() and the
-// merge kernels read counter extents straight off them.
-func validMergeBits(words []uint64, width int, maxLvl uint) bool {
-	// levels[ℓ] marks the slots holding level-ℓ bits: slot b+2^(ℓ−1)−1 of
-	// every 2^ℓ-aligned block b, which is laneTopMask(2^ℓ) moved down half
-	// a block.
-	var levels [8]uint64
-	for l := uint(2); l <= maxLvl; l++ {
-		levels[l] = laneTopMask(1<<l) >> (1 << (l - 1))
-	}
-	last := laneTopMask(1 << maxLvl)
+// validMergeBits reports whether words, the simple encoding's merge bits
+// for width slots of s bits, describe a layout: a set level-ℓ bit (ℓ ≥ 2)
+// needs the level-(ℓ−1) bits of both its halves, no bit sits at the last
+// slot of a counter word (that would be a counter wider than 64 bits,
+// spanning two words), and no bit lies past width. Decoders check it before
+// trusting payload bits, because level() and the merge kernels read counter
+// extents straight off them.
+func validMergeBits(words []uint64, width int, s uint) bool {
+	g := laneGeomFor(s)
+	last := laneTopMask(g.lanes)
 	for _, w := range words {
 		if w&last != 0 {
 			return false
 		}
-		for l := uint(2); l <= maxLvl; l++ {
-			x, d := w&levels[l], uint(1)<<(l-2)
+		for l := uint(2); l <= g.maxLvl; l++ {
+			x, d := w&g.levels[l], uint(1)<<(l-2)
 			if (x>>d|x<<d)&^w != 0 {
 				return false
 			}

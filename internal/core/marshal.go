@@ -228,7 +228,7 @@ func UnmarshalSalsa(data []byte) (*Salsa, error) {
 	}
 	fillWords(c.words, counters)
 	fillWords(layWords, lay)
-	if c.blWords != nil && !validMergeBits(c.blWords, width, c.maxLvl) {
+	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
 		return nil, ErrBadPayload
 	}
 	return c, nil
@@ -351,7 +351,7 @@ func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
 	}
 	fillWords(c.words, counters)
 	fillWords(layWords, lay)
-	if c.blWords != nil && !validMergeBits(c.blWords, width, c.maxLvl) {
+	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
 		return nil, ErrBadPayload
 	}
 	return c, nil

@@ -3,16 +3,18 @@ package core
 import "math/bits"
 
 // Word-parallel (SWAR) merge kernels. MergeFrom/SubtractFrom are the backbone
-// of the sliding-window rotation and the sharded snapshot paths, and the
-// per-counter loops in fixed.go/signmag.go/salsa.go pay a bit-extraction and
-// (for SALSA) a layout probe per counter. The kernels below instead combine
-// one full 64-bit word of counters per step — 64/bits lanes at a time — and
-// only drop to the per-counter path for the rare words where a lane
-// saturates, clamps, or (for SALSA) overflows its counter and must trigger
-// the same level-raise the per-counter path performs. The fallbacks replay
-// the per-counter semantics exactly, so a kernel merge is byte-for-byte
-// identical to the scalar merge it replaces (the equivalence is pinned by
-// TestSWARKernelEquivalence and FuzzMergeKernels).
+// of the sliding-window rotation, the sharded snapshot paths and salsad's
+// folds and delta cuts, and the per-counter loops in fixed.go/signmag.go/
+// salsa.go pay a bit-extraction and (for SALSA) a layout probe per counter.
+// The kernels below instead combine one full 64-bit word of counters per
+// step — 64/bits lanes at a time. Sum-merge SALSA words whose two layouts
+// differ are first widened to the union layout, and counters that overflow
+// join their siblings inside the word. Only the rare words where a lane
+// saturates or clamps, where a same-layout SALSA counter overflows, where a
+// 64-bit SALSA counter saturates, or where max-merge layouts differ drop to
+// the per-counter path, which replays its semantics exactly. A kernel
+// merge is byte-for-byte identical to the scalar merge it replaces (the
+// equivalence is pinned by TestSWARKernelEquivalence and FuzzMergeKernels).
 //
 // Lane layout: every Fixed/FixedSign/Salsa/SalsaSign counter is self-aligned
 // with a power-of-two bit size ≤ 64, so counters never straddle words and a
@@ -191,32 +193,39 @@ func pendHitsCounterTop(pend, mw uint64, s uint) bool {
 }
 
 // laneGeom holds, for one base counter size s, the masks the SALSA word
-// kernels use to move between a counter word's L = 64/s merge bits (a lane
-// layout: bit q is lane q's merge bit) and the word's own bits.
+// kernels use. A counter word's L = 64/s merge bits form its lane layout
+// (bit q is lane q's merge bit). The kernels also spread a lane layout over
+// the word's own bits, lane q's merge bit moving to bit q·s, the lane's
+// lowest bit, where the blocks of every level line up with the counter
+// fields they join.
 type laneGeom struct {
-	s, lanes, maxLvl uint
-	lmask            uint64    // the low L bits
-	hi               uint64    // every lane's top bit
-	levels           [7]uint64 // levels[ℓ]: the lanes holding level-ℓ merge bits
-	spread           [6]uint64 // spreadLanes' masks, coarsest step first
+	s, logS, lanes, maxLvl uint
+	lmask                  uint64      // the low L bits
+	hi                     uint64      // every lane's top bit
+	levels                 [7]uint64   // levels[ℓ]: the bits holding level-ℓ merge bits
+	spreadLevels           [7]uint64   // levels[ℓ] of one word's lanes, spread
+	spreadTab              [256]uint64 // spreadTab[x]: lanes 0–7 of x, spread
 }
 
 // laneGeoms is indexed by log2(s).
 var laneGeoms = func() (gs [6]laneGeom) {
 	for i := range gs {
 		g := &gs[i]
-		g.s = 1 << i
+		g.s, g.logS = 1<<i, uint(i)
 		g.lanes = 64 / g.s
 		g.maxLvl = uint(bits.TrailingZeros(g.lanes))
 		g.lmask = laneBitsMask(g.lanes)
 		g.hi = laneTopMask(g.s)
-		for l := uint(1); l <= g.maxLvl; l++ {
-			g.levels[l] = laneTopMask(1<<l) >> (1 << (l - 1)) & g.lmask
-		}
-		for k, c := 0, g.lanes/2; c > 0; k, c = k+1, c/2 {
-			for off := uint(0); off < 64; off += c * g.s {
-				g.spread[k] |= laneBitsMask(c) << off
+		for x := range g.spreadTab {
+			for q := uint(0); q < 8 && q < g.lanes; q++ {
+				g.spreadTab[x] |= uint64(x) >> q & 1 << (q * g.s)
 			}
+		}
+		for l := uint(1); l <= g.maxLvl; l++ {
+			// Slot b+2^(ℓ−1)−1 of every 2^ℓ-aligned block b: the top bit of
+			// each 2^ℓ-bit lane, moved down half a lane.
+			g.levels[l] = laneTopMask(1<<l) >> (1 << (l - 1))
+			g.spreadLevels[l] = g.spreadLanes(g.levels[l] & g.lmask)
 		}
 	}
 	return gs
@@ -224,36 +233,36 @@ var laneGeoms = func() (gs [6]laneGeom) {
 
 func laneGeomFor(s uint) *laneGeom { return &laneGeoms[bits.TrailingZeros(s)] }
 
-// spreadLanes moves lane bit q of x to bit q·s, the lane's lowest bit,
-// halving the distance between groups of lanes at each step.
+// spreadLanes moves lane bit q of the lane layout x to bit q·s.
 func (g *laneGeom) spreadLanes(x uint64) uint64 {
 	if g.s == 1 {
 		return x
 	}
-	for k, c := 0, g.lanes/2; c > 0; k, c = k+1, c/2 {
-		x = (x | x<<(c*(g.s-1))) & g.spread[k]
+	r := g.spreadTab[x&0xff]
+	for k := uint(8); k < g.lanes; k += 8 {
+		r |= g.spreadTab[x>>k&0xff] << (k << g.logS & 63)
 	}
-	return x
+	return r
 }
 
-// tops returns the top bit of every counter of lane layout u: the lane tops
-// whose merge bit is clear.
-func (g *laneGeom) tops(u uint64) uint64 { return g.spreadLanes(^u&g.lmask) << (g.s - 1) }
+// tops returns the top bit of every counter of the spread layout su: the
+// lane tops whose merge bit is clear.
+func (g *laneGeom) tops(su uint64) uint64 { return g.hi &^ (su << (g.s - 1)) }
 
-// widen re-encodes counter word x from lane layout from to the layout
-// to ⊇ from. Level by level, every block that to joins and from does not
-// gets the sum of its two half-fields in the doubled field; each half is
-// below 2^h, so the sum fits and widening never overflows.
+// widen re-encodes counter word x from spread layout from to the spread
+// layout to ⊇ from. Level by level, every block that to joins and from does
+// not gets the sum of its two half-fields in the doubled field; each half
+// is below 2^h, so the sum fits and widening never overflows.
 func (g *laneGeom) widen(x, from, to uint64) uint64 {
 	join := to &^ from
 	for l := uint(1); l <= g.maxLvl && join != 0; l++ {
-		j := join & g.levels[l]
+		j := join & g.spreadLevels[l]
 		if j == 0 {
 			continue
 		}
 		join &^= j
-		h := g.s << (l - 1)
-		st := g.spreadLanes(j) >> (h - g.s) // each joined block's lowest bit
+		h := g.s << (l - 1) & 63
+		st := j >> (h - g.s) // each joined block's lowest bit
 		lo := st<<h - st
 		x = x&^(lo|lo<<h) | (x&lo + x>>h&lo)
 	}
@@ -358,10 +367,12 @@ func (c *Salsa) mergeFast(other *Salsa) bool {
 // false, leaving c untouched, when a 64-bit counter would saturate.
 func (c *Salsa) mergeWordWiden(g *laneGeom, w int, b, mw, ow uint64) bool {
 	u := mw | ow
-	a := g.widen(c.words[w], mw, u)
-	b = g.widen(b, ow, u)
+	sm, so := g.spreadLanes(mw), g.spreadLanes(ow)
+	su := sm | so
+	a := g.widen(c.words[w], sm, su)
+	b = g.widen(b, so, su)
 	for {
-		top := g.tops(u)
+		top := g.tops(su)
 		low := a&^top + b&^top
 		carry := (a&b | low&(a^b)) & top
 		if carry == 0 {
@@ -370,7 +381,7 @@ func (c *Salsa) mergeWordWiden(g *laneGeom, w int, b, mw, ow uint64) bool {
 		}
 		nu := u
 		for t := carry; t != 0; t &= t - 1 {
-			q := uint(bits.TrailingZeros64(t)) / g.s
+			q := uint(bits.TrailingZeros64(t)) >> g.logS
 			n := counterLanes(u, q)
 			if n == g.lanes {
 				return false
@@ -378,8 +389,9 @@ func (c *Salsa) mergeWordWiden(g *laneGeom, w int, b, mw, ow uint64) bool {
 			n <<= 1 // the parent block: set all its interior merge bits
 			nu |= laneBitsMask(n-1) << ((q + 1 - n/2) &^ (n - 1))
 		}
-		a, b = g.widen(a, u, nu), g.widen(b, u, nu)
-		u = nu
+		snu := g.spreadLanes(nu)
+		a, b = g.widen(a, su, snu), g.widen(b, su, snu)
+		u, su = nu, snu
 	}
 	setMergeBits(c.blWords, w, g.lanes, u)
 	c.merges += uint64(bits.OnesCount64(u) - bits.OnesCount64(mw))
@@ -451,15 +463,17 @@ func (c *Salsa) subtractFast(other *Salsa) bool {
 // odometer adds the blocks joined.
 func (c *Salsa) subtractWordWiden(g *laneGeom, w int, b, mw, ow uint64) {
 	u := mw | ow
-	a := g.widen(c.words[w], mw, u)
-	b = g.widen(b, ow, u)
-	top := g.tops(u)
+	sm, so := g.spreadLanes(mw), g.spreadLanes(ow)
+	su := sm | so
+	a := g.widen(c.words[w], sm, su)
+	b = g.widen(b, so, su)
+	top := g.tops(su)
 	low := (a | top) - b&^top
 	d := low ^ (a^^b)&top
 	for t := (^a&b | ^(a^b)&^low) & top; t != 0; t &= t - 1 {
-		q := uint(bits.TrailingZeros64(t)) / g.s
+		q := uint(bits.TrailingZeros64(t)) >> g.logS
 		n := counterLanes(u, q)
-		d &^= maxValue(n*g.s) << ((q + 1 - n) * g.s)
+		d &^= maxValue(n<<g.logS) << ((q + 1 - n) << g.logS)
 	}
 	c.words[w] = d
 	setMergeBits(c.blWords, w, g.lanes, u)

@@ -113,7 +113,11 @@ func (c *Salsa) Policy() MergePolicy { return c.policy }
 // encoding overhead.
 func (c *Salsa) SizeBits() int { return c.width*int(c.s) + c.lay.overheadBits() }
 
-// Merges returns the number of merge operations performed so far.
+// Merges returns the number of merge operations performed so far. It is
+// not serialized and depends on the path that built the layout: a raise on
+// the per-counter path counts once however many blocks it joins, while a
+// word MergeFrom or SubtractFrom widens to a union layout counts every
+// block joined.
 func (c *Salsa) Merges() uint64 { return c.merges }
 
 // Level returns the merge level of the counter containing base slot i
@@ -394,9 +398,9 @@ func (c *Salsa) raiseTo(i int, target uint) {
 // s(A∪B) (§V, "Merging and Subtracting SALSA Sketches"): the layout becomes
 // the union of both layouts and values are combined with the policy's
 // semantics, triggering further merges on overflow. For simple-encoding
-// rows the merge runs word-parallel, one 64-bit add per counter word whose
-// layouts agree (the steady-state window-rotation and shard-snapshot case;
-// see merge.go); compact-encoding rows walk counters as before.
+// rows the merge runs word-parallel, one 64-bit add per counter word, after
+// widening sum-merge words whose layouts differ to their union (see
+// merge.go); compact-encoding rows walk counters.
 func (c *Salsa) MergeFrom(other *Salsa) {
 	c.checkGeometry(other)
 	if c.mergeFast(other) {
@@ -406,7 +410,7 @@ func (c *Salsa) MergeFrom(other *Salsa) {
 }
 
 // mergeFromGeneric is the layout-unifying reference merge; mergeFast must
-// stay byte-for-byte equivalent to it when the layouts already match.
+// stay byte-for-byte equivalent to it.
 func (c *Salsa) mergeFromGeneric(other *Salsa) {
 	other.Counters(func(start int, lvl uint, val uint64) bool {
 		if c.lay.level(start) < lvl {
@@ -428,8 +432,9 @@ func (c *Salsa) mergeFromGeneric(other *Salsa) {
 }
 
 // SubtractFrom subtracts other from c counter-wise, clamping at zero,
-// producing s(A\B) for Strict Turnstile CMS rows where B ⊆ A. Word-parallel
-// when the layouts are bit-identical, like MergeFrom.
+// producing s(A\B) for Strict Turnstile CMS rows where B ⊆ A. The layout
+// becomes the union of both layouts. Simple-encoding rows subtract one
+// counter word at a time, like MergeFrom.
 func (c *Salsa) SubtractFrom(other *Salsa) {
 	if c.policy != SumMerge {
 		panic("core: subtraction requires SumMerge")
