@@ -202,8 +202,8 @@ type laneGeom struct {
 	s, logS, lanes, maxLvl uint
 	lmask                  uint64      // the low L bits
 	hi                     uint64      // every lane's top bit
-	levels                 [7]uint64   // levels[ℓ]: the bits holding level-ℓ merge bits
-	spreadLevels           [7]uint64   // levels[ℓ] of one word's lanes, spread
+	levels                 [7]uint64   // levels[ℓ]: where a merge-bit word holds level-ℓ bits
+	spreadLevels           [7]uint64   // levels[ℓ] of one counter word's lanes, spread
 	spreadTab              [256]uint64 // spreadTab[x]: lanes 0–7 of x, spread
 }
 
