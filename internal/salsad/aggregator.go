@@ -292,11 +292,11 @@ func (a *Aggregator) MaybePersist() (bool, error) {
 func (a *Aggregator) MaxEnvelopeBytes() int { return a.maxEnvelope }
 
 // MaxFrameBytes returns the largest well-formed wire frame the aggregator
-// accepts: the envelope cap (compression never has to shrink the payload
-// for the frame to be valid, so the bound is conservative) plus the frame
-// overhead. HTTP servers use it to size http.MaxBytesReader.
+// accepts: the frame overhead plus the longest compressed form of an
+// envelope at the cap, which can exceed the envelope itself. HTTP servers
+// use it to size http.MaxBytesReader.
 func (a *Aggregator) MaxFrameBytes() int64 {
-	return int64(a.maxEnvelope) + maxFrameOverhead
+	return maxFrameOverhead + int64(maxCodedLen(a.maxEnvelope))
 }
 
 // ApplyPush applies one decoded push frame and returns the ack the agent

@@ -75,7 +75,20 @@ const (
 	// envelope: fixed header (incl. the optional relay depth byte) plus
 	// maximal agent id and candidate list.
 	maxFrameOverhead = 4 + 1 + 1 + 1 + 2 + MaxAgentIDLen + 8*3 + 2 + 8*MaxPushCandidates + 4 + 4
+
+	// maxBlockBytes is the most input one deflate block holds.
+	maxBlockBytes = 65535
 )
+
+// maxCodedLen bounds the compressed form of an n-byte envelope. The flate
+// writer codes each block of up to maxBlockBytes input bytes, and a block
+// it codes is never longer than the same bytes stored: 5 bytes of header
+// plus up to 2 bits of alignment. The stream ends with an empty final
+// block. So every block, the final one included, costs at most 6 bytes
+// over its input.
+func maxCodedLen(n int) int {
+	return n + 6*(n/maxBlockBytes+2)
+}
 
 // A ConfigError reports an AgentConfig or AggregatorConfig field the
 // constructors reject.
