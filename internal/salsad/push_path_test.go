@@ -2,7 +2,6 @@ package salsad
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
 	"encoding/binary"
 	"testing"
@@ -76,7 +75,7 @@ func (t *ackTransport) Resume(context.Context, string) (*ResumeInfo, error) {
 	return &ResumeInfo{}, nil
 }
 
-// allocsPerRun runs op once, so pooled compressors and lazily built
+// allocsPerRun runs op once, so pooled encoders and lazily built
 // buffers exist, then returns what its steady state allocates per run.
 func allocsPerRun(t *testing.T, op func()) float64 {
 	t.Helper()
@@ -127,10 +126,11 @@ func TestZeroAllocPushOnceBudget(t *testing.T) {
 	}
 }
 
-// TestEncodeMatchesFreshWriter pins the pooled compressor to the stream a
-// new flate.NewWriter(flate.BestSpeed) writes, for an agent's frozen
-// frames of growing size and for fresh encodes between them, so every
-// encode after the first reuses a pooled writer.
+// TestEncodeMatchesFreshWriter pins the pooled encoder to the stream a new
+// flate.NewWriter(flate.HuffmanOnly) writes over the sections splitBytes
+// gives, for an agent's frozen frames of growing size and for fresh
+// encodes between them, so every encode after the first reuses a pooled
+// writer.
 func TestEncodeMatchesFreshWriter(t *testing.T) {
 	check := func(p *Push) {
 		t.Helper()
@@ -141,20 +141,12 @@ func TestEncodeMatchesFreshWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ref bytes.Buffer
-		fw, err := flate.NewWriter(&ref, flate.BestSpeed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fw.Write(p.Envelope); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
+		runs, lits := splitBytes(p.Envelope)
+		ref := huffmanSections(t, runs, lits)
 		head := p.headerLen()
-		if !bytes.Equal(enc[head:], ref.Bytes()) || binary.LittleEndian.Uint32(enc[head-4:]) != uint32(ref.Len()) {
-			t.Fatalf("%s seq %d: the pooled compressor's stream differs from a new writer's", p.Agent, p.Seq)
+		if !bytes.Equal(enc[head:], ref) || binary.LittleEndian.Uint32(enc[head-8:]) != uint32(len(runs)) ||
+			binary.LittleEndian.Uint32(enc[head-4:]) != uint32(len(ref)) {
+			t.Fatalf("%s seq %d: the pooled encoder's stream differs from a new writer's", p.Agent, p.Seq)
 		}
 	}
 	ag := newFaninAgent(t, &ackTransport{check: check})

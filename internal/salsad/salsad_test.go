@@ -158,7 +158,7 @@ func TestDecodePushMalformed(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrBadFrame", name, err)
 		}
 	}
-	// Corrupt compressed body: flip a byte inside the deflate stream.
+	// Corrupt coded body: flip a byte inside the deflate stream.
 	corrupt := append([]byte{}, valid...)
 	corrupt[len(corrupt)-1] ^= 0xff
 	if _, err := DecodePush(corrupt, 0); !errors.Is(err, ErrBadFrame) {
@@ -166,9 +166,9 @@ func TestDecodePushMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodePushTooLarge pins satellite 1's contract: the declared
+// TestDecodePushTooLarge pins the size contract: the declared
 // envelope length is checked against the cap and reported as a typed
-// *TooLargeError before any decompression happens.
+// *TooLargeError before any decoding happens.
 func TestDecodePushTooLarge(t *testing.T) {
 	env := envelopeFor(t, 1, 2, 3)
 	enc, err := (&Push{Agent: "a", Gen: 1, Seq: 1, Envelope: env}).Encode()
@@ -185,7 +185,7 @@ func TestDecodePushTooLarge(t *testing.T) {
 	// A frame lying about its length (huge declared rawLen, no actual
 	// payload) must be caught from the declared value alone.
 	lie := append([]byte{}, enc...)
-	// rawLen field sits 8 bytes before the compressed body; find it by
+	// rawLen field sits 12 bytes before the coded body; find it by
 	// reconstructing the offset: header(4+1+1) + idlen(2)+id + 24 + cand(2).
 	off := 4 + 1 + 1 + 2 + 1 + 24 + 2
 	binary.LittleEndian.PutUint32(lie[off:], 1<<30)
@@ -358,7 +358,7 @@ func TestAggregatorRejectsIncompatible(t *testing.T) {
 	if _, err := a.ApplyPush(&Push{Agent: "x", Gen: 1, Seq: 1, Envelope: []byte("junk")}); err == nil {
 		t.Fatal("junk envelope accepted")
 	}
-	// Oversized (decompressed) envelope → typed error.
+	// Oversized (decoded) envelope → typed error.
 	small := newTestAggregator(t, AggregatorConfig{MaxEnvelopeBytes: 16})
 	var tle *TooLargeError
 	if _, err := small.ApplyPush(&Push{Agent: "x", Gen: 1, Seq: 1, Envelope: envelopeFor(t, 1)}); !errors.As(err, &tle) {

@@ -20,11 +20,13 @@
 // that stopped reporting.
 //
 // The wire format is a small binary frame (magic, version, flags, ids,
-// candidates) around a flate-compressed universal envelope, so the bytes
-// on the wire track how much changed, not how wide the sketch is. The
-// decode path is hardened: every length is bounded before any allocation
-// or decompression, and an oversized envelope is reported as a typed
-// *TooLargeError before salsa.Unmarshal ever sees the body.
+// candidates) around a coded universal envelope. A delta envelope is
+// mostly zero bytes, and the codec sends only its nonzero bytes and the
+// run lengths that place them, so the bytes on the wire track how much
+// changed, not how wide the sketch is. The decode path is hardened: every
+// length is bounded before any allocation or decoding, and an oversized
+// envelope is reported as a typed *TooLargeError before salsa.Unmarshal
+// ever sees the body.
 //
 // internal/faulttest proves the design: a seeded deterministic transport
 // injects drops, duplicates, reorders, delays, partitions, and
@@ -41,12 +43,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 )
 
 const (
 	frameMagic   uint32 = 0x44534c53 // "SLSD" little-endian
-	frameVersion byte   = 1
+	frameVersion byte   = 2
 
 	// FlagFull marks a full-state snapshot: the envelope is the agent's
 	// complete history and replaces every prior contribution stored for
@@ -68,26 +71,36 @@ const (
 	// push may carry.
 	MaxPushCandidates = 512
 	// DefaultMaxEnvelopeBytes is the aggregator's default cap on the
-	// decompressed envelope carried by one push.
+	// decoded envelope carried by one push.
 	DefaultMaxEnvelopeBytes = 8 << 20
 
-	// maxFrameOverhead bounds the frame bytes around the compressed
-	// envelope: fixed header (incl. the optional relay depth byte) plus
-	// maximal agent id and candidate list.
-	maxFrameOverhead = 4 + 1 + 1 + 1 + 2 + MaxAgentIDLen + 8*3 + 2 + 8*MaxPushCandidates + 4 + 4
+	// maxFrameOverhead bounds the frame bytes around the coded envelope:
+	// fixed header (incl. the optional relay depth byte) plus maximal
+	// agent id and candidate list.
+	maxFrameOverhead = 4 + 1 + 1 + 1 + 2 + MaxAgentIDLen + 8*3 + 2 + 8*MaxPushCandidates + 4 + 4 + 4
 
 	// maxBlockBytes is the most input one deflate block holds.
 	maxBlockBytes = 65535
 )
 
-// maxCodedLen bounds the compressed form of an n-byte envelope. The flate
-// writer codes each block of up to maxBlockBytes input bytes, and a block
-// it codes is never longer than the same bytes stored: 5 bytes of header
-// plus up to 2 bits of alignment. The stream ends with an empty final
-// block. So every block, the final one included, costs at most 6 bytes
-// over its input.
+// maxRunsLen bounds the run section of an n-byte envelope: every run
+// length or zero count costs at most as many bytes as it counts, and only
+// the first and last zero counts can be zero, at one byte each.
+func maxRunsLen(n int) int { return n + 2 }
+
+// maxCodedLen bounds the coded sections of an n-byte envelope. The
+// sections hold at most (3n+5)/2 bytes: an envelope of single nonzero
+// bytes between single zeros spends one literal and two one-byte counts
+// on every two bytes, and 2.5 bytes more when it starts and ends with a
+// literal; longer runs cost less per byte. The flate writer codes each
+// section in blocks of at most maxBlockBytes, and a block it codes is
+// never longer than the same bytes stored: 5 bytes of header plus up to
+// 2 bits of alignment. Counting the flush marker between the sections and
+// the empty final block, that is at most s/maxBlockBytes+4 blocks, each
+// at most 6 bytes over its contents.
 func maxCodedLen(n int) int {
-	return n + 6*(n/maxBlockBytes+2)
+	s := (3*n + 5) / 2
+	return s + 6*(s/maxBlockBytes+4)
 }
 
 // A ConfigError reports an AgentConfig or AggregatorConfig field the
@@ -105,9 +118,9 @@ func (e *ConfigError) Error() string { return "salsad: " + e.Reason }
 // push frame.
 var ErrBadFrame = errors.New("salsad: malformed push frame")
 
-// A TooLargeError reports a push whose (decompressed) envelope exceeds the
+// A TooLargeError reports a push whose (decoded) envelope exceeds the
 // aggregator's configured cap. It is produced from the frame's declared
-// length, before any envelope allocation, decompression, or decoding.
+// length, before any envelope allocation or decoding.
 type TooLargeError struct {
 	// Size is the length the frame declared or presented.
 	Size int
@@ -145,8 +158,8 @@ type Push struct {
 	// the aggregator evaluates its candidate pool against the merged
 	// sketch to answer top-k queries.
 	Candidates []uint64
-	// Envelope is the uncompressed universal sketch envelope (nil for
-	// heartbeats). It travels flate-compressed.
+	// Envelope is the universal sketch envelope (nil for heartbeats). It
+	// travels coded as run lengths and nonzero bytes.
 	Envelope []byte
 
 	// wire is the frame's encoding once freeze has run; self is then the
@@ -165,7 +178,7 @@ func (p *Push) Full() bool { return p.Flags&FlagFull != 0 }
 // Relay reports whether the frame was pushed by a relay tier.
 func (p *Push) Relay() bool { return p.Flags&FlagRelay != 0 }
 
-// Encode serializes the frame, compressing the envelope. Frames are
+// Encode serializes the frame, coding the envelope. Frames are
 // deterministic: encoding the same Push yields the same bytes, which is
 // what makes retried frames byte-identical on the wire.
 //
@@ -190,10 +203,9 @@ func (p *Push) freeze() error {
 	return nil
 }
 
-// headerLen is the encoded length of the frame up to its compressed
-// envelope.
+// headerLen is the encoded length of the frame up to its coded envelope.
 func (p *Push) headerLen() int {
-	n := 4 + 1 + 1 + 2 + len(p.Agent) + 3*8 + 2 + 8*len(p.Candidates) + 4 + 4
+	n := 4 + 1 + 1 + 2 + len(p.Agent) + 3*8 + 2 + 8*len(p.Candidates) + 4 + 4 + 4
 	if p.Relay() {
 		n++
 	}
@@ -213,16 +225,17 @@ func (p *Push) encode() ([]byte, error) {
 	if p.Depth != 0 && !p.Relay() {
 		return nil, fmt.Errorf("salsad: depth %d on a non-relay frame: %w", p.Depth, ErrBadFrame)
 	}
-	var comp []byte
+	var coded []byte
+	runsLen := 0
 	if len(p.Envelope) > 0 {
-		c := compressors.Get().(*compressor)
-		defer compressors.Put(c)
+		e := encoders.Get().(*encoder)
+		defer encoders.Put(e)
 		var err error
-		if comp, err = c.compress(p.Envelope); err != nil {
+		if coded, runsLen, err = e.encode(p.Envelope); err != nil {
 			return nil, err
 		}
 	}
-	buf := make([]byte, 0, p.headerLen()+len(comp))
+	buf := make([]byte, 0, p.headerLen()+len(coded))
 	buf = binary.LittleEndian.AppendUint32(buf, frameMagic)
 	buf = append(buf, frameVersion, p.Flags)
 	if p.Relay() {
@@ -238,77 +251,222 @@ func (p *Push) encode() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, c)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Envelope)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(comp)))
-	return append(buf, comp...), nil
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(runsLen))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(coded)))
+	return append(buf, coded...), nil
 }
 
-// compressor is a BestSpeed flate writer kept for reuse with its output
-// buffer. A new writer allocates over a megabyte; a reset one has dropped
-// its whole match history, so it writes exactly the bytes a new one would.
-type compressor struct {
-	fw  *flate.Writer
-	out bytes.Buffer
+// The envelope codec. SALSA keeps counters small and a delta holds only
+// what changed, so a delta envelope is mostly zero bytes. The codec splits
+// an envelope into two sections:
+//
+//	runs      uvarints z₀ r₁ z₁ … rₖ zₖ: z₀ zero bytes, then r₁ nonzero
+//	          bytes, then z₁ zero bytes, and so on to the envelope's end
+//	literals  the nonzero bytes, in order
+//
+// flate at HuffmanOnly codes each section in blocks of its own, so each
+// gets its own Huffman table and run lengths do not compete with counter
+// bytes for short codes. The frame declares the envelope's length and the
+// run section's; the literals' length follows from the runs.
+
+// encoder codes envelopes with a HuffmanOnly flate writer and section
+// buffers kept for reuse. A reset writer carries nothing over from its
+// last stream, since it builds a table per block, so it writes exactly the
+// bytes a new one would.
+type encoder struct {
+	fw         *flate.Writer
+	out        bytes.Buffer
+	runs, lits []byte
 }
 
-var compressors = sync.Pool{New: func() any {
-	c := new(compressor)
-	c.fw, _ = flate.NewWriter(&c.out, flate.BestSpeed) // errors only on an invalid level
-	return c
+var encoders = sync.Pool{New: func() any {
+	e := new(encoder)
+	e.fw, _ = flate.NewWriter(&e.out, flate.HuffmanOnly) // errors only on an invalid level
+	return e
 }}
 
-// compress returns the flate stream of data, held in c's buffer until c
-// is used again.
-func (c *compressor) compress(data []byte) ([]byte, error) {
-	c.out.Reset()
-	c.fw.Reset(&c.out)
-	if _, err := c.fw.Write(data); err != nil {
-		return nil, err
+// encode returns the coded sections of env and the length of its run
+// section. The coded bytes are held in e until it is used again.
+func (e *encoder) encode(env []byte) (coded []byte, runsLen int, err error) {
+	e.runs, e.lits = split(env, e.runs[:0], e.lits[:0])
+	e.out.Reset()
+	e.fw.Reset(&e.out)
+	if _, err := e.fw.Write(e.runs); err != nil {
+		return nil, 0, err
 	}
-	if err := c.fw.Close(); err != nil {
-		return nil, err
+	// Flush ends the run section's last block, so the literals start a
+	// block of their own.
+	if err := e.fw.Flush(); err != nil {
+		return nil, 0, err
 	}
-	return c.out.Bytes(), nil
+	if _, err := e.fw.Write(e.lits); err != nil {
+		return nil, 0, err
+	}
+	if err := e.fw.Close(); err != nil {
+		return nil, 0, err
+	}
+	return e.out.Bytes(), len(e.runs), nil
 }
 
-// decompressor is a flate reader kept for reuse with its source. Resetting
-// it clears every trace of the previous stream, including one a decode
-// error abandoned part-way.
-type decompressor struct {
-	src bytes.Reader
-	fr  io.ReadCloser
-	one [1]byte
+// split appends env's run section to runs and its nonzero bytes to lits.
+func split(env, runs, lits []byte) ([]byte, []byte) {
+	for i := 0; ; {
+		j := skipZeros(env, i)
+		runs = binary.AppendUvarint(runs, uint64(j-i))
+		if j == len(env) {
+			return runs, lits
+		}
+		i = nextZero(env, j)
+		runs = binary.AppendUvarint(runs, uint64(i-j))
+		lits = append(lits, env[j:i]...)
+	}
 }
 
-var decompressors = sync.Pool{New: func() any {
-	d := new(decompressor)
+// skipZeros returns the index of the first nonzero byte of b at or after
+// i, or len(b), reading eight bytes at a time.
+func skipZeros(b []byte, i int) int {
+	for ; i+8 <= len(b); i += 8 {
+		if w := binary.LittleEndian.Uint64(b[i : i+8]); w != 0 {
+			return i + bits.TrailingZeros64(w)/8
+		}
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	return i
+}
+
+// nextZero returns the index of the first zero byte of b at or after i, or
+// len(b), reading eight bytes at a time. The lowest zero byte of a word w
+// sets the lowest bit of (w − 0x01…01) &^ w & 0x80…80: the bytes below it
+// are nonzero and borrow nothing, and a borrow only marks bytes above it.
+func nextZero(b []byte, i int) int {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(b); i += 8 {
+		w := binary.LittleEndian.Uint64(b[i : i+8])
+		if m := (w - lo) &^ w & hi; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(b) && b[i] != 0 {
+		i++
+	}
+	return i
+}
+
+// decoder decodes coded sections with a flate reader and a run buffer kept
+// for reuse. Resetting the reader clears every trace of the previous
+// stream, including one a decode error abandoned part-way.
+type decoder struct {
+	src  bytes.Reader
+	fr   io.ReadCloser
+	runs []byte
+	one  [1]byte
+}
+
+var decoders = sync.Pool{New: func() any {
+	d := new(decoder)
 	d.fr = flate.NewReader(&d.src)
 	return d
 }}
 
-// inflate decompresses comp into an envelope of exactly rawLen bytes.
-func (d *decompressor) inflate(comp []byte, rawLen int) ([]byte, error) {
-	d.src.Reset(comp)
+// decode expands coded sections into an envelope of exactly rawLen bytes
+// whose run section is runsLen bytes long; the caller has bounded both.
+// The literals are read into the envelope's tail, then moved down to the
+// places the runs give them.
+func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
+	d.src.Reset(coded)
 	defer d.src.Reset(nil) // the pool must not keep the caller's frame alive
 	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, ErrBadFrame
 	}
+	if cap(d.runs) < runsLen {
+		d.runs = make([]byte, runsLen)
+	}
+	runs := d.runs[:runsLen]
+	if _, err := io.ReadFull(d.fr, runs); err != nil {
+		return nil, ErrBadFrame
+	}
+	nLits, ok := literalLen(runs, rawLen)
+	if !ok {
+		return nil, ErrBadFrame
+	}
 	env := make([]byte, rawLen)
-	if _, err := io.ReadFull(d.fr, env); err != nil {
+	tail := rawLen - nLits
+	if _, err := io.ReadFull(d.fr, env[tail:]); err != nil {
 		return nil, ErrBadFrame
 	}
-	// The stream must end exactly at the declared length.
-	if n, err := d.fr.Read(d.one[:]); n != 0 || err != io.EOF {
+	// The stream must end with the literals, and the frame with the stream.
+	if n, err := d.fr.Read(d.one[:]); n != 0 || err != io.EOF || d.src.Len() != 0 {
 		return nil, ErrBadFrame
 	}
+	expand(env, runs, tail)
 	return env, nil
+}
+
+// literalLen checks that runs covers exactly n bytes, ending with a zero
+// count, and returns how many of them are literals.
+func literalLen(runs []byte, n int) (int, bool) {
+	left, lits := uint64(n), 0
+	for i := 0; ; {
+		z, j := uvarint(runs, i)
+		if j <= i || z > left {
+			return 0, false
+		}
+		left -= z
+		if i = j; i == len(runs) {
+			return lits, left == 0
+		}
+		r, j := uvarint(runs, i)
+		if j <= i || r > left {
+			return 0, false
+		}
+		left -= r
+		lits += int(r)
+		i = j
+	}
+}
+
+// uvarint reads the uvarint at runs[i:] and returns it with the index
+// after it, or with an index no greater than i when there is none.
+func uvarint(runs []byte, i int) (uint64, int) {
+	if i < len(runs) && runs[i] < 0x80 {
+		return uint64(runs[i]), i + 1
+	}
+	v, k := binary.Uvarint(runs[i:])
+	return v, i + k
+}
+
+// expand moves the literals in env[tail:] down to the places a checked run
+// section gives them and zeroes what they leave behind; env below tail is
+// still zero. No move overwrites a literal still to be moved: a run lands
+// after the zeros before it, and the literals lie after all the zeros.
+func expand(env, runs []byte, tail int) {
+	pos, src := 0, tail
+	for i := 0; ; {
+		z, j := uvarint(runs, i)
+		if end := pos + int(z); end > tail {
+			clear(env[max(pos, tail):end])
+		}
+		pos += int(z)
+		if i = j; i == len(runs) {
+			return
+		}
+		r, j := uvarint(runs, i)
+		copy(env[pos:], env[src:src+int(r)])
+		pos += int(r)
+		src += int(r)
+		i = j
+	}
 }
 
 // DecodePush parses and validates a push frame. Every length is checked
 // against its bound before the corresponding allocation; a declared
 // envelope size over maxEnvelope returns a *TooLargeError without
-// decompressing a byte, so a hostile or corrupt push cannot balloon
-// memory. The decompressed envelope is verified to match the declared
-// length exactly. Decompression reuses pooled flate readers.
+// decoding a byte, so a hostile or corrupt push cannot balloon memory.
+// The runs must cover exactly the declared envelope, the literals must end
+// the coded stream, and the stream must end the frame. Decoding reuses
+// pooled flate readers and run buffers.
 func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 	if maxEnvelope <= 0 {
 		maxEnvelope = DefaultMaxEnvelopeBytes
@@ -351,29 +509,30 @@ func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 		}
 	}
 	rawLen := int(r.u32())
-	compLen := int(r.u32())
+	runsLen := int(r.u32())
+	codedLen := int(r.u32())
 	if r.err != nil {
 		return nil, ErrBadFrame
 	}
 	if rawLen > maxEnvelope {
 		return nil, &TooLargeError{Size: rawLen, Limit: maxEnvelope}
 	}
-	comp := r.take(compLen)
-	if comp == nil || r.pos != len(r.data) {
+	coded := r.take(codedLen)
+	if coded == nil || r.pos != len(r.data) {
 		return nil, ErrBadFrame
 	}
 	if rawLen == 0 {
-		if compLen != 0 || !p.Heartbeat() {
+		if runsLen != 0 || codedLen != 0 || !p.Heartbeat() {
 			return nil, ErrBadFrame
 		}
 		return p, nil
 	}
-	if p.Heartbeat() {
+	if p.Heartbeat() || runsLen > maxRunsLen(rawLen) || codedLen > maxCodedLen(rawLen) {
 		return nil, ErrBadFrame
 	}
-	d := decompressors.Get().(*decompressor)
-	env, err := d.inflate(comp, rawLen)
-	decompressors.Put(d)
+	d := decoders.Get().(*decoder)
+	env, err := d.decode(coded, rawLen, runsLen)
+	decoders.Put(d)
 	if err != nil {
 		return nil, err
 	}
