@@ -16,7 +16,7 @@ const fuzzMaxEnvelope = 1 << 20
 // decodes or fails with ErrBadFrame or a *TooLargeError, never a panic; an
 // accepted frame re-encodes (see checkReencode); and a fixed valid frame
 // still decodes to its envelope after every input, which shows that a
-// pooled reader abandoned mid-stream leaks nothing into the next decode.
+// pooled decoder abandoned mid-stream leaks nothing into the next decode.
 func FuzzDecodePush(f *testing.F) {
 	env := envelopeFor(f, 1, 2, 2, 3, 3, 3)
 	seeds := []*Push{
@@ -62,18 +62,19 @@ func FuzzDecodePush(f *testing.F) {
 }
 
 // checkReencode checks what an accepted frame's re-encoding keeps.
-// Everything before the compressed envelope is fixed by the decoded fields,
-// so it matches the input byte for byte. The deflate stream need not: the
-// decoder accepts any stream that inflates to the declared envelope,
-// trailing bytes included, while Encode writes the one BestSpeed produces.
-// So the re-encoding must decode to the same frame and re-encode to itself.
+// Everything before the section lengths is fixed by the decoded fields,
+// so it matches the input byte for byte. The sections need not: the
+// decoder accepts any runs that cover the declared envelope and any
+// deflate blocks that inflate to the sections, while Encode writes one
+// count per maximal run, coded with the tables HuffmanOnly builds. So the
+// re-encoding must decode to the same frame and re-encode to itself.
 func checkReencode(t *testing.T, p *Push, data []byte) {
 	t.Helper()
 	enc, err := p.Encode()
 	if err != nil {
 		t.Fatalf("accepted frame does not encode: %v", err)
 	}
-	if n := p.headerLen() - 4; !bytes.Equal(enc[:n], data[:n]) {
+	if n := p.headerLen() - 8; !bytes.Equal(enc[:n], data[:n]) {
 		t.Fatal("re-encoded header differs from the accepted one")
 	}
 	q, err := DecodePush(enc, fuzzMaxEnvelope)

@@ -242,6 +242,60 @@ func TestRelayDurableRestartRetriesFrozenFrame(t *testing.T) {
 	}
 }
 
+// TestRelayRejectsVersion1FrozenFrame pins the upgrade path: a durable
+// relay whose newest snapshot holds a frozen frame in wire version 1, as
+// the previous binary wrote it, rejects the frame on restart, burns its
+// generation and rebuilds the root through a FlagFull resync.
+func TestRelayRejectsVersion1FrozenFrame(t *testing.T) {
+	dir := t.TempDir()
+	root := newTestAggregator(t, AggregatorConfig{})
+	r, tr := newTestRelay(t, root, RelayConfig{Generation: 1, DataDir: dir, MaxAttempts: 1})
+	ctx := context.Background()
+	feedRelay(t, r, "e1", 1, 1, 1, 1, 2)
+	if err := r.PushOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The next frame is cut, persisted and lost on the uplink.
+	feedRelay(t, r, "e1", 1, 2, 3)
+	tr.failN = 99
+	if err := r.PushOnce(ctx); !errors.Is(err, ErrPushFailed) {
+		t.Fatalf("want ErrPushFailed, got %v", err)
+	}
+	r.currentFrame().wire[4] = 1 // the version byte
+	if _, err := r.Persist(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, _ := newTestRelay(t, root, RelayConfig{Generation: 1, DataDir: dir})
+	var se *SnapshotError
+	if err := r2.RestoreError(); !errors.As(err, &se) || !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("want a *SnapshotError wrapping ErrBadFrame, got %v", err)
+	}
+	if g := r2.Gen(); g != 0 {
+		t.Fatalf("gen = %d, want the resolve-fresh sentinel 0", g)
+	}
+	if err := r2.PushOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if g := r2.Gen(); g <= 1 {
+		t.Fatalf("rejoined under gen %d; the persisted generation was not burned", g)
+	}
+	want, err := r2.Agg().SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := root.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("root diverged after the version-1 frame was rejected")
+	}
+	if got := queryOne(t, root, 3); got != 1 {
+		t.Fatalf("root count(3) = %d, want 1 from the frame the old binary froze", got)
+	}
+}
+
 func TestRelayDistrustsSkippedSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	root := newTestAggregator(t, AggregatorConfig{})
