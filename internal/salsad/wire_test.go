@@ -25,9 +25,22 @@ func splitBytes(env []byte) (runs, lits []byte) {
 		if j == len(env) {
 			return runs, lits
 		}
-		for i = j; i < len(env) && env[i] != 0; i++ {
-			lits = append(lits, env[i])
+		// The literals end at minZeroRun zeros, or at zeros that end env.
+		i = j
+		for i < len(env) {
+			end := i
+			for end < len(env) && env[end] == 0 {
+				end++
+			}
+			if end > i && (end-i >= minZeroRun || end == len(env)) {
+				break
+			}
+			if end == i {
+				end++
+			}
+			i = end
 		}
+		lits = append(lits, env[j:i]...)
 		runs = binary.AppendUvarint(runs, uint64(i-j))
 	}
 }
@@ -87,7 +100,7 @@ func codecRoundTrip(t *testing.T, env []byte) {
 	if got, want := enc[p.headerLen():], huffmanSections(t, runs, lits); !bytes.Equal(got, want) {
 		t.Fatalf("coded sections differ from the reference split's (%d vs %d bytes)", len(got), len(want))
 	}
-	if len(runs) > maxRunsLen(len(env)) || len(runs)+len(lits) > (3*len(env)+5)/2 {
+	if len(runs) > maxRunsLen(len(env)) || len(runs)+len(lits) > maxSectionsLen(len(env)) {
 		t.Fatalf("%d-byte envelope: sections of %d+%d bytes exceed their bounds", len(env), len(runs), len(lits))
 	}
 	if n := len(enc) - p.headerLen(); n > maxCodedLen(len(env)) {
@@ -130,6 +143,7 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 		"no zeros":         noZeros,
 		"isolated zeros":   isolated,
 		"zero runs":        zeroRuns(1, 2, 7, 8, 9),
+		"literal zeros":    zeroRuns(3, 4, 3, 5, 1),
 		"zero runs 8k":     zeroRuns(8, 16, 24, 129, 16385),
 		"leading zeros":    append(make([]byte, 9), 1, 2, 3),
 		"trailing zeros":   append([]byte{1, 2, 3}, make([]byte, 9)...),
