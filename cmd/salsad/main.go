@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		// Aggregator/relay flags.
 		listen       = fs.String("listen", "127.0.0.1:0", "aggregator/relay listen address")
 		leaseTTL     = fs.Duration("lease", salsad.DefaultLeaseTTL, "agent liveness lease")
-		maxEnvelope  = fs.Int("maxenvelope", salsad.DefaultMaxEnvelopeBytes, "max decompressed envelope bytes per push")
+		maxEnvelope  = fs.Int("maxenvelope", salsad.DefaultMaxEnvelopeBytes, "max decoded envelope bytes per push")
 		dataDir      = fs.String("datadir", "", "snapshot directory; empty disables durability")
 		persistEvery = fs.Int("persistevery", salsad.DefaultSnapshotEvery, "persist after this many applied frames (needs -datadir)")
 

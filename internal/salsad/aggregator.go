@@ -19,7 +19,7 @@ type AggregatorConfig struct {
 	// LeaseTTL is how long after its last accepted contact an agent is
 	// still considered alive. Zero means DefaultLeaseTTL.
 	LeaseTTL time.Duration
-	// MaxEnvelopeBytes caps the decompressed envelope of one push; zero
+	// MaxEnvelopeBytes caps the decoded envelope of one push; zero
 	// means DefaultMaxEnvelopeBytes.
 	MaxEnvelopeBytes int
 	// MaxCandidates caps the aggregator's heavy-hitter candidate pool;
@@ -288,7 +288,7 @@ func (a *Aggregator) MaybePersist() (bool, error) {
 	return err == nil, err
 }
 
-// MaxEnvelopeBytes returns the configured decompressed-envelope cap.
+// MaxEnvelopeBytes returns the configured decoded-envelope cap.
 func (a *Aggregator) MaxEnvelopeBytes() int { return a.maxEnvelope }
 
 // MaxFrameBytes returns the largest well-formed wire frame the aggregator

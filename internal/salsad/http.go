@@ -26,7 +26,7 @@ import (
 // The push decode path is bounded end to end before salsa.Unmarshal ever
 // sees a byte: http.MaxBytesReader caps the request body at the frame
 // bound, and DecodePush checks the declared envelope size against the
-// configured cap (typed *TooLargeError → 413) before decompressing.
+// configured cap (typed *TooLargeError → 413) before decoding.
 
 // Handler returns the aggregator's HTTP surface.
 func Handler(a *Aggregator) http.Handler {

@@ -92,12 +92,15 @@ const (
 func maxRunsLen(n int) int { return n + 2 }
 
 // maxSectionsLen bounds the two sections of an n-byte envelope together.
-// A count of x costs at most 1 + x/128 bytes. With k literal runs there
-// are 2k+1 counts, and the k−1 zero runs between literal runs hold at
-// least minZeroRun ≥ 2 zeros each, so 2k+1 is at most the zero count
-// plus 3. The literals plus 2k+1 counts are therefore at most n+3, and
-// the counts' 1/128 shares at most n/128.
+// A count of x costs at most 1 + x/128 bytes, and the counts add up to n.
+// With k literal runs there are 2k+1 counts, and the k−1 zero runs
+// between literal runs hold at least minZeroRun ≥ 2 zeros each, so 2k+1
+// is at most the number of counted zeros plus 3. The sections therefore
+// hold at most the literals, the counted zeros plus 3, and n/128 bytes.
 func maxSectionsLen(n int) int { return n + n/128 + 3 }
+
+// maxSectionsLen holds only while minZeroRun ≥ 2.
+const _ uint = minZeroRun - 2
 
 // maxCodedLen bounds the coded sections of an n-byte envelope. The flate
 // writer codes each section in blocks of at most maxBlockBytes, and a
@@ -166,7 +169,8 @@ type Push struct {
 	// sketch to answer top-k queries.
 	Candidates []uint64
 	// Envelope is the universal sketch envelope (nil for heartbeats). It
-	// travels coded as run lengths and nonzero bytes.
+	// travels coded as the lengths of its zero runs and the bytes between
+	// them.
 	Envelope []byte
 
 	// wire is the frame's encoding once freeze has run; self is then the
@@ -281,9 +285,9 @@ func (p *Push) encode() ([]byte, error) {
 // literals. A counter merged to 16 bits whose value fits a byte leaves a
 // single zero; breaking the literals there costs two counts, two Huffman
 // symbols to decode and one more move into place, where the zero itself
-// costs one symbol. On dense frames this halves the decode time and
-// changes the coded size by a few percent either way; on sparse frames it
-// adds about 6% to sections that are already small.
+// costs one symbol. Dense frames are full of such zeros, and counting
+// them would make those frames slower to decode for about the same coded
+// size.
 
 // encoder codes envelopes with a HuffmanOnly flate writer and section
 // buffers kept for reuse. A reset writer carries nothing over from its
@@ -469,8 +473,10 @@ func uvarint(runs []byte, i int) (uint64, int) {
 
 // expand moves the literals in env[tail:] down to the places a checked run
 // section gives them and zeroes what they leave behind; env below tail is
-// still zero. No move overwrites a literal still to be moved: a run lands
-// after the zeros before it, and the literals lie after all the zeros.
+// still zero. A literal run lands after the counted zeros before it and
+// the literals before it, and is read from after all the counted zeros
+// and the same literals, so no move goes up or overwrites a literal still
+// to be moved.
 func expand(env, runs []byte, tail int) {
 	pos, src := 0, tail
 	for i := 0; ; {

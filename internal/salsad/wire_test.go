@@ -314,7 +314,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.Run(c.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(p.Envelope)))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if _, err := p.Encode(); err != nil {
 					b.Fatal(err)
 				}
@@ -324,7 +324,7 @@ func BenchmarkFrameCodec(b *testing.B) {
 		b.Run(c.name+"/decode", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(p.Envelope)))
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if _, err := DecodePush(enc, 0); err != nil {
 					b.Fatal(err)
 				}
