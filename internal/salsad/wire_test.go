@@ -192,6 +192,13 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 	v1[4] = 1
 	heartbeat := frameOf(t, 0, 1, nil)
 	heartbeat[5] = FlagHeartbeat
+	// Runs that tile the envelope and a stream that inflates to the
+	// sections, each longer than its bound allows: empty flushes pad the
+	// stream.
+	padded := huffmanSections(t, append([][]byte{{1, 3, 1}}, append(make([][]byte, 10), lits)...)...)
+	if len(padded) <= maxCodedLen(5) {
+		t.Fatalf("padded stream of %d bytes is within the bound", len(padded))
+	}
 	cases := map[string][]byte{
 		"runs overrun":           frameOf(t, 4, 3, valid),
 		"runs underfill":         frameOf(t, 6, 3, valid),
@@ -200,8 +207,8 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 		"empty run section":      frameOf(t, 3, 0, coded(nil, lits)),
 		"truncated varint":       frameOf(t, 200, 3, coded([]byte{1, 0x80, 0x81}, nil)),
 		"overlong varint":        frameOf(t, 20, 11, coded(bytes.Repeat([]byte{0xff}, 11), nil)),
-		"run section over bound": frameOf(t, 5, maxRunsLen(5)+1, coded(append([]byte{1, 3, 1}, 0, 0, 0, 0), lits)),
-		"coded over bound":       frameOf(t, 5, 3, append(valid, make([]byte, maxCodedLen(5))...)),
+		"run section over bound": frameOf(t, 2, 7, coded([]byte{0, 0, 0, 0, 0, 0, 2}, nil)),
+		"coded over bound":       frameOf(t, 5, 3, padded),
 		"literals short":         frameOf(t, 5, 3, coded([]byte{1, 3, 1}, lits[:2])),
 		"literals long":          frameOf(t, 5, 3, coded([]byte{1, 3, 1}, append(lits, 9))),
 		"runs short":             frameOf(t, 5, 4, valid),
