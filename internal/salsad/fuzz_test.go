@@ -65,8 +65,8 @@ func FuzzDecodePush(f *testing.F) {
 // Everything before the section lengths is fixed by the decoded fields,
 // so it matches the input byte for byte. The sections need not: the
 // decoder accepts any runs that cover the declared envelope and any
-// deflate blocks that inflate to the sections, while Encode writes one
-// count per maximal run, coded with the tables HuffmanOnly builds. So the
+// deflate blocks that inflate to the sections, while Encode writes the
+// runs split chooses, coded with the tables HuffmanOnly builds. So the
 // re-encoding must decode to the same frame and re-encode to itself.
 func checkReencode(t *testing.T, p *Push, data []byte) {
 	t.Helper()
