@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"os"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,6 +39,41 @@ func newTestRelay(t *testing.T, root *Aggregator, cfg RelayConfig) (*Relay, *dir
 	r, err := NewRelay(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return r, tr
+}
+
+// senderRoles names the two roles that ship frames upstream.
+var senderRoles = []string{"agent", "relay"}
+
+// sender is the sending surface an Agent and a Relay share.
+type sender interface {
+	PushOnce(context.Context) error
+	Stats() AgentStats
+	backoff(n int) time.Duration
+}
+
+// newSender builds an agent or a relay (by role) over a directTransport
+// to root, with cfg's id and retry settings, holding items that have not
+// yet been shipped.
+func newSender(t *testing.T, role string, root *Aggregator, cfg AgentConfig, items ...uint64) (sender, *directTransport) {
+	t.Helper()
+	if role == "agent" {
+		tr := &directTransport{agg: root}
+		cfg.Transport = tr
+		ag := newTestAgent(t, cfg)
+		for _, x := range items {
+			ag.Ingest(x)
+		}
+		return ag, tr
+	}
+	r, tr := newTestRelay(t, root, RelayConfig{
+		ID: cfg.ID, Generation: 1,
+		MaxAttempts: cfg.MaxAttempts, BackoffBase: cfg.BackoffBase, BackoffCap: cfg.BackoffCap,
+		JitterSeed: cfg.JitterSeed, Sleep: cfg.Sleep,
+	})
+	if len(items) > 0 {
+		feedRelay(t, r, "e1", 1, 1, items...)
 	}
 	return r, tr
 }
@@ -404,19 +441,108 @@ func TestPushRelayDepthRoundTrip(t *testing.T) {
 }
 
 func TestAgentJitterSeedDeterminism(t *testing.T) {
-	schedule := func(seed uint64) []time.Duration {
+	schedule := func(role string, seed uint64) []time.Duration {
 		var out []time.Duration
-		ag := newTestAgent(t, AgentConfig{ID: "j", Transport: &directTransport{agg: newTestAggregator(t, AggregatorConfig{})}, JitterSeed: seed})
+		s, _ := newSender(t, role, newTestAggregator(t, AggregatorConfig{}), AgentConfig{ID: "j", JitterSeed: seed})
 		for i := 0; i < 8; i++ {
-			out = append(out, ag.backoff(i%3))
+			out = append(out, s.backoff(i%3))
 		}
 		return out
 	}
-	a, b := schedule(42), schedule(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded schedules diverged at %d: %v vs %v", i, a[i], b[i])
+	for _, role := range senderRoles {
+		t.Run(role, func(t *testing.T) {
+			a, b := schedule(role, 42), schedule(role, 42)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("seeded schedules diverged at %d: %v vs %v", i, a[i], b[i])
+				}
+			}
+		})
+	}
+	// Both roles draw the same schedule from the same seed and defaults.
+	if a, r := schedule("agent", 42), schedule("relay", 42); !slices.Equal(a, r) {
+		t.Fatalf("agent and relay schedules differ: %v vs %v", a, r)
+	}
+}
+
+// TestRelayPushesWhileApplying runs upstream pushes while downstream
+// frames land and persist after each one, and while a third goroutine
+// reads the relay's gauges: the concurrency the relay's lock exists for.
+func TestRelayPushesWhileApplying(t *testing.T) {
+	root := newTestAggregator(t, AggregatorConfig{})
+	r, _ := newTestRelay(t, root, RelayConfig{Generation: 1, DataDir: t.TempDir(), SnapshotEvery: 1})
+	const frames = 200
+	envs := make([][]byte, frames+1)
+	for seq := 1; seq <= frames; seq++ {
+		envs[seq] = envelopeFor(t, uint64(seq%17), uint64(seq%5))
+	}
+
+	applied := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(applied)
+		for seq := uint64(1); seq <= frames; seq++ {
+			ack, err := r.Agg().ApplyPush(&Push{Agent: "e1", Gen: 1, Seq: seq, Envelope: envs[seq]})
+			if err != nil || ack.Status != StatusApplied {
+				t.Errorf("apply seq %d: %v %v", seq, ack, err)
+				return
+			}
+			if _, err := r.Agg().MaybePersist(); err != nil {
+				t.Errorf("persist after seq %d: %v", seq, err)
+				return
+			}
 		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-applied:
+				return
+			default:
+			}
+			_, _, _ = r.Stats(), r.Synced(), r.Gen()
+			_ = r.Agg().StatsView()
+			runtime.Gosched()
+		}
+	}()
+
+	ctx := context.Background()
+	for running := true; running; {
+		select {
+		case <-applied:
+			running = false
+		default:
+		}
+		if err := r.PushOnce(ctx); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for try := 0; !r.Synced(); try++ {
+		if try == 3 {
+			t.Fatal("relay did not sync")
+		}
+		if err := r.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := r.Agg().SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := root.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("root diverged from the relay's table")
 	}
 }
 

@@ -529,35 +529,38 @@ func TestAgentDeltaCycle(t *testing.T) {
 }
 
 func TestAgentRetryBackoff(t *testing.T) {
-	agg := newTestAggregator(t, AggregatorConfig{})
-	var slept []time.Duration
-	ag := newTestAgent(t, AgentConfig{
-		ID:          "edge",
-		Transport:   &directTransport{agg: agg, failN: 2},
-		MaxAttempts: 4,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffCap:  time.Second,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	ag.Ingest(42)
-	if err := ag.PushOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("expected 2 backoff sleeps, got %v", slept)
-	}
-	// Jittered exponential: sleep n ∈ [d/2, d) for d = base·2ⁿ.
-	for i, d := range slept {
-		want := 100 * time.Millisecond << uint(i)
-		if d < want/2 || d >= want {
-			t.Fatalf("backoff %d = %v outside [%v, %v)", i, d, want/2, want)
-		}
-	}
-	if st := ag.Stats(); st.Retries != 2 || st.Attempts != 3 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if got := queryOne(t, agg, 42); got != 1 {
-		t.Fatalf("item 42 = %d after retried push, want 1", got)
+	for _, role := range senderRoles {
+		t.Run(role, func(t *testing.T) {
+			agg := newTestAggregator(t, AggregatorConfig{})
+			var slept []time.Duration
+			s, tr := newSender(t, role, agg, AgentConfig{
+				ID:          "edge",
+				MaxAttempts: 4,
+				BackoffBase: 100 * time.Millisecond,
+				BackoffCap:  time.Second,
+				Sleep:       func(d time.Duration) { slept = append(slept, d) },
+			}, 42)
+			tr.failN = 2
+			if err := s.PushOnce(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(slept) != 2 {
+				t.Fatalf("expected 2 backoff sleeps, got %v", slept)
+			}
+			// Jittered exponential: sleep n ∈ [d/2, d) for d = base·2ⁿ.
+			for i, d := range slept {
+				want := 100 * time.Millisecond << uint(i)
+				if d < want/2 || d >= want {
+					t.Fatalf("backoff %d = %v outside [%v, %v)", i, d, want/2, want)
+				}
+			}
+			if st := s.Stats(); st.Retries != 2 || st.Attempts != 3 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if got := queryOne(t, agg, 42); got != 1 {
+				t.Fatalf("item 42 = %d after retried push, want 1", got)
+			}
+		})
 	}
 }
 
