@@ -2,11 +2,7 @@ package salsad
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"salsa"
@@ -74,19 +70,15 @@ type AgentConfig struct {
 	Candidates func() []uint64
 }
 
-// ErrPushFailed wraps the last transport error after MaxAttempts
-// deliveries all failed. The frame stays frozen and is retried — still
-// byte-identical — by the next PushOnce.
-var ErrPushFailed = errors.New("salsad: push not acknowledged")
-
 // Agent ingests a local stream and ships delta envelopes to an
 // aggregator. It is not safe for concurrent use; run one goroutine per
 // Agent (the sketch underneath may still be an EpochShardedBy topology
 // whose writers the caller drives separately — PushOnce cuts an epoch
 // before snapshotting).
 type Agent struct {
-	cfg  AgentConfig
-	live salsa.Sketch
+	uplink // shadowN counts items
+	cfg    AgentConfig
+	live   salsa.Sketch
 	// ingest/cut/pending abstract over the plain and epoch-wrapped
 	// backends; core is the delta-capable sketch inside live.
 	ingest  func(item uint64, count int64)
@@ -94,49 +86,9 @@ type Agent struct {
 	core    salsa.Sketch
 	pending func() uint64
 
-	// shadow is the last acknowledged snapshot: everything the aggregator
-	// has confirmed. The next delta is live − shadow.
-	shadow  salsa.Sketch
-	shadowN uint64 // items covered by shadow
-
-	// frame is the frozen in-flight push, encoded once when it is cut: it
-	// is never rewritten, so retries are byte-identical and sequence-number
-	// dedup is exact. frameState/frameN are the snapshot the shadow
-	// advances to when the frame is acked.
-	frame      *Push
-	frameState salsa.Sketch
-	frameN     uint64
-
-	gen      uint64
-	seq      uint64
 	ingestN  uint64 // items ingested this incarnation's lifetime
 	frontier uint64 // upstream cursor: StartCursor + items ingested
 	fedFrom  uint64 // upstream cursor live history starts at
-
-	rng   *rand.Rand
-	sleep func(time.Duration)
-	stats AgentStats
-}
-
-// AgentStats counts delivery outcomes since construction.
-type AgentStats struct {
-	// FramesAcked counts data frames acknowledged (applied or duplicate).
-	FramesAcked uint64 `json:"framesAcked"`
-	// Heartbeats counts acknowledged heartbeat frames.
-	Heartbeats uint64 `json:"heartbeats"`
-	// Attempts counts transport deliveries, including retries.
-	Attempts uint64 `json:"attempts"`
-	// Retries counts attempts beyond the first per frame — each one sat
-	// behind a jittered backoff sleep.
-	Retries uint64 `json:"retries"`
-	// Resyncs counts full-state resynchronizations performed.
-	Resyncs uint64 `json:"resyncs"`
-	// WireBytes sums the encoded size of every attempted frame.
-	WireBytes uint64 `json:"wireBytes"`
-	// Pending is the epoch ingest layer's bounded-staleness gauge: items
-	// accepted by writers but not yet drained into the read view. Always
-	// 0 for plain (non-epoch) topologies.
-	Pending uint64 `json:"pending"`
 }
 
 // NewAgent builds an agent. The spec is built and validated here: a
@@ -149,33 +101,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Spec == nil || cfg.Transport == nil {
 		return nil, &ConfigError{Field: "Spec", Reason: "agent needs a Spec and a Transport"}
 	}
-	if cfg.Generation == 0 {
-		cfg.Generation = 1
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 2 * time.Second
-	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = cryptoSeed()
-	}
-	a := &Agent{
-		cfg:      cfg,
-		gen:      cfg.Generation,
-		frontier: cfg.StartCursor,
-		fedFrom:  cfg.StartCursor,
-		rng:      rand.New(rand.NewSource(int64(seed))),
-		sleep:    cfg.Sleep,
-	}
-	if a.sleep == nil {
-		a.sleep = time.Sleep
-	}
+	a := &Agent{cfg: cfg, frontier: cfg.StartCursor, fedFrom: cfg.StartCursor}
+	a.setup(cfg.Transport, max(cfg.Generation, 1), cfg.MaxAttempts,
+		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
 	if err := a.buildLive(); err != nil {
 		return nil, err
 	}
@@ -239,7 +167,7 @@ func (a *Agent) IngestCount(item uint64, count int64) {
 func (a *Agent) Sketch() salsa.Sketch { return a.live }
 
 // Gen returns the current generation.
-func (a *Agent) Gen() uint64 { return a.gen }
+func (a *Agent) Gen() uint64 { return a.generation() }
 
 // Frontier returns the upstream cursor: StartCursor plus items ingested.
 func (a *Agent) Frontier() uint64 { return a.frontier }
@@ -247,16 +175,14 @@ func (a *Agent) Frontier() uint64 { return a.frontier }
 // Stats returns delivery counters since construction, plus the live
 // Pending gauge sampled at call time.
 func (a *Agent) Stats() AgentStats {
-	s := a.stats
+	s := a.deliveryStats()
 	s.Pending = a.pending()
 	return s
 }
 
 // Synced reports whether everything ingested so far has been acknowledged
 // by the aggregator: no frozen frame in flight and no unshipped traffic.
-func (a *Agent) Synced() bool {
-	return a.frame == nil && a.ingestN == a.shadowN
-}
+func (a *Agent) Synced() bool { return a.synced(a.ingestN) }
 
 // PushOnce ships the agent's state forward by (at most) one frame: it
 // cuts a delta of everything ingested since the last acknowledged
@@ -268,59 +194,12 @@ func (a *Agent) Synced() bool {
 // On failure the frame stays frozen — the next PushOnce retries it — and
 // the error wraps ErrPushFailed. State buffered through an outage is one
 // frame plus the live sketch: O(sketch), never O(outage).
-func (a *Agent) PushOnce(ctx context.Context) error {
-	if a.frame == nil {
-		if err := a.cutFrame(); err != nil {
-			return err
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt < a.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			a.stats.Retries++
-			a.sleep(a.backoff(attempt - 1))
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrPushFailed, err)
-		}
-		a.stats.Attempts++
-		a.stats.WireBytes += uint64(len(a.frame.wire))
-		ack, err := a.cfg.Transport.Push(ctx, a.frame)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch ack.Status {
-		case StatusApplied, StatusDuplicate:
-			a.commitFrame()
-			return nil
-		case StatusResync:
-			if err := a.prepareResync(ack); err != nil {
-				return err
-			}
-			lastErr = errors.New("resynchronizing")
-			continue // deliver the freshly cut full frame
-		default:
-			lastErr = fmt.Errorf("unknown ack status %q", ack.Status)
-		}
-	}
-	return fmt.Errorf("%w: %s gen %d seq %d: %w",
-		ErrPushFailed, a.cfg.ID, a.frame.Gen, a.frame.Seq, lastErr)
-}
-
-// backoff returns the jittered exponential delay before retry n (0-based):
-// uniformly in [d/2, d) for d = min(cap, base·2ⁿ).
-func (a *Agent) backoff(n int) time.Duration {
-	d := a.cfg.BackoffBase << uint(n)
-	if d <= 0 || d > a.cfg.BackoffCap {
-		d = a.cfg.BackoffCap
-	}
-	half := d / 2
-	return half + time.Duration(a.rng.Int63n(int64(half)+1))
-}
+func (a *Agent) PushOnce(ctx context.Context) error { return a.deliver(ctx, a) }
 
 // cutFrame freezes the next frame: a delta of everything since the
-// acknowledged shadow, or a heartbeat when nothing changed.
+// acknowledged shadow, or a heartbeat when nothing changed. The first
+// frame of a generation is a plain delta too: a restarted agent's new
+// generation adds to the contribution the old one retired.
 func (a *Agent) cutFrame() error {
 	a.cut()
 	if a.ingestN == a.shadowN {
@@ -332,6 +211,35 @@ func (a *Agent) cutFrame() error {
 			Flags:  FlagHeartbeat,
 		}, nil, a.shadowN)
 	}
+	return a.cutData(0)
+}
+
+// cutFull answers a resync demand once the uplink has moved to a fresh
+// generation and dropped the shadow: it cuts a full-state snapshot that
+// replaces everything the aggregator may still hold. If the live sketch
+// does not cover the full history (this incarnation resumed mid-stream)
+// and a Replay hook is configured, the history is rebuilt from the
+// replayable upstream first.
+func (a *Agent) cutFull() error {
+	if a.fedFrom > 0 && a.cfg.Replay != nil {
+		// Rebuild complete history: fresh sketch, replay from origin.
+		if err := a.buildLive(); err != nil {
+			return err
+		}
+		a.ingestN, a.frontier, a.fedFrom = 0, 0, 0
+		a.cfg.Replay(0)
+	}
+	a.cut()
+	return a.cutData(FlagFull)
+}
+
+// beforeSend has nothing to do: an agent keeps no durable state, and a
+// restarted one rejoins under a fresh generation.
+func (a *Agent) beforeSend() error { return nil }
+
+// cutData freezes a data frame with the given flags carrying live −
+// shadow, or the whole live state when there is no shadow.
+func (a *Agent) cutData(flags byte) error {
 	cur, delta, err := a.snapshotPair()
 	if err != nil {
 		return err
@@ -350,19 +258,10 @@ func (a *Agent) cutFrame() error {
 		Gen:        a.gen,
 		Seq:        a.seq + 1,
 		Cursor:     a.frontier,
+		Flags:      flags,
 		Candidates: a.candidates(),
 		Envelope:   env,
 	}, cur, a.ingestN)
-}
-
-// freezeFrame makes p the in-flight frame and encodes it once; state and
-// n are the snapshot the shadow advances to when p is acknowledged.
-func (a *Agent) freezeFrame(p *Push, state salsa.Sketch, n uint64) error {
-	if err := p.freeze(); err != nil {
-		return err
-	}
-	a.frame, a.frameState, a.frameN = p, state, n
-	return nil
 }
 
 // snapshotPair marshals the live core once and decodes it twice: a
@@ -391,75 +290,6 @@ func (a *Agent) candidates() []uint64 {
 		c = c[:MaxPushCandidates]
 	}
 	return c
-}
-
-// commitFrame advances past an acknowledged frame.
-func (a *Agent) commitFrame() {
-	if a.frame.Heartbeat() {
-		a.stats.Heartbeats++
-	} else {
-		a.seq = a.frame.Seq
-		a.shadow = a.frameState
-		a.shadowN = a.frameN
-		a.stats.FramesAcked++
-	}
-	a.frame, a.frameState = nil, nil
-}
-
-// prepareResync reacts to a StatusResync ack: the aggregator has no
-// usable state for this agent (it restarted, or this generation is
-// burned). The agent moves to a fresh generation and cuts a full-state
-// snapshot that replaces everything the aggregator may still hold. If the
-// live sketch does not cover the full history (this incarnation resumed
-// mid-stream) and a Replay hook is configured, the history is rebuilt
-// from the replayable upstream first.
-func (a *Agent) prepareResync(ack *Ack) error {
-	a.stats.Resyncs++
-	if ack.Gen > a.gen {
-		a.gen = ack.Gen
-	}
-	a.gen++
-	a.seq = 0
-	a.frame, a.frameState = nil, nil
-	a.shadow, a.shadowN = nil, 0
-	if a.fedFrom > 0 && a.cfg.Replay != nil {
-		// Rebuild complete history: fresh sketch, replay from origin.
-		if err := a.buildLive(); err != nil {
-			return err
-		}
-		a.ingestN, a.frontier, a.fedFrom = 0, 0, 0
-		a.cfg.Replay(0)
-	}
-	a.cut()
-	cur, _, err := a.snapshotPair()
-	if err != nil {
-		return err
-	}
-	env, err := salsa.Marshal(cur)
-	if err != nil {
-		return err
-	}
-	return a.freezeFrame(&Push{
-		Agent:      a.cfg.ID,
-		Gen:        a.gen,
-		Seq:        1,
-		Cursor:     a.frontier,
-		Flags:      FlagFull,
-		Candidates: a.candidates(),
-		Envelope:   env,
-	}, cur, a.ingestN)
-}
-
-// cryptoSeed draws a random jitter seed from the OS entropy source. If
-// that fails (it essentially cannot on supported platforms) it falls back
-// to a fixed odd constant — jitter degrades, correctness does not depend
-// on it.
-func cryptoSeed() uint64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return 0x9e3779b97f4a7c15
-	}
-	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Resume fetches the aggregator's durable frontier for an agent id and

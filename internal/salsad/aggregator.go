@@ -169,18 +169,28 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		a.now = time.Now
 	}
 	if cfg.DataDir != "" {
-		store, err := OpenStore(cfg.DataDir)
-		if err != nil {
+		if _, _, err := a.openStore(cfg.DataDir, cfg.SnapshotEvery, a.MarshalState, stateKindAggregator); err != nil {
 			return nil, err
 		}
-		every := cfg.SnapshotEvery
-		if every <= 0 {
-			every = DefaultSnapshotEvery
-		}
-		a.pers = &persistor{store: store, every: every, state: a.MarshalState}
-		a.restore(store, stateKindAggregator)
 	}
 	return a, nil
+}
+
+// openStore makes the aggregator durable: it opens the store in dir,
+// snapshots state every `every` applied frames (zero means
+// DefaultSnapshotEvery), and restores the newest valid snapshot a node of
+// role kind wrote, returning what restore returns.
+func (a *Aggregator) openStore(dir string, every int, state func() ([]byte, error), kind byte) (upstream []byte, skipped int, err error) {
+	store, err := OpenStore(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	if every <= 0 {
+		every = DefaultSnapshotEvery
+	}
+	a.pers = &persistor{store: store, every: every, state: state}
+	upstream, skipped = a.restore(store, kind)
+	return upstream, skipped, nil
 }
 
 // restore loads the newest valid snapshot into the aggregator. A missing

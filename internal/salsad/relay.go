@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"salsa"
@@ -17,9 +14,10 @@ import (
 // (agents — or deeper relays — push delta frames into its table), and
 // upstream it behaves like an Agent whose "stream" is that table. Its cut
 // is the merged table delta (current − shadow via the subtract kernel),
-// shipped with the same frozen-frame/(gen,seq)/backoff/resync protocol
-// edge agents use, so trees compose to arbitrary depth with no new wire
-// format — relay frames only add FlagRelay and a Depth byte.
+// shipped by the same sending code edge agents run (uplink: the frozen
+// frame, (gen, seq), backoff and resync), so trees compose to arbitrary
+// depth with no new wire format — relay frames only add FlagRelay and a
+// Depth byte.
 //
 // Durability follows a strict ordering rule: a durable relay persists
 // every freshly cut data frame — frame bytes, pre-cut shadow, and the
@@ -34,32 +32,15 @@ import (
 // can no longer be trusted for dedup, so the relay burns the persisted
 // generation and rejoins through the full resync path.
 type Relay struct {
-	cfg  RelayConfig
-	agg  *Aggregator
-	pers *persistor // shared with agg so MaybePersist snapshots relay state
-
-	mu sync.Mutex
-	// gen/seq number upstream data frames; gen 0 is the "resolve a fresh
-	// generation from upstream before the first push" sentinel.
-	gen uint64
-	seq uint64
-	// shadow is the last acknowledged merged-table snapshot;
-	// appliedAtShadow the applied-frame counter it reflects. The next
-	// delta is merged − shadow.
-	shadow          salsa.Sketch
-	appliedAtShadow uint64
-	// frame is the frozen in-flight upstream push; frameState/frameApplied
-	// the snapshot the shadow advances to on ack. framePersisted records
-	// that the frame has reached disk (always true for heartbeats and
-	// volatile relays).
-	frame          *Push
-	frameState     salsa.Sketch
-	frameApplied   uint64
+	// uplink ships the merged table; shadowN counts applied downstream
+	// frames, and gen 0 is the "resolve a fresh generation from upstream
+	// before the first push" sentinel.
+	uplink
+	cfg RelayConfig
+	agg *Aggregator
+	// framePersisted records that the frozen frame has reached disk. Only
+	// the goroutine running PushOnce touches it.
 	framePersisted bool
-	stats          AgentStats
-
-	rng   *rand.Rand
-	sleep func(time.Duration)
 }
 
 // RelayConfig configures a Relay.
@@ -110,15 +91,6 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.Spec == nil || cfg.Upstream == nil {
 		return nil, &ConfigError{Field: "Upstream", Reason: "relay needs a Spec and an Upstream transport"}
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 4
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 2 * time.Second
-	}
 	agg, err := NewAggregator(AggregatorConfig{
 		Spec:             cfg.Spec,
 		LeaseTTL:         cfg.LeaseTTL,
@@ -129,60 +101,31 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = cryptoSeed()
-	}
-	r := &Relay{
-		cfg:   cfg,
-		agg:   agg,
-		gen:   cfg.Generation,
-		rng:   rand.New(rand.NewSource(int64(seed))),
-		sleep: cfg.Sleep,
-	}
-	if r.sleep == nil {
-		r.sleep = time.Sleep
-	}
+	r := &Relay{cfg: cfg, agg: agg}
+	r.setup(cfg.Upstream, cfg.Generation, cfg.MaxAttempts,
+		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
 	agg.upstreamStats = r.Stats
 	if cfg.DataDir != "" {
-		store, err := OpenStore(cfg.DataDir)
+		upstream, skipped, err := agg.openStore(cfg.DataDir, cfg.SnapshotEvery, r.marshalState, stateKindRelay)
 		if err != nil {
 			return nil, err
 		}
-		every := cfg.SnapshotEvery
-		if every <= 0 {
-			every = DefaultSnapshotEvery
-		}
-		r.pers = &persistor{store: store, every: every, state: r.marshalState}
-		agg.pers = r.pers
-		upstream, skipped := agg.restore(store, stateKindRelay)
 		switch {
 		case agg.RestoreError() != nil || skipped > 0:
 			// Either the snapshot was rejected outright, or the newest file
 			// failed validation and an older one was loaded. Any frontier on
 			// disk may predate frames a dead incarnation already transmitted,
 			// so it must not be reused for dedup: burn the persisted
-			// generation and rejoin via resync.
-			r.resetUpstream()
+			// generation and rejoin with a fresh-generation full snapshot.
+			r.restart(0)
 		case len(upstream) > 0:
 			if err := r.restoreUpstream(upstream); err != nil {
 				agg.noteRestoreError(err)
-				r.resetUpstream()
+				r.restart(0)
 			}
 		}
 	}
 	return r, nil
-}
-
-// resetUpstream discards the upstream shipping state: generation sentinel
-// 0 (resolve from upstream), no shadow, no frame — the next PushOnce
-// rejoins with a fresh-generation full snapshot.
-func (r *Relay) resetUpstream() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gen, r.seq = 0, 0
-	r.shadow, r.appliedAtShadow = nil, 0
-	r.frame, r.frameState, r.framePersisted = nil, nil, false
 }
 
 // Agg returns the downstream aggregator half: the table pushes land in
@@ -195,28 +138,15 @@ func (r *Relay) RestoreError() error { return r.agg.RestoreError() }
 
 // Gen returns the current upstream generation (0 until the first push of
 // a fresh incarnation resolves one).
-func (r *Relay) Gen() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
-}
+func (r *Relay) Gen() uint64 { return r.generation() }
 
 // Stats returns upstream delivery counters since construction.
-func (r *Relay) Stats() AgentStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
+func (r *Relay) Stats() AgentStats { return r.deliveryStats() }
 
 // Synced reports whether everything applied downstream has been
 // acknowledged upstream: no frozen frame in flight and the shadow covers
 // the whole table.
-func (r *Relay) Synced() bool {
-	applied := r.agg.appliedCount()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frame == nil && applied == r.appliedAtShadow
-}
+func (r *Relay) Synced() bool { return r.synced(r.agg.appliedCount()) }
 
 // PushOnce ships the relay's merged table forward by (at most) one
 // upstream frame, with the same freeze/retry/resync semantics as
@@ -225,8 +155,8 @@ func (r *Relay) Synced() bool {
 // push (wrapping ErrPushFailed) and the frame is retried — persist first
 // — by the next call.
 func (r *Relay) PushOnce(ctx context.Context) error {
-	if r.Gen() == 0 {
-		info, err := r.cfg.Upstream.Resume(ctx, r.cfg.ID)
+	if r.gen == 0 {
+		info, err := r.transport.Resume(ctx, r.cfg.ID)
 		if err != nil {
 			return fmt.Errorf("%w: resolving a fresh generation: %w", ErrPushFailed, err)
 		}
@@ -234,73 +164,7 @@ func (r *Relay) PushOnce(ctx context.Context) error {
 		r.gen = info.Gen + 1
 		r.mu.Unlock()
 	}
-	if r.currentFrame() == nil {
-		if err := r.cutFrame(); err != nil {
-			return err
-		}
-	}
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.bump(func(s *AgentStats) { s.Retries++ })
-			r.sleep(r.backoff(attempt - 1))
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrPushFailed, err)
-		}
-		if err := r.persistFrame(); err != nil {
-			return fmt.Errorf("%w: frame not durable before transmission: %w", ErrPushFailed, err)
-		}
-		frame := r.currentFrame()
-		r.bump(func(s *AgentStats) {
-			s.Attempts++
-			s.WireBytes += uint64(len(frame.wire))
-		})
-		ack, err := r.cfg.Upstream.Push(ctx, frame)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		switch ack.Status {
-		case StatusApplied, StatusDuplicate:
-			r.commitFrame()
-			return nil
-		case StatusResync:
-			if err := r.prepareResync(ack); err != nil {
-				return err
-			}
-			lastErr = errors.New("resynchronizing")
-			continue // deliver the freshly cut full frame
-		default:
-			lastErr = fmt.Errorf("unknown ack status %q", ack.Status)
-		}
-	}
-	frame := r.currentFrame()
-	return fmt.Errorf("%w: relay %s gen %d seq %d: %w",
-		ErrPushFailed, r.cfg.ID, frame.Gen, frame.Seq, lastErr)
-}
-
-func (r *Relay) currentFrame() *Push {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frame
-}
-
-func (r *Relay) bump(f func(*AgentStats)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f(&r.stats)
-}
-
-// backoff mirrors Agent.backoff: uniformly in [d/2, d) for
-// d = min(cap, base·2ⁿ).
-func (r *Relay) backoff(n int) time.Duration {
-	d := r.cfg.BackoffBase << uint(n)
-	if d <= 0 || d > r.cfg.BackoffCap {
-		d = r.cfg.BackoffCap
-	}
-	half := d / 2
-	return half + time.Duration(r.rng.Int63n(int64(half)+1))
+	return r.deliver(ctx, r)
 }
 
 // cutFrame freezes the next upstream frame from an atomic capture of the
@@ -316,14 +180,13 @@ func (r *Relay) cutFrame() error {
 	if depth > 255 {
 		depth = 255
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.framePersisted = false
 	if r.shadow == nil && r.seq == 0 {
 		env, err := salsa.Marshal(merged)
 		if err != nil {
 			return err
 		}
-		return r.freezeFrameLocked(&Push{
+		return r.freezeFrame(&Push{
 			Agent:      r.cfg.ID,
 			Gen:        r.gen,
 			Seq:        1,
@@ -332,19 +195,17 @@ func (r *Relay) cutFrame() error {
 			Depth:      byte(depth),
 			Candidates: cands,
 			Envelope:   env,
-		}, merged, applied, false)
+		}, merged, applied)
 	}
-	if applied == r.appliedAtShadow {
-		// Heartbeats consume no sequence number, so they skip the
-		// durability barrier.
-		return r.freezeFrameLocked(&Push{
+	if applied == r.shadowN {
+		return r.freezeFrame(&Push{
 			Agent:  r.cfg.ID,
 			Gen:    r.gen,
 			Seq:    r.seq,
 			Cursor: applied,
 			Flags:  FlagHeartbeat | FlagRelay,
 			Depth:  byte(depth),
-		}, nil, r.appliedAtShadow, true)
+		}, nil, r.shadowN)
 	}
 	delta, err := salsa.CloneSketch(merged)
 	if err != nil {
@@ -357,7 +218,7 @@ func (r *Relay) cutFrame() error {
 	if err != nil {
 		return err
 	}
-	return r.freezeFrameLocked(&Push{
+	return r.freezeFrame(&Push{
 		Agent:      r.cfg.ID,
 		Gen:        r.gen,
 		Seq:        r.seq + 1,
@@ -366,81 +227,34 @@ func (r *Relay) cutFrame() error {
 		Depth:      byte(depth),
 		Candidates: cands,
 		Envelope:   env,
-	}, merged, applied, false)
+	}, merged, applied)
 }
 
-// freezeFrameLocked makes p the in-flight upstream frame and encodes it
-// once; state and applied are the snapshot the shadow advances to on ack,
-// and persisted records whether p needs no durability barrier.
-func (r *Relay) freezeFrameLocked(p *Push, state salsa.Sketch, applied uint64, persisted bool) error {
-	if err := p.freeze(); err != nil {
-		return err
-	}
-	r.frame, r.frameState, r.frameApplied, r.framePersisted = p, state, applied, persisted
-	return nil
-}
+// cutFull answers a resync demand. The relay's table is its complete
+// subtree state (children follow the full-history resync contract
+// themselves), so with the shadow dropped its ordinary cut is already the
+// full replacing snapshot — no replay hook needed.
+func (r *Relay) cutFull() error { return r.cutFrame() }
 
-// persistFrame enforces the durability barrier: a durable relay's frozen
+// beforeSend enforces the durability barrier: a durable relay's frozen
 // data frame must be on disk before its first transmission. A no-op for
-// volatile relays, heartbeats, and frames already persisted (including
-// ones restored from a snapshot).
-func (r *Relay) persistFrame() error {
-	if r.pers == nil {
-		return nil
-	}
-	r.mu.Lock()
-	needed := r.frame != nil && !r.framePersisted
-	r.mu.Unlock()
-	if !needed {
+// volatile relays, heartbeats (they consume no sequence number), and
+// frames already persisted, including ones restored from a snapshot.
+func (r *Relay) beforeSend() error {
+	if r.agg.pers == nil || r.framePersisted || r.frame.Heartbeat() {
 		return nil
 	}
 	if _, err := r.agg.Persist(); err != nil {
-		return err
+		return fmt.Errorf("frame not durable before transmission: %w", err)
 	}
-	r.mu.Lock()
 	r.framePersisted = true
-	r.mu.Unlock()
 	return nil
-}
-
-// commitFrame advances past an acknowledged upstream frame.
-func (r *Relay) commitFrame() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.frame.Heartbeat() {
-		r.stats.Heartbeats++
-	} else {
-		r.seq = r.frame.Seq
-		r.shadow = r.frameState
-		r.appliedAtShadow = r.frameApplied
-		r.stats.FramesAcked++
-	}
-	r.frame, r.frameState, r.framePersisted = nil, nil, false
-}
-
-// prepareResync reacts to an upstream StatusResync: burn the generation,
-// drop the shadow, and cut a full replacing snapshot of the merged table.
-// The relay's table is its complete subtree state (children follow the
-// full-history resync contract themselves), so the snapshot is always
-// available — no replay hook needed.
-func (r *Relay) prepareResync(ack *Ack) error {
-	r.mu.Lock()
-	r.stats.Resyncs++
-	if ack.Gen > r.gen {
-		r.gen = ack.Gen
-	}
-	r.gen++
-	r.seq = 0
-	r.frame, r.frameState, r.framePersisted = nil, nil, false
-	r.shadow, r.appliedAtShadow = nil, 0
-	r.mu.Unlock()
-	return r.cutFrame()
 }
 
 // Persist writes a snapshot of the full relay state (downstream table
 // plus upstream shipping state) as a new epoch; see Aggregator.Persist.
 func (r *Relay) Persist() (uint64, error) {
-	if r.pers == nil {
+	if r.agg.pers == nil {
 		return 0, &ConfigError{Field: "DataDir", Reason: "relay is not durable; set DataDir"}
 	}
 	return r.agg.Persist()
@@ -458,7 +272,7 @@ func (r *Relay) marshalState() ([]byte, error) {
 	buf := make([]byte, 0, 256)
 	buf = binary.LittleEndian.AppendUint64(buf, r.gen)
 	buf = binary.LittleEndian.AppendUint64(buf, r.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, r.appliedAtShadow)
+	buf = binary.LittleEndian.AppendUint64(buf, r.shadowN)
 	var err error
 	if buf, err = appendOptionalSketch(buf, r.shadow); err != nil {
 		r.mu.Unlock()
@@ -468,7 +282,7 @@ func (r *Relay) marshalState() ([]byte, error) {
 		buf = append(buf, 0)
 	} else {
 		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, r.frameApplied)
+		buf = binary.LittleEndian.AppendUint64(buf, r.frameN)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.frame.wire)))
 		buf = append(buf, r.frame.wire...)
 		if buf, err = appendOptionalSketch(buf, r.frameState); err != nil {
@@ -486,18 +300,18 @@ func (r *Relay) marshalState() ([]byte, error) {
 // transmitted.
 func (r *Relay) restoreUpstream(data []byte) error {
 	fr := frameReader{data: data}
-	gen, seq, appliedAtShadow := fr.u64(), fr.u64(), fr.u64()
+	gen, seq, shadowN := fr.u64(), fr.u64(), fr.u64()
 	shadow, err := r.agg.readOptionalSketch(&fr)
 	if err != nil {
 		return err
 	}
 	var (
-		frame        *Push
-		frameState   salsa.Sketch
-		frameApplied uint64
+		frame      *Push
+		frameState salsa.Sketch
+		frameN     uint64
 	)
 	if fr.u8() == 1 {
-		frameApplied = fr.u64()
+		frameN = fr.u64()
 		encLen := int(fr.u32())
 		enc := fr.take(encLen)
 		if enc == nil {
@@ -521,9 +335,9 @@ func (r *Relay) restoreUpstream(data []byte) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gen, r.seq, r.appliedAtShadow = gen, seq, appliedAtShadow
+	r.gen, r.seq, r.shadowN = gen, seq, shadowN
 	r.shadow = shadow
-	r.frame, r.frameState, r.frameApplied = frame, frameState, frameApplied
+	r.frame, r.frameState, r.frameN = frame, frameState, frameN
 	r.framePersisted = frame != nil // it came from disk
 	return nil
 }
