@@ -98,8 +98,11 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.ID == "" || len(cfg.ID) > MaxAgentIDLen {
 		return nil, &ConfigError{Field: "ID", Reason: fmt.Sprintf("agent id %q must be 1..%d bytes", cfg.ID, MaxAgentIDLen)}
 	}
-	if cfg.Spec == nil || cfg.Transport == nil {
-		return nil, &ConfigError{Field: "Spec", Reason: "agent needs a Spec and a Transport"}
+	if cfg.Spec == nil {
+		return nil, &ConfigError{Field: "Spec", Reason: "agent needs a Spec"}
+	}
+	if cfg.Transport == nil {
+		return nil, &ConfigError{Field: "Transport", Reason: "agent needs a Transport"}
 	}
 	a := &Agent{cfg: cfg, frontier: cfg.StartCursor, fedFrom: cfg.StartCursor}
 	a.setup(cfg.Transport, max(cfg.Generation, 1), cfg.MaxAttempts,

@@ -88,8 +88,11 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.ID == "" || len(cfg.ID) > MaxAgentIDLen {
 		return nil, &ConfigError{Field: "ID", Reason: fmt.Sprintf("relay id %q must be 1..%d bytes", cfg.ID, MaxAgentIDLen)}
 	}
-	if cfg.Spec == nil || cfg.Upstream == nil {
-		return nil, &ConfigError{Field: "Upstream", Reason: "relay needs a Spec and an Upstream transport"}
+	if cfg.Spec == nil {
+		return nil, &ConfigError{Field: "Spec", Reason: "relay needs a Spec"}
+	}
+	if cfg.Upstream == nil {
+		return nil, &ConfigError{Field: "Upstream", Reason: "relay needs an Upstream transport"}
 	}
 	agg, err := NewAggregator(AggregatorConfig{
 		Spec:             cfg.Spec,

@@ -408,15 +408,18 @@ func TestRelayPersistRidesDownstreamApplies(t *testing.T) {
 
 func TestNewRelayRejects(t *testing.T) {
 	tr := &directTransport{agg: newTestAggregator(t, AggregatorConfig{})}
-	var ce *ConfigError
-	if _, err := NewRelay(RelayConfig{Spec: testSpec(), Upstream: tr}); !errors.As(err, &ce) {
-		t.Fatalf("missing id: %v", err)
-	}
-	if _, err := NewRelay(RelayConfig{ID: "r", Spec: testSpec()}); !errors.As(err, &ce) {
-		t.Fatalf("missing upstream: %v", err)
-	}
-	if _, err := NewRelay(RelayConfig{ID: "r", Upstream: tr}); !errors.As(err, &ce) {
-		t.Fatalf("missing spec: %v", err)
+	for _, c := range []struct {
+		name, field string
+		cfg         RelayConfig
+	}{
+		{"missing id", "ID", RelayConfig{Spec: testSpec(), Upstream: tr}},
+		{"missing upstream", "Upstream", RelayConfig{ID: "r", Spec: testSpec()}},
+		{"missing spec", "Spec", RelayConfig{ID: "r", Upstream: tr}},
+	} {
+		var ce *ConfigError
+		if _, err := NewRelay(c.cfg); !errors.As(err, &ce) || ce.Field != c.field {
+			t.Fatalf("%s: got %v, want a *ConfigError for %s", c.name, err, c.field)
+		}
 	}
 }
 

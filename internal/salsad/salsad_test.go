@@ -725,14 +725,18 @@ func TestAgentCrashRestartResume(t *testing.T) {
 
 func TestNewAgentRejects(t *testing.T) {
 	tr := &directTransport{}
-	if _, err := NewAgent(AgentConfig{ID: "", Spec: testSpec(), Transport: tr}); err == nil {
-		t.Fatal("empty id accepted")
-	}
-	if _, err := NewAgent(AgentConfig{ID: "a", Transport: tr}); err == nil {
-		t.Fatal("nil spec accepted")
-	}
-	if _, err := NewAgent(AgentConfig{ID: "a", Spec: testSpec()}); err == nil {
-		t.Fatal("nil transport accepted")
+	for _, c := range []struct {
+		name, field string
+		cfg         AgentConfig
+	}{
+		{"empty id", "ID", AgentConfig{ID: "", Spec: testSpec(), Transport: tr}},
+		{"nil spec", "Spec", AgentConfig{ID: "a", Transport: tr}},
+		{"nil transport", "Transport", AgentConfig{ID: "a", Spec: testSpec()}},
+	} {
+		var ce *ConfigError
+		if _, err := NewAgent(c.cfg); !errors.As(err, &ce) || ce.Field != c.field {
+			t.Fatalf("%s: got %v, want a *ConfigError for %s", c.name, err, c.field)
+		}
 	}
 	var de *salsa.DeltaError
 	if _, err := NewAgent(AgentConfig{

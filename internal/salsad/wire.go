@@ -113,8 +113,9 @@ func maxCodedLen(n int) int {
 	return s + 6*(s/maxBlockBytes+4)
 }
 
-// A ConfigError reports an AgentConfig or AggregatorConfig field the
-// constructors reject.
+// A ConfigError reports an AgentConfig, AggregatorConfig or RelayConfig
+// field the constructors reject, or a missing DataDir where durability is
+// required (Persist, OpenStore).
 type ConfigError struct {
 	// Field names the offending config field.
 	Field string
