@@ -326,16 +326,24 @@ func runAgent(ctx context.Context, p agentParams, stdin io.Reader, stdout io.Wri
 	if p.pushEvery <= 0 {
 		p.pushEvery = 100_000
 	}
+	ds, ok := stream.ByName(p.dataset)
+	if p.dataset != "" && !ok {
+		return fmt.Errorf("unknown dataset %q", p.dataset)
+	}
 	transport := &salsad.HTTPTransport{Base: p.addr, Client: &http.Client{Timeout: p.timeout}}
 
 	// Rejoin-aware start: ask the aggregator where this id left off, so a
 	// restarted agent picks a fresh generation instead of a burned one.
-	gen, cursor := uint64(1), uint64(0)
-	rctx, cancel := context.WithTimeout(ctx, p.timeout)
-	if g, c, err := salsad.Resume(rctx, transport, p.id); err == nil {
-		gen, cursor = g, c
-	}
+	// Without an answer there is no safe generation to guess: a reused one
+	// would have every frame dropped as a duplicate. The call runs under
+	// its own deadline, like the final flush, so an interrupted agent still
+	// starts and exits cleanly.
+	rctx, cancel := context.WithTimeout(context.Background(), p.timeout)
+	gen, cursor, err := salsad.Resume(rctx, transport, p.id)
 	cancel()
+	if err != nil {
+		return fmt.Errorf("agent %s: resume failed, not starting at a guessed generation: %w", p.id, err)
+	}
 
 	// A small local heavy-hitter monitor supplies candidate items with
 	// each frame; the aggregator evaluates its pooled candidates against
@@ -392,10 +400,6 @@ func runAgent(ctx context.Context, p agentParams, stdin io.Reader, stdout io.Wri
 	}
 
 	if p.dataset != "" {
-		ds, ok := stream.ByName(p.dataset)
-		if !ok {
-			return fmt.Errorf("unknown dataset %q", p.dataset)
-		}
 		for _, x := range ds.Generate(p.n, p.seed) {
 			if err := ingest(x); err != nil && !errors.Is(err, interrupted) {
 				return err

@@ -3,10 +3,12 @@ package main
 import (
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"salsa"
@@ -127,6 +129,48 @@ func TestAgentAgainstLibraryAggregator(t *testing.T) {
 	}
 	if top, err := agg.Top(3); err != nil || len(top) == 0 {
 		t.Fatalf("no heavy hitters after CLI ingest: top=%v err=%v", top, err)
+	}
+}
+
+// TestAgentRefusesToGuessGeneration: when /v1/resume fails, a restarted
+// agent must exit with an error. Starting it at a guessed generation would
+// reuse a generation the aggregator has already seen, and the aggregator
+// would drop every frame of the new run as a duplicate.
+func TestAgentRefusesToGuessGeneration(t *testing.T) {
+	agg, err := salsad.NewAggregator(salsad.AggregatorConfig{
+		Spec: salsa.CountMinOf(salsa.Options{Width: 4096, Merge: salsa.MergeSum, Seed: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := salsad.Handler(agg)
+	var resumeDown atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if resumeDown.Load() && r.URL.Path == "/v1/resume" {
+			http.Error(w, "resume unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	args := []string{
+		"-mode", "agent", "-addr", srv.URL, "-id", "edge-x",
+		"-dataset", "NY18", "-n", "30000", "-width", "4096", "-pushevery", "10000",
+	}
+	if err := run(context.Background(), args, strings.NewReader(""), io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	applied := agg.Stats().Applied
+
+	resumeDown.Store(true)
+	var out strings.Builder
+	err = run(context.Background(), args, strings.NewReader(""), &out)
+	if err == nil || !strings.Contains(err.Error(), "resume") {
+		t.Fatalf("second run with /v1/resume down: err = %v, want a resume error; output:\n%s", err, out.String())
+	}
+	if st := agg.Stats(); st.Duplicates != 0 || st.Applied != applied {
+		t.Fatalf("second run reached the aggregator: %d duplicates, %d applied (was %d)", st.Duplicates, st.Applied, applied)
 	}
 }
 
