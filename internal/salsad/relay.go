@@ -156,7 +156,8 @@ func (r *Relay) Synced() bool { return r.synced(r.agg.appliedCount()) }
 // Agent.PushOnce. For a durable relay a freshly cut data frame is
 // persisted before its first transmission; a failed persist aborts the
 // push (wrapping ErrPushFailed) and the frame is retried — persist first
-// — by the next call.
+// — by the next call. Calls must not overlap; Stats, Synced, Gen and
+// snapshots are safe alongside one.
 func (r *Relay) PushOnce(ctx context.Context) error {
 	if r.gen == 0 {
 		info, err := r.transport.Resume(ctx, r.cfg.ID)

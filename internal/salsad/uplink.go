@@ -168,11 +168,8 @@ func (u *uplink) deliver(ctx context.Context, f framer) error {
 		}
 	}
 	frame := u.currentFrame()
-	who := frame.Agent
-	if frame.Relay() {
-		who = "relay " + who
-	}
-	return fmt.Errorf("%w: %s gen %d seq %d: %w", ErrPushFailed, who, frame.Gen, frame.Seq, lastErr)
+	return fmt.Errorf("%w: %s gen %d seq %d: %w",
+		ErrPushFailed, frame.Agent, frame.Gen, frame.Seq, lastErr)
 }
 
 // backoff returns the jittered exponential delay before retry n (0-based):
