@@ -21,12 +21,18 @@ func cmsFixedSpec() salsa.Spec {
 	})
 }
 
-// backends the convergence scenarios run over. wantBytes marks the
-// counter-exact ones, whose quiesced aggregator must be byte-identical to
-// the no-fault sequential reference. The SALSA-mode variants converge to
-// exact values but their dynamic counter layout depends on merge grouping
-// when contributions split across generations, and conservative update is
-// not multiset-determined — those are held to exact value equivalence.
+// cmsSalsaSpec is cmsFixedSpec with SALSA's self-adjusting counters.
+func cmsSalsaSpec() salsa.Spec {
+	return salsa.CountMinOf(salsa.Options{Width: 1 << 10, Merge: salsa.MergeSum, Seed: 77})
+}
+
+// backends the convergence scenarios run over. wantBytes marks the ones
+// whose quiesced aggregator must be byte-identical to the no-fault
+// sequential reference. Fixed counters add exactly, and a sum-merge SALSA
+// union ends at the least layout that holds its sums whatever the merge
+// grouping, so every backend here is held to byte identity. Conservative
+// update is not multiset-determined: a backend using it would be held to
+// exact value equivalence only.
 var backends = []struct {
 	name      string
 	spec      salsa.Spec
@@ -34,7 +40,15 @@ var backends = []struct {
 }{
 	{"cms-fixed", cmsFixedSpec(), true},
 	{"cs-fixed", salsa.CountSketchOf(salsa.Options{Width: 1 << 10, Mode: salsa.ModeBaseline, Seed: 77}), true},
-	{"cms-salsa", salsa.CountMinOf(salsa.Options{Width: 1 << 10, Merge: salsa.MergeSum, Seed: 77}), false},
+	{"cms-salsa", cmsSalsaSpec(), true},
+}
+
+// forEachCMS runs body as one subtest per CountMin backend: the rejoin,
+// durable and tree scenarios hold fixed and SALSA counters alike to byte
+// identity.
+func forEachCMS(t *testing.T, body func(t *testing.T, spec salsa.Spec)) {
+	t.Run("cms-fixed", func(t *testing.T) { body(t, cmsFixedSpec()) })
+	t.Run("cms-salsa", func(t *testing.T) { body(t, cmsSalsaSpec()) })
 }
 
 func traces(n, perAgent int, seed int64) [][]uint64 {
@@ -46,8 +60,8 @@ func traces(n, perAgent int, seed int64) [][]uint64 {
 }
 
 // checkConverged asserts the quiesced aggregator matches the no-fault
-// reference: byte-identically when the backend is counter-exact, and by
-// exact per-item counts always.
+// reference: byte-identically when wantBytes is set, and by exact per-item
+// counts always.
 func checkConverged(t *testing.T, c *Cluster, wantBytes bool) {
 	t.Helper()
 	got, err := c.Agg.SnapshotBytes()
@@ -205,34 +219,35 @@ func TestPartitionCoalesce(t *testing.T) {
 // demands exactly-once accounting end to end. Agents run behind the epoch
 // ingest layer to cover the EpochShardedBy path.
 func TestAgentCrashRestart(t *testing.T) {
-	for _, seed := range seeds {
-		t.Logf("seed=%d", seed)
-		spec := cmsFixedSpec()
-		c, err := NewCluster(spec, salsa.EpochShardedBy(spec, 2), traces(3, 3000, seed), Plan{Seed: seed, Drop: 0.1, AckLoss: 0.1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		for round := 0; round < 10; round++ {
-			for _, m := range c.Members {
-				m.Feed(150)
+	forEachCMS(t, func(t *testing.T, spec salsa.Spec) {
+		for _, seed := range seeds {
+			t.Logf("seed=%d", seed)
+			c, err := NewCluster(spec, salsa.EpochShardedBy(spec, 2), traces(3, 3000, seed), Plan{Seed: seed, Drop: 0.1, AckLoss: 0.1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			c.Pump(ctx)
-			// Crash a rotating victim every few rounds.
-			if round%3 == 2 {
-				victim := c.Members[round/3%len(c.Members)]
-				c.Transport.Quiet() // Resume must get through; crash during faults is the partition test's job
-				if err := c.Crash(ctx, victim); err != nil {
-					t.Fatalf("seed=%d round %d: crash-restart %s: %v", seed, round, victim.ID, err)
+			ctx := context.Background()
+			for round := 0; round < 10; round++ {
+				for _, m := range c.Members {
+					m.Feed(150)
 				}
-				c.Transport.Quiet()
+				c.Pump(ctx)
+				// Crash a rotating victim every few rounds.
+				if round%3 == 2 {
+					victim := c.Members[round/3%len(c.Members)]
+					c.Transport.Quiet() // Resume must get through; crash during faults is the partition test's job
+					if err := c.Crash(ctx, victim); err != nil {
+						t.Fatalf("seed=%d round %d: crash-restart %s: %v", seed, round, victim.ID, err)
+					}
+					c.Transport.Quiet()
+				}
 			}
+			if _, ok := c.Converge(ctx, 50); !ok {
+				t.Fatalf("seed=%d: no convergence after crash-restarts", seed)
+			}
+			checkConverged(t, c, true)
 		}
-		if _, ok := c.Converge(ctx, 50); !ok {
-			t.Fatalf("seed=%d: no convergence after crash-restarts", seed)
-		}
-		checkConverged(t, c, true)
-	}
+	})
 }
 
 // TestAggregatorCrashRestart wipes the aggregator mid-run. Members learn

@@ -326,6 +326,102 @@ func TestRestoreStateByteIdentical(t *testing.T) {
 	}
 }
 
+// weightedEnvelope marshals a testSpec sketch holding each (item, count)
+// pair of pairs.
+func weightedEnvelope(t *testing.T, pairs ...uint64) []byte {
+	t.Helper()
+	s := salsa.MustBuild(testSpec())
+	for i := 0; i+1 < len(pairs); i += 2 {
+		s.Update(pairs[i], int64(pairs[i+1]))
+	}
+	return marshalState(t, s)
+}
+
+// feedRejoin applies the pushes behind testdata/rejoin.state. Agent a1
+// rejoins twice without FlagFull, and its counts for items 7 and 11 pass
+// 8 bits, so SALSA counters merge; a2 starts with a FlagFull frame; r1
+// is a relay at depth 1.
+func feedRejoin(t *testing.T, a *Aggregator) {
+	t.Helper()
+	for _, p := range []*Push{
+		{Agent: "a1", Gen: 1, Seq: 1, Cursor: 300, Candidates: []uint64{7, 9},
+			Envelope: weightedEnvelope(t, 7, 200, 9, 3)},
+		{Agent: "a1", Gen: 1, Seq: 2, Cursor: 500, Envelope: weightedEnvelope(t, 7, 100)},
+		{Agent: "a1", Gen: 2, Seq: 1, Cursor: 700, Candidates: []uint64{11},
+			Envelope: weightedEnvelope(t, 7, 150, 11, 40)},
+		{Agent: "a1", Gen: 2, Seq: 2, Cursor: 900, Envelope: weightedEnvelope(t, 11, 250)},
+		{Agent: "a1", Gen: 3, Seq: 1, Cursor: 950, Envelope: weightedEnvelope(t, 7, 60, 13, 1)},
+		{Agent: "a2", Gen: 1, Seq: 1, Cursor: 40, Flags: FlagFull,
+			Envelope: weightedEnvelope(t, 1, 10, 2, 20, 3, 300)},
+		{Agent: "a2", Gen: 1, Seq: 2, Cursor: 60, Envelope: weightedEnvelope(t, 2, 5)},
+		{Agent: "a2", Gen: 1, Seq: 2, Cursor: 60, Envelope: weightedEnvelope(t, 2, 5)},
+		{Agent: "a2", Gen: 1, Seq: 2, Cursor: 60, Flags: FlagHeartbeat},
+		{Agent: "r1", Gen: 5, Seq: 1, Cursor: 1, Depth: 1, Flags: FlagFull,
+			Envelope: weightedEnvelope(t, 7, 1000, 3, 2)},
+	} {
+		push(t, a, p)
+	}
+}
+
+// TestRestoreRejoinState restores a version-1 snapshot payload written
+// before the aggregator kept one contribution per agent: a rejoined agent's
+// earlier generations sit in its row's second sketch slot. The restored
+// table must answer with the merged bytes committed beside it, keep every
+// frontier, and marshal like the same table fed live.
+func TestRestoreRejoinState(t *testing.T) {
+	state, err := os.ReadFile(filepath.Join("testdata", "rejoin.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSnap, err := os.ReadFile(filepath.Join("testdata", "rejoin.envelope"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newTestAggregator(t, AggregatorConfig{})
+	if _, _, err := b.restoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	gotSnap, err := b.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatalf("restored merged sketch (%d bytes) differs from the committed one (%d bytes)", len(gotSnap), len(wantSnap))
+	}
+
+	live := newTestAggregator(t, AggregatorConfig{})
+	feedRejoin(t, live)
+	if liveSnap, err := live.SnapshotBytes(); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(liveSnap, wantSnap) {
+		t.Fatal("the live-fed table's merged sketch differs from the committed one")
+	}
+	wa, wb := live.Agents(), b.Agents()
+	if len(wa) != len(wb) {
+		t.Fatalf("agent counts: %d vs %d", len(wa), len(wb))
+	}
+	for i := range wa {
+		wa[i].LastSeen, wb[i].LastSeen = time.Time{}, time.Time{}
+		if wa[i] != wb[i] {
+			t.Fatalf("row %d diverged: live %+v, restored %+v", i, wa[i], wb[i])
+		}
+	}
+	if live.Stats() != b.Stats() {
+		t.Fatalf("stats diverged: live %+v, restored %+v", live.Stats(), b.Stats())
+	}
+	again, err := b.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := live.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Fatalf("restored table marshals to %d bytes, the live-fed one to %d", len(again), len(want))
+	}
+}
+
 func TestRestoreStateRejectsGarbage(t *testing.T) {
 	a := newTestAggregator(t, AggregatorConfig{})
 	good, err := a.MarshalState()
