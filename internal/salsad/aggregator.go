@@ -58,14 +58,12 @@ type agentEntry struct {
 	gen     uint64
 	lastSeq uint64
 	cursor  uint64
-	// cur accumulates the current generation's deltas.
-	cur salsa.Sketch
-	// base holds retired prior-generation contributions: when an agent
-	// crash-restarts it cannot resend what it already shipped, so the old
-	// generation's accumulation is kept and the fresh generation adds on
-	// top. A FlagFull frame discards base — the agent vouches that its
-	// envelope is the complete history.
-	base     salsa.Sketch
+	// contrib accumulates every delta the agent shipped, across
+	// generations: a crash-restarted agent cannot resend what it already
+	// shipped, so its new generation adds on top. A FlagFull frame
+	// replaces it — the agent vouches that its envelope is the complete
+	// history.
+	contrib  salsa.Sketch
 	lastSeen time.Time
 	// depth is the fan-in depth the sender reported (0 for edge agents,
 	// ≥ 1 for relays pushing their merged table).
@@ -368,30 +366,6 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 			a.stats.Resyncs++
 			return ackFor(StatusResync, e), nil
 		}
-		if err := a.checkCompatibleLocked(delta); err != nil {
-			a.stats.Rejected++
-			return nil, err
-		}
-		if e == nil {
-			e = &agentEntry{}
-			a.agents[p.Agent] = e
-		}
-		if p.Full() {
-			// The envelope is the agent's complete history: replace
-			// everything.
-			e.base = nil
-		} else if e.cur != nil {
-			// Crash-restart rejoin: the prior incarnation's shipped state
-			// is retired and kept; the new generation adds on top.
-			if e.base == nil {
-				e.base = e.cur
-			} else if err := salsa.MergeInto(e.base, e.cur); err != nil {
-				a.stats.Rejected++
-				return nil, err
-			}
-		}
-		e.cur = delta
-		e.gen, e.lastSeq, e.cursor = p.Gen, p.Seq, p.Cursor
 
 	case p.Gen < e.gen:
 		// A zombie incarnation (or a frame delayed from before a restart):
@@ -406,26 +380,7 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 		a.stats.Duplicates++
 		return ackFor(StatusDuplicate, e), nil
 
-	case p.Seq == e.lastSeq+1:
-		if p.Full() || e.cur == nil {
-			// The envelope replaces the contribution (FlagFull) or becomes
-			// its first one: check it as first contact is checked, since an
-			// incompatible contribution fails every later fold of the table.
-			if err := a.checkCompatibleLocked(delta); err != nil {
-				a.stats.Rejected++
-				return nil, err
-			}
-			if p.Full() {
-				e.base = nil
-			}
-			e.cur = delta
-		} else if err := salsa.MergeInto(e.cur, delta); err != nil {
-			a.stats.Rejected++
-			return nil, err
-		}
-		e.lastSeq, e.cursor = p.Seq, p.Cursor
-
-	default:
+	case p.Seq != e.lastSeq+1:
 		// Sequence gap: a frame is missing and can never be recovered
 		// (the agent has moved its shadow past it only on ack, so a gap
 		// means state diverged — e.g. the entry was built by a different
@@ -434,6 +389,25 @@ func (a *Aggregator) ApplyPush(p *Push) (*Ack, error) {
 		return ackFor(StatusResync, e), nil
 	}
 
+	if e == nil {
+		e = &agentEntry{} // joins the table once the frame applies
+	}
+	if p.Full() || e.contrib == nil {
+		// The envelope replaces the contribution (FlagFull) or becomes its
+		// first one. Merging the empty reference into it runs the full
+		// geometry/seed/type checks first: an incompatible contribution
+		// would fail every later fold of the table.
+		if err := salsa.MergeInto(delta, a.ref); err != nil {
+			a.stats.Rejected++
+			return nil, err
+		}
+		e.contrib = delta
+	} else if err := salsa.MergeInto(e.contrib, delta); err != nil {
+		a.stats.Rejected++
+		return nil, err
+	}
+	a.agents[p.Agent] = e
+	e.gen, e.lastSeq, e.cursor = p.Gen, p.Seq, p.Cursor
 	e.lastSeen = now
 	e.depth = p.Depth
 	a.stats.Applied++
@@ -447,16 +421,6 @@ func (a *Aggregator) reject() {
 	a.mu.Lock()
 	a.stats.Rejected++
 	a.mu.Unlock()
-}
-
-// checkCompatibleLocked verifies an incoming sketch against the reference
-// topology by merging the (empty) reference into it: a zero-valued merge
-// that runs the full geometry/seed/type compatibility checks.
-func (a *Aggregator) checkCompatibleLocked(sk salsa.Sketch) error {
-	if sk == nil {
-		return nil
-	}
-	return salsa.MergeInto(sk, a.ref)
 }
 
 // addCandidatesLocked folds an agent's heavy-hitter candidates into the
@@ -486,9 +450,8 @@ func (a *Aggregator) Resume(agent string) ResumeInfo {
 	return ResumeInfo{Known: true, Gen: e.gen, Seq: e.lastSeq, Cursor: e.cursor}
 }
 
-// mergedLocked folds every agent's contributions (retired base plus
-// current generation) into a fresh sketch, in sorted agent order so the
-// result is deterministic.
+// mergedLocked folds every agent's contribution into a fresh sketch, in
+// sorted agent order so the result is deterministic.
 func (a *Aggregator) mergedLocked() (salsa.Sketch, error) {
 	out, err := salsa.CloneSketch(a.ref)
 	if err != nil {
@@ -500,14 +463,8 @@ func (a *Aggregator) mergedLocked() (salsa.Sketch, error) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		e := a.agents[id]
-		if e.base != nil {
-			if err := salsa.MergeInto(out, e.base); err != nil {
-				return nil, err
-			}
-		}
-		if e.cur != nil {
-			if err := salsa.MergeInto(out, e.cur); err != nil {
+		if c := a.agents[id].contrib; c != nil {
+			if err := salsa.MergeInto(out, c); err != nil {
 				return nil, err
 			}
 		}

@@ -343,10 +343,12 @@ const (
 )
 
 // MarshalState serializes the aggregator's durable state — the per-agent
-// table (contribution envelopes, generation, seq frontier, cursor,
-// depth), the candidate pool, and the protocol counters — as a snapshot
-// payload for Store.Save. The bytes are deterministic: agents and
-// candidates are written in sorted order.
+// table (contribution envelope, generation, seq frontier, cursor, depth),
+// the candidate pool, and the protocol counters — as a snapshot payload
+// for Store.Save. The bytes are deterministic: agents and candidates are
+// written in sorted order. Each row has a second sketch slot, written
+// empty: older binaries kept a rejoined agent's earlier generations there,
+// and a restore folds them into the contribution.
 func (a *Aggregator) MarshalState() ([]byte, error) {
 	return a.marshalState(stateKindAggregator, nil)
 }
@@ -376,12 +378,10 @@ func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, e.cursor)
 		buf = append(buf, e.depth)
 		var err error
-		if buf, err = appendOptionalSketch(buf, e.cur); err != nil {
+		if buf, err = appendOptionalSketch(buf, e.contrib); err != nil {
 			return nil, err
 		}
-		if buf, err = appendOptionalSketch(buf, e.base); err != nil {
-			return nil, err
-		}
+		buf = append(buf, 0) // the second sketch slot, empty
 	}
 
 	cands := make([]uint64, 0, len(a.candidates))
@@ -453,11 +453,22 @@ func (a *Aggregator) restoreState(data []byte) (kind byte, upstream []byte, err 
 		id := string(idBytes)
 		e.gen, e.lastSeq, e.cursor = r.u64(), r.u64(), r.u64()
 		e.depth = r.u8()
-		if e.cur, err = a.readOptionalSketch(&r); err != nil {
+		if e.contrib, err = a.readOptionalSketch(&r); err != nil {
 			return 0, nil, err
 		}
-		if e.base, err = a.readOptionalSketch(&r); err != nil {
+		// An older binary's earlier generations: fold the current one in
+		// on top, in the order it merged them.
+		older, err := a.readOptionalSketch(&r)
+		if err != nil {
 			return 0, nil, err
+		}
+		if older != nil {
+			if e.contrib != nil {
+				if err := salsa.MergeInto(older, e.contrib); err != nil {
+					return 0, nil, &SnapshotError{Reason: "state payload: earlier generations do not merge", Err: err}
+				}
+			}
+			e.contrib = older
 		}
 		if r.err != nil {
 			return 0, nil, &SnapshotError{Reason: "state payload: truncated agent row"}
