@@ -28,7 +28,9 @@ type AgentConfig struct {
 	ID string
 	// Spec is the local ingest topology: a delta-capable core (sum-merge
 	// CountMin/ConservativeOf, or CountSketch), optionally wrapped in
-	// EpochShardedBy for lock-free multi-goroutine ingest. Required.
+	// EpochShardedBy for lock-free multi-goroutine ingest: writers taken
+	// from Sketch() may feed the agent from other goroutines, and
+	// PushOnce ships what they have flushed. Required.
 	Spec salsa.Spec
 	// Transport delivers frames. Required.
 	Transport Transport
@@ -61,8 +63,9 @@ type AgentConfig struct {
 	// cursor (calling Agent.Ingest for each item). The agent invokes it
 	// during a resync when its live sketch does not cover the full
 	// history (StartCursor > 0), rebuilding complete state from a
-	// replayable upstream. When nil, resync ships whatever the live
-	// sketch holds (documented best effort).
+	// replayable upstream. The rebuild replaces Sketch(), so writers
+	// taken from the old one stop feeding the agent. When nil, resync
+	// ships whatever the live sketch holds (documented best effort).
 	Replay func(fromCursor uint64)
 	// Candidates, when non-nil, supplies local heavy-hitter candidate
 	// items to attach to data frames (at most MaxPushCandidates are
@@ -79,12 +82,16 @@ type Agent struct {
 	uplink // shadowN counts items
 	cfg    AgentConfig
 	live   salsa.Sketch
-	// ingest/cut/pending abstract over the plain and epoch-wrapped
-	// backends; core is the delta-capable sketch inside live.
-	ingest  func(item uint64, count int64)
-	cut     func()
-	core    salsa.Sketch
-	pending func() uint64
+	// ingest/flush/cut/held abstract over the plain and epoch-wrapped
+	// backends; core is the delta-capable sketch inside live. held counts
+	// the items live holds: cut into core (Drained) and flushed by a
+	// writer but not yet cut (Pending). A plain sketch holds what Ingest
+	// fed it.
+	ingest func(item uint64, count int64)
+	flush  func()
+	cut    func()
+	core   salsa.Sketch
+	held   func() salsa.EpochStats
 
 	ingestN  uint64 // items ingested this incarnation's lifetime
 	frontier uint64 // upstream cursor: StartCursor + items ingested
@@ -118,10 +125,10 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 type epochLayer interface {
 	NewWriter(batch int) *salsa.EpochWriter
 	Advance()
-	Pending() uint64
+	Stats() salsa.EpochStats
 }
 
-// buildLive realizes the spec and wires the ingest/cut/pending hooks: an
+// buildLive realizes the spec and wires the ingest/flush/cut/held hooks: an
 // epoch topology ingests through one writer and cuts an epoch before each
 // snapshot, a plain sketch ingests directly. Also called to rebuild from
 // scratch during a replaying resync.
@@ -140,13 +147,13 @@ func (a *Agent) buildLive() error {
 	a.live, a.core = built, core
 	if e, ok := built.(epochLayer); ok {
 		w := e.NewWriter(0)
-		a.ingest = w.Update
+		a.ingest, a.flush = w.Update, w.Flush
 		a.cut = func() { w.Flush(); e.Advance() }
-		a.pending = e.Pending
+		a.held = e.Stats
 	} else {
 		a.ingest = built.Update
-		a.cut = func() {}
-		a.pending = func() uint64 { return 0 }
+		a.flush, a.cut = func() {}, func() {}
+		a.held = func() salsa.EpochStats { return salsa.EpochStats{Drained: a.ingestN} }
 	}
 	return nil
 }
@@ -166,7 +173,8 @@ func (a *Agent) IngestCount(item uint64, count int64) {
 }
 
 // Sketch exposes the live local sketch (e.g. for local queries). Do not
-// mutate it directly; use Ingest.
+// update it directly; use Ingest, or on an EpochShardedBy topology a
+// writer from its NewWriter.
 func (a *Agent) Sketch() salsa.Sketch { return a.live }
 
 // Gen returns the current generation.
@@ -179,13 +187,18 @@ func (a *Agent) Frontier() uint64 { return a.frontier }
 // Pending gauge sampled at call time.
 func (a *Agent) Stats() AgentStats {
 	s := a.deliveryStats()
-	s.Pending = a.pending()
+	s.Pending = a.held().Pending
 	return s
 }
 
-// Synced reports whether everything ingested so far has been acknowledged
-// by the aggregator: no frozen frame in flight and no unshipped traffic.
-func (a *Agent) Synced() bool { return a.synced(a.ingestN) }
+// Synced reports whether everything ingested so far, and everything an
+// epoch topology's writers have flushed, has been acknowledged by the
+// aggregator: no frozen frame in flight and no unshipped traffic.
+func (a *Agent) Synced() bool {
+	a.flush()
+	st := a.held()
+	return a.synced(st.Drained + st.Pending)
+}
 
 // PushOnce ships the agent's state forward by (at most) one frame: it
 // cuts a delta of everything ingested since the last acknowledged
@@ -205,7 +218,7 @@ func (a *Agent) PushOnce(ctx context.Context) error { return a.deliver(ctx, a) }
 // generation adds to the contribution the old one retired.
 func (a *Agent) cutFrame() error {
 	a.cut()
-	if a.ingestN == a.shadowN {
+	if a.held().Drained == a.shadowN {
 		return a.freezeFrame(&Push{
 			Agent:  a.cfg.ID,
 			Gen:    a.gen,
@@ -241,8 +254,11 @@ func (a *Agent) cutFull() error {
 func (a *Agent) beforeSend() error { return nil }
 
 // cutData freezes a data frame with the given flags carrying live −
-// shadow, or the whole live state when there is no shadow.
+// shadow, or the whole live state when there is no shadow. It counts the
+// items the core holds before it copies the core, so a drain in between
+// shows up in the next cut.
 func (a *Agent) cutData(flags byte) error {
+	n := a.held().Drained
 	cur, delta, err := a.snapshotPair()
 	if err != nil {
 		return err
@@ -264,7 +280,7 @@ func (a *Agent) cutData(flags byte) error {
 		Flags:      flags,
 		Candidates: a.candidates(),
 		Envelope:   env,
-	}, cur, a.ingestN)
+	}, cur, n)
 }
 
 // snapshotPair marshals the live core once and decodes it twice: a

@@ -784,6 +784,54 @@ func TestAgentEpochTopology(t *testing.T) {
 	}
 }
 
+// TestAgentShipsEpochWriters feeds an epoch agent through a writer taken
+// from its sketch on another goroutine, as AgentConfig.Spec allows: what
+// the writer flushes must reach the aggregator, and Synced must report
+// false until it has.
+func TestAgentShipsEpochWriters(t *testing.T) {
+	agg := newTestAggregator(t, AggregatorConfig{})
+	ag := newTestAgent(t, AgentConfig{
+		ID:        "edge",
+		Spec:      salsa.EpochShardedBy(testSpec(), 2),
+		Transport: &directTransport{agg: agg},
+	})
+	ctx := context.Background()
+	ag.Ingest(1)
+	if err := ag.PushOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	local := ag.Sketch().(*salsa.EpochCountMin)
+	w := local.NewWriter(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			w.Increment(7)
+		}
+		w.Flush()
+	}()
+	<-done
+	if ag.Synced() {
+		t.Fatal("Synced with 100 flushed items unshipped")
+	}
+	for i := 0; i < 3; i++ {
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ag.Synced() {
+		t.Fatal("not synced after three pushes")
+	}
+	if got, want := queryOne(t, agg, 7), int64(local.Query(7)); got != 100 || want != 100 {
+		t.Fatalf("item 7: root answers %d, local sketch %d, want 100", got, want)
+	}
+	// The agent's own items wait in its writer's buffer until a cut.
+	ag.Ingest(2)
+	if ag.Synced() {
+		t.Fatal("Synced with an ingested item unshipped")
+	}
+}
+
 // --- HTTP layer ---
 
 // flakyRT fails the first delivery of every distinct request body, then

@@ -61,8 +61,8 @@ type uplink struct {
 	seq uint64
 	// shadow is the last acknowledged snapshot: everything upstream has
 	// confirmed. The next delta is current − shadow. shadowN is the
-	// progress it covers: items ingested for an agent, downstream frames
-	// applied for a relay.
+	// progress it covers: items the cut sketch held for an agent,
+	// downstream frames applied for a relay.
 	shadow  salsa.Sketch
 	shadowN uint64
 	// frame is the frozen in-flight push, encoded once when it is cut: it
