@@ -9,7 +9,8 @@
 // make the redelivery idempotent. The coordinator then answers global
 // frequency and heavy-hitter queries from the merged contributions, and
 // the /v1/snapshot envelope equals what a single sequential sketch of the
-// whole stream would hold — exactly, counter for counter.
+// whole stream would hold — exactly, counter for counter. The program
+// exits non-zero when it does not.
 package main
 
 import (
@@ -138,10 +139,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	same := bytes.Equal(snapshot, want)
 	fmt.Printf("\n%d agents, %d packets, %d retries, %d wire bytes\n",
 		agents, packets, totalRetries, totalWire)
 	fmt.Printf("cluster snapshot == sequential reference: %v (%d bytes)\n\n",
-		bytes.Equal(snapshot, want), len(snapshot))
+		same, len(snapshot))
+	if !same {
+		panic("the cluster snapshot differs from the sequential reference")
+	}
 
 	// Global heavy hitters from the aggregator's candidate pool.
 	top, err := agg.Top(8)
