@@ -282,10 +282,6 @@ func TestAggregatorCrashRestart(t *testing.T) {
 				if _, ok := c.Converge(ctx, 50); !ok {
 					t.Fatalf("seed=%d: no convergence after aggregator restart", seed)
 				}
-				// Resync replaces state wholesale (FlagFull), so even the
-				// SALSA-mode layout is rebuilt from one contiguous history:
-				// byte-identity holds for every sum-merge backend here except
-				// conservative update (none in this matrix).
 				checkConverged(t, c, b.wantBytes)
 				if c.Agg.Stats().Resyncs == 0 {
 					t.Fatalf("seed=%d: restart never triggered a resync", seed)

@@ -215,7 +215,7 @@ func (a *Agent) PushOnce(ctx context.Context) error { return a.deliver(ctx, a) }
 // cutFrame freezes the next frame: a delta of everything since the
 // acknowledged shadow, or a heartbeat when nothing changed. The first
 // frame of a generation is a plain delta too: a restarted agent's new
-// generation adds to the contribution the old one retired.
+// generation merges into the contribution the old one shipped.
 func (a *Agent) cutFrame() error {
 	a.cut()
 	if a.held().Drained == a.shadowN {

@@ -264,7 +264,7 @@ func feedAggregator(t *testing.T, a *Aggregator) {
 	push(t, a, &Push{Agent: "a1", Gen: 1, Seq: 2, Cursor: 20, Envelope: envelopeFor(t, 9)})
 	push(t, a, &Push{Agent: "a2", Gen: 3, Seq: 1, Cursor: 5, Flags: FlagFull,
 		Envelope: envelopeFor(t, 1, 2, 3)})
-	// A generation bump so a2 carries a retired base alongside cur.
+	// A generation bump so a2's contribution spans two generations.
 	push(t, a, &Push{Agent: "a2", Gen: 4, Seq: 1, Cursor: 8, Envelope: envelopeFor(t, 4)})
 }
 

@@ -285,8 +285,8 @@ func TestAggregatorIdempotency(t *testing.T) {
 }
 
 // TestAggregatorGenerations pins the two rejoin semantics: a new
-// generation without FlagFull retires the prior contribution and adds on
-// top (crash-rejoin — shipped data survives), while FlagFull replaces
+// generation without FlagFull merges into the prior contribution
+// (crash-rejoin — shipped data survives), while FlagFull replaces
 // everything (the agent vouches for complete history).
 func TestAggregatorGenerations(t *testing.T) {
 	a := newTestAggregator(t, AggregatorConfig{})
@@ -306,7 +306,7 @@ func TestAggregatorGenerations(t *testing.T) {
 		t.Fatalf("after full resync: item 1 = %d, want 5", got)
 	}
 
-	// A mid-generation FlagFull also replaces retired bases.
+	// A mid-generation FlagFull also replaces what earlier generations shipped.
 	push(t, a, &Push{Agent: "e1", Gen: 3, Seq: 2, Flags: FlagFull, Envelope: envelopeFor(t, 1)})
 	if got := queryOne(t, a, 1); got != 1 {
 		t.Fatalf("after mid-gen full: item 1 = %d, want 1", got)

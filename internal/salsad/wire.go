@@ -14,10 +14,10 @@
 // never O(outage): when the frozen frame finally lands, the next cut
 // coalesces the whole outage into a single delta, because
 // (c₁−shadow) ⊎ (c₂−c₁) = c₂−shadow. Crashed agents rejoin with a fresh
-// generation (the aggregator retires the prior generation's contribution
-// and adds the new one), agents the aggregator has no state for are told
-// to resync with a full-state replacing snapshot, and leases flag agents
-// that stopped reporting.
+// generation (the aggregator keeps what the prior generation shipped and
+// merges the new generation's deltas into it), agents the aggregator has
+// no state for are told to resync with a full-state replacing snapshot,
+// and leases flag agents that stopped reporting.
 //
 // The wire format is a small binary frame (magic, version, flags, ids,
 // candidates) around a coded universal envelope. A delta envelope is
