@@ -456,10 +456,11 @@ func (a *Aggregator) restoreState(data []byte) (kind byte, upstream []byte, err 
 		if e.contrib, err = a.readOptionalSketch(&r); err != nil {
 			return 0, nil, err
 		}
-		// An older binary's earlier generations: fold the current one in
-		// on top, in the order it merged them.
-		older, err := a.readOptionalSketch(&r)
-		if err != nil {
+		// An older binary kept a rejoined agent's earlier generations in
+		// the second slot: fold the current one in on top, in the order
+		// that binary merged them.
+		var older salsa.Sketch
+		if older, err = a.readOptionalSketch(&r); err != nil {
 			return 0, nil, err
 		}
 		if older != nil {
