@@ -468,6 +468,47 @@ func TestAgentJitterSeedDeterminism(t *testing.T) {
 	}
 }
 
+// TestSenderEmptyStateShipsFullFrame pins the frame a sender owes when it
+// must replace its upstream contribution but holds nothing: an empty
+// FlagFull frame, never a heartbeat, which could not replace anything.
+func TestSenderEmptyStateShipsFullFrame(t *testing.T) {
+	ctx := context.Background()
+	t.Run("agent", func(t *testing.T) {
+		// The root does not know the id, so it answers the agent's
+		// heartbeat with a resync, and the resync with its full frame.
+		root := newTestAggregator(t, AggregatorConfig{})
+		ag := newTestAgent(t, AgentConfig{ID: "edge", Transport: &directTransport{agg: root}})
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := ag.Stats(); st.Resyncs != 1 || st.FramesAcked != 1 {
+			t.Fatalf("stats %+v, want 1 resync and 1 acknowledged data frame", st)
+		}
+		if !ag.Synced() {
+			t.Fatal("agent not synced after its full frame")
+		}
+		if info := root.Resume("edge"); !info.Known || info.Gen != 2 || info.Seq != 1 {
+			t.Fatalf("root row %+v, want gen 2 seq 1", info)
+		}
+	})
+	t.Run("relay", func(t *testing.T) {
+		// A dead incarnation left item 9 at the root under gen 5.
+		root := newTestAggregator(t, AggregatorConfig{})
+		push(t, root, &Push{Agent: "relay-1", Gen: 5, Seq: 1, Flags: FlagFull | FlagRelay,
+			Depth: 1, Envelope: envelopeFor(t, 9)})
+		r, _ := newTestRelay(t, root, RelayConfig{}) // empty table, Generation 0
+		if err := r.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if g := r.Gen(); g != 6 {
+			t.Fatalf("resolved generation %d, want 6", g)
+		}
+		if got := queryOne(t, root, 9); got != 0 {
+			t.Fatalf("count(9) = %d, want 0: the empty table replaces the dead incarnation", got)
+		}
+	})
+}
+
 // TestRelayPushesWhileApplying runs upstream pushes while downstream
 // frames land and persist after each one, and while a third goroutine
 // reads the relay's gauges: the concurrency the relay's lock exists for.
