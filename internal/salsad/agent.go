@@ -59,14 +59,6 @@ type AgentConfig struct {
 	// Sleep is called between retries; nil means time.Sleep. Injectable
 	// so the fault harness runs on virtual time.
 	Sleep func(time.Duration)
-	// Replay, when non-nil, re-ingests the upstream source from the given
-	// cursor (calling Agent.Ingest for each item). The agent invokes it
-	// during a resync when its live sketch does not cover the full
-	// history (StartCursor > 0), rebuilding complete state from a
-	// replayable upstream. The rebuild replaces Sketch(), so writers
-	// taken from the old one stop feeding the agent. When nil, resync
-	// ships whatever the live sketch holds (documented best effort).
-	Replay func(fromCursor uint64)
 	// Candidates, when non-nil, supplies local heavy-hitter candidate
 	// items to attach to data frames (at most MaxPushCandidates are
 	// sent).
@@ -93,9 +85,7 @@ type Agent struct {
 	core   salsa.Sketch
 	held   func() salsa.EpochStats
 
-	ingestN  uint64 // items ingested this incarnation's lifetime
 	frontier uint64 // upstream cursor: StartCursor + items ingested
-	fedFrom  uint64 // upstream cursor live history starts at
 }
 
 // NewAgent builds an agent. The spec is built and validated here: a
@@ -111,11 +101,31 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Transport == nil {
 		return nil, &ConfigError{Field: "Transport", Reason: "agent needs a Transport"}
 	}
-	a := &Agent{cfg: cfg, frontier: cfg.StartCursor, fedFrom: cfg.StartCursor}
+	built, err := salsa.Build(cfg.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := salsa.DeltaCapable(built); err != nil {
+		return nil, err
+	}
+	core, err := salsa.DeltaCore(built)
+	if err != nil {
+		return nil, err
+	}
+	a := &Agent{cfg: cfg, live: built, core: core, frontier: cfg.StartCursor}
 	a.setup(cfg.Transport, max(cfg.Generation, 1), cfg.MaxAttempts,
 		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
-	if err := a.buildLive(); err != nil {
-		return nil, err
+	// An epoch topology ingests through one writer and cuts an epoch
+	// before each snapshot; a plain sketch ingests directly.
+	if e, ok := built.(epochLayer); ok {
+		w := e.NewWriter(0)
+		a.ingest, a.flush = w.Update, w.Flush
+		a.cut = func() { w.Flush(); e.Advance() }
+		a.held = e.Stats
+	} else {
+		a.ingest = built.Update
+		a.flush, a.cut = func() {}, func() {}
+		a.held = func() salsa.EpochStats { return salsa.EpochStats{Drained: a.frontier - cfg.StartCursor} }
 	}
 	return a, nil
 }
@@ -128,47 +138,9 @@ type epochLayer interface {
 	Stats() salsa.EpochStats
 }
 
-// buildLive realizes the spec and wires the ingest/flush/cut/held hooks: an
-// epoch topology ingests through one writer and cuts an epoch before each
-// snapshot, a plain sketch ingests directly. Also called to rebuild from
-// scratch during a replaying resync.
-func (a *Agent) buildLive() error {
-	built, err := salsa.Build(a.cfg.Spec)
-	if err != nil {
-		return err
-	}
-	if err := salsa.DeltaCapable(built); err != nil {
-		return err
-	}
-	core, err := salsa.DeltaCore(built)
-	if err != nil {
-		return err
-	}
-	a.live, a.core = built, core
-	if e, ok := built.(epochLayer); ok {
-		w := e.NewWriter(0)
-		a.ingest, a.flush = w.Update, w.Flush
-		a.cut = func() { w.Flush(); e.Advance() }
-		a.held = e.Stats
-	} else {
-		a.ingest = built.Update
-		a.flush, a.cut = func() {}, func() {}
-		a.held = func() salsa.EpochStats { return salsa.EpochStats{Drained: a.ingestN} }
-	}
-	return nil
-}
-
 // Ingest adds one occurrence of item and advances the upstream cursor.
 func (a *Agent) Ingest(item uint64) {
 	a.ingest(item, 1)
-	a.ingestN++
-	a.frontier++
-}
-
-// IngestCount adds count occurrences of item as one upstream record.
-func (a *Agent) IngestCount(item uint64, count int64) {
-	a.ingest(item, count)
-	a.ingestN++
 	a.frontier++
 }
 
@@ -212,93 +184,23 @@ func (a *Agent) Synced() bool {
 // frame plus the live sketch: O(sketch), never O(outage).
 func (a *Agent) PushOnce(ctx context.Context) error { return a.deliver(ctx, a) }
 
-// cutFrame freezes the next frame: a delta of everything since the
-// acknowledged shadow, or a heartbeat when nothing changed. The first
-// frame of a generation is a plain delta too: a restarted agent's new
-// generation merges into the contribution the old one shipped.
-func (a *Agent) cutFrame() error {
+// progress cuts an epoch and reports the items the core now holds.
+func (a *Agent) progress() (uint64, Push) {
 	a.cut()
-	if a.held().Drained == a.shadowN {
-		return a.freezeFrame(&Push{
-			Agent:  a.cfg.ID,
-			Gen:    a.gen,
-			Seq:    a.seq,
-			Cursor: a.frontier,
-			Flags:  FlagHeartbeat,
-		}, nil, a.shadowN)
-	}
-	return a.cutData(0)
+	return a.held().Drained, Push{Agent: a.cfg.ID, Cursor: a.frontier}
 }
 
-// cutFull answers a resync demand once the uplink has moved to a fresh
-// generation and dropped the shadow: it cuts a full-state snapshot that
-// replaces everything the aggregator may still hold. If the live sketch
-// does not cover the full history (this incarnation resumed mid-stream)
-// and a Replay hook is configured, the history is rebuilt from the
-// replayable upstream first.
-func (a *Agent) cutFull() error {
-	if a.fedFrom > 0 && a.cfg.Replay != nil {
-		// Rebuild complete history: fresh sketch, replay from origin.
-		if err := a.buildLive(); err != nil {
-			return err
-		}
-		a.ingestN, a.frontier, a.fedFrom = 0, 0, 0
-		a.cfg.Replay(0)
-	}
-	a.cut()
-	return a.cutData(FlagFull)
+// state marshals the core once. It counts the items the core holds before
+// it copies the core, so a drain in between shows up in the next cut.
+func (a *Agent) state() ([]byte, uint64, Push, error) {
+	n := a.held().Drained
+	env, err := salsa.Marshal(a.core)
+	return env, n, Push{Agent: a.cfg.ID, Cursor: a.frontier, Candidates: a.candidates()}, err
 }
 
 // beforeSend has nothing to do: an agent keeps no durable state, and a
 // restarted one rejoins under a fresh generation.
 func (a *Agent) beforeSend() error { return nil }
-
-// cutData freezes a data frame with the given flags carrying live −
-// shadow, or the whole live state when there is no shadow. It counts the
-// items the core holds before it copies the core, so a drain in between
-// shows up in the next cut.
-func (a *Agent) cutData(flags byte) error {
-	n := a.held().Drained
-	cur, delta, err := a.snapshotPair()
-	if err != nil {
-		return err
-	}
-	if a.shadow != nil {
-		if err := salsa.SubtractInto(delta, a.shadow); err != nil {
-			return err
-		}
-	}
-	env, err := salsa.Marshal(delta)
-	if err != nil {
-		return err
-	}
-	return a.freezeFrame(&Push{
-		Agent:      a.cfg.ID,
-		Gen:        a.gen,
-		Seq:        a.seq + 1,
-		Cursor:     a.frontier,
-		Flags:      flags,
-		Candidates: a.candidates(),
-		Envelope:   env,
-	}, cur, n)
-}
-
-// snapshotPair marshals the live core once and decodes it twice: a
-// snapshot to advance the shadow to, and a scratch copy the delta is
-// computed in.
-func (a *Agent) snapshotPair() (cur, scratch salsa.Sketch, err error) {
-	blob, err := salsa.Marshal(a.core)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cur, err = salsa.Unmarshal(blob); err != nil {
-		return nil, nil, err
-	}
-	if scratch, err = salsa.Unmarshal(blob); err != nil {
-		return nil, nil, err
-	}
-	return cur, scratch, nil
-}
 
 func (a *Agent) candidates() []uint64 {
 	if a.cfg.Candidates == nil {

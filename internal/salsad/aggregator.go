@@ -636,13 +636,14 @@ func (a *Aggregator) depthLocked() int {
 	return depth + 1
 }
 
-// appliedCount returns the applied-data-frame counter; the relay's
-// dirtiness gauge (anything applied since the last upstream shadow means
-// there is a delta worth shipping).
-func (a *Aggregator) appliedCount() uint64 {
+// appliedCount returns the applied-data-frame counter and this node's
+// tier depth; the counter is the relay's dirtiness gauge (anything
+// applied since the last upstream shadow means there is a delta worth
+// shipping).
+func (a *Aggregator) appliedCount() (uint64, int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats.Applied
+	return a.stats.Applied, a.depthLocked()
 }
 
 // upstreamCut atomically captures everything a relay needs to freeze an

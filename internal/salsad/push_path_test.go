@@ -89,7 +89,7 @@ func allocsPerRun(t *testing.T, op func()) float64 {
 func TestZeroAllocFrozenEncode(t *testing.T) {
 	ag := newFaninAgent(t, &ackTransport{})
 	newFrameFeeder().feed(ag)
-	if err := ag.cutFrame(); err != nil {
+	if err := ag.cutFrame(ag); err != nil {
 		t.Fatal(err)
 	}
 	if n := allocsPerRun(t, func() { _, _ = ag.frame.Encode() }); n != 0 {

@@ -12,12 +12,11 @@ import (
 
 // Relay is an intermediate fan-in tier: downstream it is an Aggregator
 // (agents — or deeper relays — push delta frames into its table), and
-// upstream it behaves like an Agent whose "stream" is that table. Its cut
-// is the merged table delta (current − shadow via the subtract kernel),
-// shipped by the same sending code edge agents run (uplink: the frozen
-// frame, (gen, seq), backoff and resync), so trees compose to arbitrary
-// depth with no new wire format — relay frames only add FlagRelay and a
-// Depth byte.
+// upstream it behaves like an Agent whose "stream" is that table. It hands
+// the merged table to the same sending code edge agents run (uplink: the
+// cut into heartbeat, delta or full snapshot, the frozen frame, (gen,
+// seq), backoff and resync), so trees compose to arbitrary depth with no
+// new wire format — relay frames only add FlagRelay and a Depth byte.
 //
 // Durability follows a strict ordering rule: a durable relay persists
 // every freshly cut data frame — frame bytes, pre-cut shadow, and the
@@ -38,9 +37,9 @@ type Relay struct {
 	uplink
 	cfg RelayConfig
 	agg *Aggregator
-	// framePersisted records that the frozen frame has reached disk. Only
-	// the goroutine running PushOnce touches it.
-	framePersisted bool
+	// persisted is the frozen frame known to be on disk. Only the
+	// goroutine running PushOnce touches it.
+	persisted *Push
 }
 
 // RelayConfig configures a Relay.
@@ -104,7 +103,10 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Whatever a prior incarnation shipped overlaps this subtree's merged
+	// state, so the first frame replaces it.
 	r := &Relay{cfg: cfg, agg: agg}
+	r.full = true
 	r.setup(cfg.Upstream, cfg.Generation, cfg.MaxAttempts,
 		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
 	agg.upstreamStats = r.Stats
@@ -149,7 +151,10 @@ func (r *Relay) Stats() AgentStats { return r.deliveryStats() }
 // Synced reports whether everything applied downstream has been
 // acknowledged upstream: no frozen frame in flight and the shadow covers
 // the whole table.
-func (r *Relay) Synced() bool { return r.synced(r.agg.appliedCount()) }
+func (r *Relay) Synced() bool {
+	applied, _ := r.agg.appliedCount()
+	return r.synced(applied)
+}
 
 // PushOnce ships the relay's merged table forward by (at most) one
 // upstream frame, with the same freeze/retry/resync semantics as
@@ -171,87 +176,37 @@ func (r *Relay) PushOnce(ctx context.Context) error {
 	return r.deliver(ctx, r)
 }
 
-// cutFrame freezes the next upstream frame from an atomic capture of the
-// downstream table: a full replacing snapshot for a fresh incarnation
-// (whatever a prior incarnation shipped overlaps this subtree's merged
-// state, so only replacement is sound), a heartbeat when nothing was
-// applied since the shadow, and a merged-table delta otherwise.
-func (r *Relay) cutFrame() error {
-	merged, applied, cands, depth, err := r.agg.upstreamCut()
-	if err != nil {
-		return err
-	}
-	if depth > 255 {
-		depth = 255
-	}
-	r.framePersisted = false
-	if r.shadow == nil && r.seq == 0 {
-		env, err := salsa.Marshal(merged)
-		if err != nil {
-			return err
-		}
-		return r.freezeFrame(&Push{
-			Agent:      r.cfg.ID,
-			Gen:        r.gen,
-			Seq:        1,
-			Cursor:     applied,
-			Flags:      FlagFull | FlagRelay,
-			Depth:      byte(depth),
-			Candidates: cands,
-			Envelope:   env,
-		}, merged, applied)
-	}
-	if applied == r.shadowN {
-		return r.freezeFrame(&Push{
-			Agent:  r.cfg.ID,
-			Gen:    r.gen,
-			Seq:    r.seq,
-			Cursor: applied,
-			Flags:  FlagHeartbeat | FlagRelay,
-			Depth:  byte(depth),
-		}, nil, r.shadowN)
-	}
-	delta, err := salsa.CloneSketch(merged)
-	if err != nil {
-		return err
-	}
-	if err := salsa.SubtractInto(delta, r.shadow); err != nil {
-		return err
-	}
-	env, err := salsa.Marshal(delta)
-	if err != nil {
-		return err
-	}
-	return r.freezeFrame(&Push{
-		Agent:      r.cfg.ID,
-		Gen:        r.gen,
-		Seq:        r.seq + 1,
-		Cursor:     applied,
-		Flags:      FlagRelay,
-		Depth:      byte(depth),
-		Candidates: cands,
-		Envelope:   env,
-	}, merged, applied)
+// progress reports the downstream frames applied so far without folding
+// the table.
+func (r *Relay) progress() (uint64, Push) {
+	applied, depth := r.agg.appliedCount()
+	return applied, Push{Agent: r.cfg.ID, Cursor: applied, Flags: FlagRelay, Depth: byte(min(depth, 255))}
 }
 
-// cutFull answers a resync demand. The relay's table is its complete
-// subtree state (children follow the full-history resync contract
-// themselves), so with the shadow dropped its ordinary cut is already the
-// full replacing snapshot — no replay hook needed.
-func (r *Relay) cutFull() error { return r.cutFrame() }
+// state captures the downstream table atomically with the applied count
+// it reflects and its heaviest candidates.
+func (r *Relay) state() ([]byte, uint64, Push, error) {
+	merged, applied, cands, depth, err := r.agg.upstreamCut()
+	if err != nil {
+		return nil, 0, Push{}, err
+	}
+	env, err := salsa.Marshal(merged)
+	return env, applied, Push{Agent: r.cfg.ID, Cursor: applied, Flags: FlagRelay,
+		Depth: byte(min(depth, 255)), Candidates: cands}, err
+}
 
 // beforeSend enforces the durability barrier: a durable relay's frozen
 // data frame must be on disk before its first transmission. A no-op for
 // volatile relays, heartbeats (they consume no sequence number), and
 // frames already persisted, including ones restored from a snapshot.
 func (r *Relay) beforeSend() error {
-	if r.agg.pers == nil || r.framePersisted || r.frame.Heartbeat() {
+	if r.agg.pers == nil || r.persisted == r.frame || r.frame.Heartbeat() {
 		return nil
 	}
 	if _, err := r.agg.Persist(); err != nil {
 		return fmt.Errorf("frame not durable before transmission: %w", err)
 	}
-	r.framePersisted = true
+	r.persisted = r.frame
 	return nil
 }
 
@@ -340,8 +295,8 @@ func (r *Relay) restoreUpstream(data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gen, r.seq, r.shadowN = gen, seq, shadowN
-	r.shadow = shadow
+	r.shadow, r.full = shadow, seq == 0
 	r.frame, r.frameState, r.frameN = frame, frameState, frameN
-	r.framePersisted = frame != nil // it came from disk
+	r.persisted = frame // it came from disk
 	return nil
 }

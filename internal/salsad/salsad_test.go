@@ -689,15 +689,9 @@ func TestAgentCrashRestartResume(t *testing.T) {
 	if cursor != 300 {
 		t.Fatalf("resume cursor = %d, want 300 (last acked cut)", cursor)
 	}
-	var ag2 *Agent
-	ag2 = newTestAgent(t, AgentConfig{
+	ag2 := newTestAgent(t, AgentConfig{
 		ID: "edge", Transport: tr,
 		Generation: gen, StartCursor: cursor,
-		Replay: func(from uint64) {
-			for _, x := range source[from:] {
-				ag2.Ingest(x)
-			}
-		},
 	})
 	// Re-ingest the un-acked tail from the replayable source.
 	for _, x := range source[cursor:] {

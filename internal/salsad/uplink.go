@@ -41,7 +41,8 @@ type AgentStats struct {
 
 // uplink is the sending half of the push protocol, embedded in both Agent
 // and Relay: frames numbered by (gen, seq), the acknowledged shadow, the
-// frozen in-flight frame, and the loop that delivers it with jittered
+// cut that decides between heartbeat, delta and full snapshot, the frozen
+// in-flight frame, and the loop that delivers it with jittered
 // exponential backoff, commits acks and starts over after a resync
 // demand. What differs between the two owners comes in through framer.
 //
@@ -72,17 +73,23 @@ type uplink struct {
 	frame      *Push
 	frameState salsa.Sketch
 	frameN     uint64
-	stats      AgentStats
+	// full makes the next data frame a FlagFull snapshot that replaces
+	// everything upstream holds for this sender. restart sets it, and so
+	// does a relay from the start; an acknowledged data frame clears it.
+	full  bool
+	stats AgentStats
 }
 
-// framer is what an uplink's owner decides for itself.
+// framer is what an uplink's owner knows about its state. The header
+// fields it fills are the ones only it knows: Agent, Cursor, FlagRelay,
+// Depth and, on a data frame, Candidates.
 type framer interface {
-	// cutFrame freezes the next frame: current − shadow, or a heartbeat
-	// when nothing changed since the shadow.
-	cutFrame() error
-	// cutFull freezes a full replacing snapshot once a resync demand has
-	// burned the generation and dropped the shadow.
-	cutFull() error
+	// progress reports the progress the owner's state covers and the
+	// header of a heartbeat covering it.
+	progress() (uint64, Push)
+	// state hands over the envelope of the owner's whole state, the
+	// progress it covers and the header of a data frame carrying it.
+	state() ([]byte, uint64, Push, error)
 	// beforeSend runs before every transmission of the frozen frame.
 	beforeSend() error
 }
@@ -111,14 +118,14 @@ func (u *uplink) setup(t Transport, gen uint64, attempts int, base, ceiling time
 	u.rng, u.sleep = rand.New(rand.NewSource(int64(seed))), sleep
 }
 
-// deliver ships the owner's state forward by (at most) one frame: it has
-// f cut the next frame unless one is frozen, delivers it with exponential
-// backoff and jitter under ctx's deadline, and after a resync demand
-// delivers the full snapshot f cuts next. On failure the frame stays
-// frozen and the error wraps ErrPushFailed.
+// deliver ships f's state forward by (at most) one frame: it cuts the
+// next frame unless one is frozen, delivers it with exponential backoff
+// and jitter under ctx's deadline, and after a resync demand delivers the
+// full snapshot it cuts next. On failure the frame stays frozen and the
+// error wraps ErrPushFailed.
 func (u *uplink) deliver(ctx context.Context, f framer) error {
 	if u.currentFrame() == nil {
-		if err := f.cutFrame(); err != nil {
+		if err := u.cutFrame(f); err != nil {
 			return err
 		}
 	}
@@ -158,7 +165,7 @@ func (u *uplink) deliver(ctx context.Context, f framer) error {
 			u.stats.Resyncs++
 			u.mu.Unlock()
 			u.restart(max(u.gen, ack.Gen) + 1)
-			if err := f.cutFull(); err != nil {
+			if err := u.cutFrame(f); err != nil {
 				return err
 			}
 			lastErr = errors.New("resynchronizing")
@@ -183,14 +190,55 @@ func (u *uplink) backoff(n int) time.Duration {
 	return half + time.Duration(u.rng.Int63n(int64(half)+1))
 }
 
+// cutFrame freezes the next frame from f's state: a FlagFull snapshot of
+// the whole state while full is set, a heartbeat when the state covers no
+// progress past the shadow, and state − shadow otherwise. The first frame
+// of a generation that is not full is a plain delta holding the whole
+// state: a restarted agent's new generation merges into the contribution
+// the old one shipped.
+func (u *uplink) cutFrame(f framer) error {
+	if n, hb := f.progress(); !u.full && n == u.shadowN {
+		hb.Gen, hb.Seq = u.gen, u.seq
+		hb.Flags |= FlagHeartbeat
+		return u.freezeFrame(hb, nil, n)
+	}
+	env, n, p, err := f.state()
+	if err != nil {
+		return err
+	}
+	// One envelope decoded twice: the state the shadow advances to, and a
+	// scratch copy the delta is computed in.
+	state, err := salsa.Unmarshal(env)
+	if err != nil {
+		return err
+	}
+	if u.shadow != nil {
+		delta, err := salsa.Unmarshal(env)
+		if err != nil {
+			return err
+		}
+		if err := salsa.SubtractInto(delta, u.shadow); err != nil {
+			return err
+		}
+		if env, err = salsa.Marshal(delta); err != nil {
+			return err
+		}
+	}
+	p.Gen, p.Seq, p.Envelope = u.gen, u.seq+1, env
+	if u.full {
+		p.Flags |= FlagFull
+	}
+	return u.freezeFrame(p, state, n)
+}
+
 // freezeFrame makes p the in-flight frame and encodes it once; state and
 // n are the snapshot the shadow advances to when p is acknowledged.
-func (u *uplink) freezeFrame(p *Push, state salsa.Sketch, n uint64) error {
+func (u *uplink) freezeFrame(p Push, state salsa.Sketch, n uint64) error {
 	if err := p.freeze(); err != nil {
 		return err
 	}
 	u.mu.Lock()
-	u.frame, u.frameState, u.frameN = p, state, n
+	u.frame, u.frameState, u.frameN = &p, state, n
 	u.mu.Unlock()
 	return nil
 }
@@ -204,18 +252,21 @@ func (u *uplink) commitFrame() {
 	} else {
 		u.seq = u.frame.Seq
 		u.shadow, u.shadowN = u.frameState, u.frameN
+		u.full = false
 		u.stats.FramesAcked++
 	}
 	u.frame, u.frameState = nil, nil
 }
 
-// restart begins generation gen with no shadow, no frame and seq 0.
+// restart begins generation gen with no shadow, no frame and seq 0; its
+// first data frame is full.
 func (u *uplink) restart(gen uint64) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.gen, u.seq = gen, 0
 	u.shadow, u.shadowN = nil, 0
 	u.frame, u.frameState = nil, nil
+	u.full = true
 }
 
 // currentFrame returns the frozen in-flight frame, or nil.
