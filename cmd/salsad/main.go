@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout io.Writer) 
 		// Agent/relay upstream flags.
 		addr         = fs.String("addr", "", "upstream aggregator base URL (agent and relay modes)")
 		id           = fs.String("id", "", "agent/relay id (defaults to the hostname)")
-		dataset      = fs.String("dataset", "", "generate this trace stand-in instead of reading stdin")
+		dataset      = fs.String("dataset", "", "generate this trace stand-in instead of reading stdin; a rerun under the same -id skips the items the aggregator already holds (stdin is read as the stream that follows them)")
 		n            = fs.Int("n", 1_000_000, "generated stream length")
 		pushEvery    = fs.Int("pushevery", 100_000, "push a delta frame every this many items (agent mode)")
 		pushInterval = fs.Duration("pushinterval", 2*time.Second, "upstream push cadence (relay mode)")
@@ -400,7 +400,9 @@ func runAgent(ctx context.Context, p agentParams, stdin io.Reader, stdout io.Wri
 	}
 
 	if p.dataset != "" {
-		for _, x := range ds.Generate(p.n, p.seed) {
+		// The aggregator already holds the trace up to the resume cursor.
+		trace := ds.Generate(p.n, p.seed)
+		for _, x := range trace[min(cursor, uint64(len(trace))):] {
 			if err := ingest(x); err != nil && !errors.Is(err, interrupted) {
 				return err
 			} else if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"salsa"
 	"salsa/internal/salsad"
+	"salsa/internal/stream"
 )
 
 // startServer runs a server-role run() invocation (aggregator or relay)
@@ -171,6 +173,44 @@ func TestAgentRefusesToGuessGeneration(t *testing.T) {
 	}
 	if st := agg.Stats(); st.Duplicates != 0 || st.Applied != applied {
 		t.Fatalf("second run reached the aggregator: %d duplicates, %d applied (was %d)", st.Duplicates, st.Applied, applied)
+	}
+}
+
+// TestAgentRestartSkipsShippedPrefix reruns a -dataset agent under the
+// same id: the rerun resumes after the cursor the aggregator holds, so
+// the root keeps counting the trace once.
+func TestAgentRestartSkipsShippedPrefix(t *testing.T) {
+	spec := salsa.CountMinOf(salsa.Options{Width: 4096, Merge: salsa.MergeSum, Seed: 1})
+	agg, err := salsad.NewAggregator(salsad.AggregatorConfig{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(salsad.Handler(agg))
+	defer srv.Close()
+
+	ref := salsa.MustBuild(spec)
+	for _, x := range stream.NY18.Generate(30000, 1) {
+		ref.Update(x, 1)
+	}
+	want, err := salsa.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{
+		"-mode", "agent", "-addr", srv.URL, "-id", "edge-x",
+		"-dataset", "NY18", "-n", "30000", "-width", "4096", "-pushevery", "10000",
+	}
+	for i := 1; i <= 2; i++ {
+		if err := run(context.Background(), args, strings.NewReader(""), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got, err := agg.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: the root differs from one pass over the trace (resume cursor %d)", i, agg.Resume("edge-x").Cursor)
+		}
 	}
 }
 
