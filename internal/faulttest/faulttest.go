@@ -284,7 +284,7 @@ func NewDurableCluster(spec, agentSpec salsa.Spec, traces [][]uint64, plan Plan,
 }
 
 // startMember builds (or rebuilds) a member's agent at the given
-// generation and cursor, wiring the Replay hook to the durable trace. The
+// generation and cursor; Crash re-ingests the durable trace from there. The
 // jitter seed is derived from the plan seed and the member id, so backoff
 // schedules are a pure function of the plan — never crypto-seeded inside
 // the deterministic harness.

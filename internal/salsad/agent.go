@@ -40,6 +40,8 @@ type AgentConfig struct {
 	Generation uint64
 	// StartCursor is the upstream position ingest resumes from (the
 	// cursor a restarting agent got from Resume). Zero for a first launch.
+	// The live sketch holds only what is ingested from here on, so that
+	// is all the full frame answering a resync can resend.
 	StartCursor uint64
 	// MaxAttempts bounds the delivery attempts of one PushOnce call;
 	// zero means 4.

@@ -206,8 +206,8 @@ func (u *uplink) cutFrame(f framer) error {
 	if err != nil {
 		return err
 	}
-	// One envelope decoded twice: the state the shadow advances to, and a
-	// scratch copy the delta is computed in.
+	// The envelope decodes into the state the shadow advances to and, once
+	// there is a shadow, into a scratch copy the delta is computed in.
 	state, err := salsa.Unmarshal(env)
 	if err != nil {
 		return err
