@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"salsa/internal/core"
@@ -59,21 +60,45 @@ func checkCMSEqual(t *testing.T, name string, fast, generic *CMS) {
 	}
 }
 
-// fastSpecs is batchSpecs plus an 8-bit fixed baseline; every monomorphic
-// CMS backend appears.
+// fastSpecs is batchSpecs plus an 8-bit fixed baseline and every SALSA base
+// size; every monomorphic CMS backend appears.
 func fastSpecs() map[string]RowSpec {
 	return map[string]RowSpec{
 		"Fixed32":      FixedRow(32),
 		"Fixed8":       FixedRow(8),
 		"SalsaMax":     SalsaRow(8, core.MaxMerge, false),
 		"SalsaSum":     SalsaRow(8, core.SumMerge, false),
+		"SalsaMax1":    SalsaRow(1, core.MaxMerge, false),
+		"SalsaSum2":    SalsaRow(2, core.SumMerge, false),
 		"SalsaMax4":    SalsaRow(4, core.MaxMerge, false),
 		"SalsaSum4":    SalsaRow(4, core.SumMerge, false),
 		"SalsaSum16":   SalsaRow(16, core.SumMerge, false),
+		"SalsaMax32":   SalsaRow(32, core.MaxMerge, false),
 		"SalsaCompact": SalsaRow(8, core.MaxMerge, true),
 		"Tango":        TangoRow(8, core.MaxMerge),
 		"TangoSum":     TangoRow(8, core.SumMerge),
 	}
+}
+
+// equivalenceRun is one stream an equivalence test feeds: the first n items
+// of its Zipf stream into sketches of depth d, item j weighing weight(j).
+type equivalenceRun struct {
+	tag    string
+	d, n   int
+	weight func(j int) int64
+}
+
+// equivalenceRuns returns the runs of the update equivalence tests: the
+// whole stream at depth 4 with the test's weight w, a third of it at depths
+// 1, 3, 5 and 9, and a third whose weights climb to 2^62, so a few updates
+// of one item pass 2^63 and 64-bit counters saturate.
+func equivalenceRuns(n int, w func(j int) int64) []equivalenceRun {
+	runs := []equivalenceRun{{"d4", 4, n, w}}
+	for _, d := range []int{1, 3, 5, 9} {
+		runs = append(runs, equivalenceRun{fmt.Sprintf("d%d", d), d, n / 3, w})
+	}
+	saturating := func(j int) int64 { return 1 << (62 - j%63) }
+	return append(runs, equivalenceRun{"d4/saturating", 4, n / 3, saturating})
 }
 
 func TestFastPathEquivalenceCMS(t *testing.T) {
@@ -115,26 +140,29 @@ func TestFastPathEquivalenceCMS(t *testing.T) {
 // fallbacks fire too.
 func TestUpdateEstimateEquivalence(t *testing.T) {
 	data := stream.Zipf(60000, 3000, 1.0, 23)
+	runs := equivalenceRuns(len(data), func(j int) int64 { return int64(1 + j%7) })
 	for name, spec := range fastSpecs() {
 		for _, conservative := range []bool{false, true} {
-			build := func() *CMS {
-				if conservative {
-					return NewCUS(4, 1<<8, spec, 19)
-				}
-				return NewCMS(4, 1<<8, spec, 19)
-			}
-			tag := name
-			if conservative {
-				tag += "/conservative"
-			}
-			fast, generic := runPair(t, build, func(c *CMS) {
-				for j, x := range data {
-					if est, want := c.UpdateEstimate(x, int64(1+j%7)), c.Query(x); est != want {
-						t.Fatalf("%s: item %d (#%d): UpdateEstimate = %d, Query = %d", tag, x, j, est, want)
+			for _, run := range runs {
+				build := func() *CMS {
+					if conservative {
+						return NewCUS(run.d, 1<<8, spec, 19)
 					}
+					return NewCMS(run.d, 1<<8, spec, 19)
 				}
-			})
-			checkCMSEqual(t, tag, fast, generic)
+				tag := name + "/" + run.tag
+				if conservative {
+					tag += "/conservative"
+				}
+				fast, generic := runPair(t, build, func(c *CMS) {
+					for j, x := range data[:run.n] {
+						if est, want := c.UpdateEstimate(x, run.weight(j)), c.Query(x); est != want {
+							t.Fatalf("%s: item %d (#%d): UpdateEstimate = %d, Query = %d", tag, x, j, est, want)
+						}
+					}
+				})
+				checkCMSEqual(t, tag, fast, generic)
+			}
 		}
 	}
 }
@@ -166,35 +194,40 @@ func TestFastPathEquivalenceCMSNegative(t *testing.T) {
 // conservative batch) against the generic per-item path.
 func TestFastPathEquivalenceBatch(t *testing.T) {
 	data := stream.Zipf(60000, 3000, 1.0, 41)
+	runs := equivalenceRuns(len(data), func(int) int64 { return 2 })
 	for name, spec := range fastSpecs() {
 		for _, conservative := range []bool{false, true} {
-			build := func() *CMS {
-				if conservative {
-					return NewCUS(4, 1<<10, spec, 9)
+			for _, run := range runs {
+				build := func() *CMS {
+					if conservative {
+						return NewCUS(run.d, 1<<10, spec, 9)
+					}
+					return NewCMS(run.d, 1<<10, spec, 9)
 				}
-				return NewCMS(4, 1<<10, spec, 9)
-			}
-			fast := build()
-			generic := build()
-			generic.disableFast()
-			for off := 0; off < len(data); off += 1777 {
-				end := min(off+1777, len(data))
-				fast.UpdateBatch(data[off:end], 2)
-			}
-			for _, x := range data {
-				generic.Update(x, 2)
-			}
-			tag := name + "/batch"
-			if conservative {
-				tag += "/conservative"
-			}
-			checkCMSEqual(t, tag, fast, generic)
-			// QueryBatch against the generic single-item Query.
-			items := data[:1500]
-			got := fast.QueryBatch(items, nil)
-			for i, x := range items {
-				if want := generic.Query(x); got[i] != want {
-					t.Fatalf("%s: QueryBatch(%d) = %d, want %d", tag, x, got[i], want)
+				fast := build()
+				generic := build()
+				generic.disableFast()
+				// Each batch carries one weight: the run's weight of its
+				// first item.
+				for off := 0; off < run.n; off += 1777 {
+					end := min(off+1777, run.n)
+					fast.UpdateBatch(data[off:end], run.weight(off))
+					for _, x := range data[off:end] {
+						generic.Update(x, run.weight(off))
+					}
+				}
+				tag := name + "/batch/" + run.tag
+				if conservative {
+					tag += "/conservative"
+				}
+				checkCMSEqual(t, tag, fast, generic)
+				// QueryBatch against the generic single-item Query.
+				items := data[:1500]
+				got := fast.QueryBatch(items, nil)
+				for i, x := range items {
+					if want := generic.Query(x); got[i] != want {
+						t.Fatalf("%s: QueryBatch(%d) = %d, want %d", tag, x, got[i], want)
+					}
 				}
 			}
 		}
