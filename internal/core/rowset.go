@@ -107,76 +107,10 @@ func salsaUpdateEach8(rows []*Salsa, seeds []uint64, mask, x uint64, v int64) {
 	}
 }
 
-// SalsaMinEach returns the minimum over rows of the counter value at
-// slots[i] — the CMS estimate over pre-hashed slots.
-//
-//salsa:hotpath
-func SalsaMinEach(rows []*Salsa, slots []uint32) uint64 {
-	if len(rows) > 0 && rows[0].s == 8 {
-		return salsaMinEach8(rows, slots)
-	}
-	est := ^uint64(0)
-	for i, r := range rows {
-		u := uint(slots[i])
-		var v uint64
-		if bl := r.blWords; bl != nil {
-			wbits := bl[u>>6]
-			lvl, t := uint(0), uint(1)
-			for l := uint(0); l < r.maxLvl; l++ {
-				pos := u&^(1<<(l+1)-1) + 1<<l - 1
-				t &= uint(wbits>>(pos&63)) & 1
-				lvl += t
-			}
-			size := r.s << lvl
-			off := (u &^ (1<<lvl - 1)) * r.s
-			w, sh := off>>6, off&63
-			if size == 64 {
-				v = r.words[w]
-			} else {
-				v = (r.words[w] >> sh) & ((uint64(1) << size) - 1)
-			}
-		} else {
-			v = r.Value(int(u))
-		}
-		if v < est {
-			est = v
-		}
-	}
-	return est
-}
-
-// salsaMinEach8 is SalsaMinEach specialized to 8-bit rows via the parallel
-// probe.
-//
-//salsa:hotpath
-func salsaMinEach8(rows []*Salsa, slots []uint32) uint64 {
-	est := ^uint64(0)
-	for i, r := range rows {
-		u := uint(slots[i])
-		bl := r.blWords
-		if bl == nil || r.s != 8 {
-			if v := r.Value(int(u)); v < est {
-				est = v
-			}
-			continue
-		}
-		lvl := probeLevel8(bl[u>>6], u)
-		off := (u &^ (1<<lvl - 1)) << 3
-		v := r.words[off>>6]
-		if lvl != 3 {
-			v = (v >> (off & 63)) & ((uint64(1) << (8 << lvl)) - 1)
-		}
-		if v < est {
-			est = v
-		}
-	}
-	return est
-}
-
 // SalsaQueryEach returns the CMS estimate min over rows of the counter at
 // Index(x, seeds[i], mask), hashing inline — the whole point query in one
 // call, with no slot scratch (conservative updates, which reuse their
-// hashes for the raise pass, go through SalsaConservativeEach instead).
+// probes for the raise pass, go through SalsaConservative instead).
 //
 //salsa:hotpath
 func SalsaQueryEach(rows []*Salsa, seeds []uint64, mask, x uint64) uint64 {
@@ -216,107 +150,63 @@ func SalsaQueryEach(rows []*Salsa, seeds []uint64, mask, x uint64) uint64 {
 	return est
 }
 
-// SalsaConservativeEach applies the conservative update ⟨x, v⟩: each row is
-// hashed once into scratch, the estimate is the min over rows, and every
-// row's counter is raised to at least est+v. Equivalent to a Query followed
-// by per-row SetAtLeast at the same slots; it returns the item's estimate
-// after the update, so a caller that needs it (the heavy-hitter Monitor)
-// skips the second hash-and-probe of a Query.
-//
-//salsa:hotpath
-func SalsaConservativeEach(rows []*Salsa, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
-	for i := range rows {
-		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
-	}
-	slots := scratch[:len(rows)]
-	target := satAdd(SalsaMinEach(rows, slots), v)
-	return SalsaRaiseEach(rows, slots, target)
+// Probe records where one row's counter for an item lives, as the min pass
+// of SalsaConservative found it: its word, the counter's shift and mask in
+// that word, and the value it held.
+type Probe struct {
+	w, sh      uint
+	cmask, val uint64
 }
 
-// SalsaRaiseEach raises row i's counter at slots[i] to at least target — the
-// conservative raise pass over pre-hashed slots — and returns the minimum
-// over rows of the raised counters: the estimate a Query at the same slots
-// would now return.
+// SalsaConservative applies the conservative update of weight v to the
+// counters at pre-hashed slots[i] and returns the item's estimate after
+// it: the min over rows of the raised counters, which a Query at the same
+// slots would now return. Equivalent to a min pass of Value followed by
+// per-row SetAtLeast(est+v), but each row is probed once: the min pass
+// keeps the counter's location in probes[i], and the raise writes
+// max(value, est+v) back there. Only a counter too narrow for est+v, or a
+// compact-encoding row, goes through the merging SetAtLeast.
 //
 //salsa:hotpath
-func SalsaRaiseEach(rows []*Salsa, slots []uint32, target uint64) uint64 {
-	if len(rows) > 0 && rows[0].s == 8 {
-		return salsaRaiseEach8(rows, slots, target)
-	}
+func SalsaConservative(rows []*Salsa, slots []uint32, v uint64, probes []Probe) uint64 {
 	est := ^uint64(0)
 	for i, r := range rows {
-		u := uint(slots[i])
+		u, p := uint(slots[i]), &probes[i]
 		bl := r.blWords
-		var v uint64
 		if bl == nil {
-			r.SetAtLeast(int(u), target)
-			v = r.Value(int(u))
+			p.val = r.Value(int(u))
+			est = min(est, p.val)
+			continue
+		}
+		var lvl uint
+		if r.s == 8 {
+			lvl = probeLevel8(bl[u>>6], u)
 		} else {
-			wbits := bl[u>>6]
-			lvl, t := uint(0), uint(1)
+			wbits, t := bl[u>>6], uint(1)
 			for l := uint(0); l < r.maxLvl; l++ {
 				pos := u&^(1<<(l+1)-1) + 1<<l - 1
 				t &= uint(wbits>>(pos&63)) & 1
 				lvl += t
 			}
-			size := r.s << lvl
-			off := (u &^ (1<<lvl - 1)) * r.s
-			w, sh := off>>6, off&63
-			cmask := ^uint64(0)
-			if size != 64 {
-				cmask = (uint64(1) << size) - 1
-			}
-			switch v = (r.words[w] >> sh) & cmask; {
-			case target <= v:
-			case target <= cmask:
-				r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
-				v = target
-			default:
-				r.SetAtLeast(int(u), target) // overflow: merge via the general path
-				v = r.Value(int(u))
-			}
 		}
-		if v < est {
-			est = v
-		}
+		off := (u &^ (1<<lvl - 1)) * r.s
+		p.w, p.sh = off>>6, off&63
+		p.cmask = (uint64(1) << (r.s << lvl)) - 1 // all ones at 64 bits
+		p.val = (r.words[p.w] >> p.sh) & p.cmask
+		est = min(est, p.val)
 	}
-	return est
-}
-
-// salsaRaiseEach8 is SalsaRaiseEach specialized to 8-bit rows via the
-// parallel probe.
-//
-//salsa:hotpath
-func salsaRaiseEach8(rows []*Salsa, slots []uint32, target uint64) uint64 {
-	est := ^uint64(0)
+	target := satAdd(est, v)
+	est = ^uint64(0)
 	for i, r := range rows {
-		u := uint(slots[i])
-		bl := r.blWords
-		var v uint64
-		if bl == nil || r.s != 8 {
-			r.SetAtLeast(int(u), target)
-			v = r.Value(int(u))
+		p := &probes[i]
+		nv := max(p.val, target)
+		if nv > p.cmask || r.blWords == nil {
+			r.SetAtLeast(int(slots[i]), target) // overflow or compact: merge via the general path
+			nv = r.Value(int(slots[i]))
 		} else {
-			lvl := probeLevel8(bl[u>>6], u)
-			off := (u &^ (1<<lvl - 1)) << 3
-			w, sh := off>>6, off&63
-			cmask := ^uint64(0)
-			if lvl != 3 {
-				cmask = (uint64(1) << (8 << lvl)) - 1
-			}
-			switch v = (r.words[w] >> sh) & cmask; {
-			case target <= v:
-			case target <= cmask:
-				r.words[w] = r.words[w]&^(cmask<<sh) | target<<sh
-				v = target
-			default:
-				r.SetAtLeast(int(u), target) // overflow: merge via the general path
-				v = r.Value(int(u))
-			}
+			r.words[p.w] = r.words[p.w]&^(p.cmask<<p.sh) | nv<<p.sh
 		}
-		if v < est {
-			est = v
-		}
+		est = min(est, nv)
 	}
 	return est
 }

@@ -18,14 +18,16 @@ import (
 
 // conservativeFast applies the conservative update ⟨x, v⟩ through the
 // homogeneous row view and returns x's new estimate, read off the raise
-// pass; ok is false for mixed-row sketches, which take updateGeneric.
+// pass; ok is false for mixed-row sketches, which take updateGeneric. SALSA
+// rows probe each row once (core.SalsaConservative); Fixed and Tango rows
+// run a min pass and a raise pass over the same hashes.
 //
 //salsa:hotpath
 func (c *CMS) conservativeFast(x uint64, v int64) (est uint64, ok bool) {
 	nv := uint64(mustNonNegative(v))
 	switch {
 	case c.salsa != nil:
-		return core.SalsaConservativeEach(c.salsa, c.seeds, c.mask, x, nv, c.slots), true
+		return core.SalsaConservative(c.salsa, c.hashOnce(x), nv, c.probes), true
 	case c.fixed != nil:
 		return core.FixedConservativeEach(c.fixed, c.seeds, c.mask, x, nv, c.slots), true
 	case c.tango != nil:
@@ -73,7 +75,7 @@ func minInto(r Row, slots []uint32, out []uint64) {
 
 // conservativeItem applies the conservative rule for one item whose per-row
 // slots are scratch[i][j] — the batch counterpart of the single-item
-// conservative paths, sharing their min and raise row-set loops.
+// conservative paths, sharing their row-set kernels.
 //
 //salsa:hotpath
 func (c *CMS) conservativeItem(scratch [][]uint32, j int, v uint64) {
@@ -83,7 +85,7 @@ func (c *CMS) conservativeItem(scratch [][]uint32, j int, v uint64) {
 	}
 	switch {
 	case c.salsa != nil:
-		core.SalsaRaiseEach(c.salsa, slots, satAddU(core.SalsaMinEach(c.salsa, slots), v))
+		core.SalsaConservative(c.salsa, slots, v, c.probes)
 	case c.fixed != nil:
 		core.FixedRaiseEach(c.fixed, slots, satAddU(core.FixedMinEach(c.fixed, slots), v))
 	case c.tango != nil:

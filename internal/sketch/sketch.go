@@ -63,7 +63,8 @@ type CMS struct {
 	seeds        []uint64
 	mask         uint64
 	conservative bool
-	slots        []uint32 // d pre-hashed slots: single-item ops hash once
+	slots        []uint32     // d pre-hashed slots: single-item ops hash once
+	probes       []core.Probe // d probe records of the SALSA conservative update
 	// chunkSlots is the per-chunk slot buffer of UpdateBatch; it lives on
 	// the sketch because a stack buffer would escape through the
 	// row-interface AddSlots call and allocate per batch.
@@ -91,6 +92,7 @@ func newCMS(rows []Row, seed uint64, conservative bool) *CMS {
 		mask:         uint64(w - 1),
 		conservative: conservative,
 		slots:        make([]uint32, len(rows)),
+		probes:       make([]core.Probe, len(rows)),
 	}
 	c.classifyRows()
 	return c
