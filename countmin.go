@@ -142,10 +142,10 @@ func (m *Monitor) Update(item uint64, count int64) {
 // tracked entry's count is at most its item's current estimate, and an item
 // estimated below the minimum is untracked and cannot displace it. (Only
 // subtracting from the sketch behind the Monitor's back breaks that
-// premise.) Estimates past MaxInt64 wrap negative in the heap's int64
-// counts and always take the Offer.
+// premise.) Estimates past MaxInt64 count as MaxInt64 (topk.CountOf), which
+// keeps them non-decreasing.
 func offerEstimate(h *topk.Heap, item, est uint64) {
-	if c := int64(est); c < 0 || !h.Full() || c >= h.Min() {
+	if c := topk.CountOf(est); !h.Full() || c >= h.Min() {
 		h.Offer(item, c)
 	}
 }
@@ -165,7 +165,8 @@ func (m *Monitor) MemoryBits() int { return m.cm.MemoryBits() }
 // Sketch exposes the underlying CountMin for point queries.
 func (m *Monitor) Sketch() *CountMin { return m.cm }
 
-// ItemCount is a tracked item with its frequency estimate.
+// ItemCount is a tracked item with its frequency estimate; a CountMin
+// estimate at or above 2^63 counts as MaxInt64.
 type ItemCount struct {
 	Item  uint64
 	Count int64

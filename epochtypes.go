@@ -172,7 +172,7 @@ func newEpochMonitor(view *Monitor, writers int) *Epoch {
 		func(buf *epochMonitorBuf, _ uint64) {
 			view.cm.sk.MergeFrom(buf.cm)
 			for _, ent := range buf.heap.Items() {
-				view.heap.Offer(ent.Item, int64(view.cm.sk.Query(ent.Item)))
+				view.heap.Offer(ent.Item, topk.CountOf(view.cm.sk.Query(ent.Item)))
 			}
 		})
 }

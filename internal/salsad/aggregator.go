@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"salsa"
+	"salsa/internal/topk"
 )
 
 // AggregatorConfig configures an Aggregator.
@@ -491,7 +492,8 @@ func (a *Aggregator) SnapshotBytes() ([]byte, error) {
 }
 
 // Query returns the merged-sketch estimate for each item (CountSketch
-// estimates may be negative; CountMin estimates are non-negative).
+// estimates may be negative; CountMin estimates are non-negative and
+// saturate at MaxInt64).
 func (a *Aggregator) Query(items []uint64) ([]int64, error) {
 	s, err := a.Snapshot()
 	if err != nil {
@@ -507,7 +509,7 @@ func (a *Aggregator) Query(items []uint64) ([]int64, error) {
 func querySketch(s salsa.Sketch, item uint64) int64 {
 	switch t := s.(type) {
 	case *salsa.CountMin:
-		return int64(t.Query(item))
+		return topk.CountOf(t.Query(item))
 	case *salsa.CountSketch:
 		return t.Query(item)
 	default:

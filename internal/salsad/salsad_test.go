@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -433,6 +435,30 @@ func TestAggregatorTopCandidates(t *testing.T) {
 	}
 	if a.Stats().CandidatesDropped != 1 {
 		t.Fatalf("stats: %+v", a.Stats())
+	}
+}
+
+// TestAggregatorSaturatesPastMaxInt64 pins that a CountMin estimate at or
+// above 2^63 answers MaxInt64 instead of wrapping negative, so Top keeps
+// the heaviest item rather than cutting it as a non-positive count.
+func TestAggregatorSaturatesPastMaxInt64(t *testing.T) {
+	a := newTestAggregator(t, AggregatorConfig{})
+	env := weightedEnvelope(t, 1, 1<<62, 1, 1<<62, 1, 1<<62, 2, 5, 3, 7)
+	push(t, a, &Push{Agent: "e1", Gen: 1, Seq: 1, Candidates: []uint64{1, 2, 3}, Envelope: env})
+	got, err := a.Query([]uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{math.MaxInt64, 5, 7}; !slices.Equal(got, want) {
+		t.Fatalf("Query = %v, want %v", got, want)
+	}
+	top, err := a.Top(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []salsa.ItemCount{{Item: 1, Count: math.MaxInt64}, {Item: 3, Count: 7}, {Item: 2, Count: 5}}
+	if !slices.Equal(top, want) {
+		t.Fatalf("Top(10) = %v, want %v", top, want)
 	}
 }
 

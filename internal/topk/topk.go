@@ -7,6 +7,7 @@ package topk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -30,6 +31,12 @@ type Heap struct {
 	entries []Entry
 	pos     map[uint64]int
 }
+
+// CountOf converts a frequency estimate into a count, saturating at
+// MaxInt64: an estimate at or above 2^63 would otherwise wrap negative and
+// rank below every real count. Saturating keeps non-decreasing estimates
+// non-decreasing as counts.
+func CountOf(est uint64) int64 { return int64(min(est, math.MaxInt64)) }
 
 // New returns a heap tracking the k items with the largest estimates.
 func New(k int) *Heap {

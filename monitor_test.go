@@ -3,6 +3,7 @@ package salsa
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // refOffer is the reference per-item step: update, re-query, offer.
 func refOffer(sk *sketch.CMS, h *topk.Heap, item uint64, count int64) {
 	sk.Update(item, count)
-	h.Offer(item, int64(sk.Query(item)))
+	h.Offer(item, topk.CountOf(sk.Query(item)))
 }
 
 // monitorStreams are the traces the equivalence tests run: a skewed one
@@ -148,7 +149,7 @@ func TestEpochMonitorMatchesQueryOfferReference(t *testing.T) {
 				m.Advance()
 				view.cm.sk.MergeFrom(priv)
 				for _, e := range privHeap.Items() {
-					view.heap.Offer(e.Item, int64(view.cm.sk.Query(e.Item)))
+					view.heap.Offer(e.Item, topk.CountOf(view.cm.sk.Query(e.Item)))
 				}
 				priv.Reset()
 				privHeap.Reset()
@@ -162,21 +163,75 @@ func TestEpochMonitorMatchesQueryOfferReference(t *testing.T) {
 
 // TestOfferEstimateSkipsOnlyUntracked pins the fast-reject boundary: ties
 // with the minimum still reach Offer (a smaller id wins the tie), and
-// estimates past MaxInt64 — negative as heap counts — are never skipped.
+// estimates past MaxInt64 count as MaxInt64, so they re-key a tracked item
+// and displace the minimum instead of wrapping below it.
 func TestOfferEstimateSkipsOnlyUntracked(t *testing.T) {
 	h, ref := topk.New(2), topk.New(2)
 	for _, o := range []struct{ item, est uint64 }{
 		{10, 5}, {20, 7}, // fill
 		{30, 4},         // below the minimum: skipped, and a no-op for Offer too
 		{5, 5},          // ties the minimum with a smaller id: displaces item 10
-		{20, 1 << 63},   // a tracked estimate wraps negative: must re-key
-		{50, 1<<63 + 1}, // negative, above the new minimum: displaces item 20
+		{20, 1 << 63},   // a tracked estimate past MaxInt64: re-keys at MaxInt64
+		{50, 1<<63 + 1}, // past MaxInt64 too: displaces the minimum, item 5
 	} {
 		offerEstimate(h, o.item, o.est)
-		ref.Offer(o.item, int64(o.est))
+		ref.Offer(o.item, topk.CountOf(o.est))
 		checkHeapsEqual(t, fmt.Sprintf("offer %d", o.item), h, ref)
+		if o.item == 5 && (!h.Contains(5) || h.Contains(10)) {
+			t.Fatalf("tie at the minimum was not offered: %v", h.Snapshot())
+		}
 	}
-	if !h.Contains(5) || h.Contains(10) {
-		t.Fatalf("tie at the minimum was not offered: %v", h.Snapshot())
+	want := []topk.Entry{{Item: 20, Count: math.MaxInt64}, {Item: 50, Count: math.MaxInt64}}
+	if got := h.Items(); !slices.Equal(got, want) {
+		t.Fatalf("Items() = %v, want %v", got, want)
+	}
+}
+
+// TestMonitorsSaturatePastMaxInt64 pins that an estimate at or above 2^63
+// ranks as MaxInt64 rather than wrapping to a negative count: item 1's
+// estimate reaches 3·2^62, and it must stay tracked, first, ahead of items
+// 2 and 3 that arrive after it into a k=2 heap. The epoch case feeds a
+// writer, so the drain's re-offer at merged estimates runs too; the
+// windowed case ranks candidates against the window view.
+func TestMonitorsSaturatePastMaxInt64(t *testing.T) {
+	opt := Options{Width: 1 << 10, Merge: MergeSum, Seed: 1}
+	updates := []struct {
+		item  uint64
+		count int64
+	}{{1, 1 << 62}, {1, 1 << 62}, {1, 1 << 62}, {2, 5}, {3, 7}}
+	for _, tc := range []struct {
+		name string
+		run  func() []ItemCount
+	}{
+		{"monitor", func() []ItemCount {
+			m := MustBuild(MonitorOf(opt, 2)).(*Monitor)
+			for _, u := range updates {
+				m.Update(u.item, u.count)
+			}
+			return m.Top()
+		}},
+		{"epoch", func() []ItemCount {
+			m := MustBuild(EpochShardedBy(MonitorOf(opt, 2), 1)).(*EpochMonitor)
+			w := m.NewWriter(len(updates))
+			for _, u := range updates {
+				w.Update(u.item, u.count)
+			}
+			w.Flush()
+			m.Advance()
+			w.Close()
+			return m.Top()
+		}},
+		{"windowed", func() []ItemCount {
+			m := MustBuild(Windowed(MonitorOf(opt, 2), 4, 1000)).(*WindowedMonitor)
+			for _, u := range updates {
+				m.Update(u.item, u.count)
+			}
+			return m.Top()
+		}},
+	} {
+		want := []ItemCount{{1, math.MaxInt64}, {3, 7}}
+		if got := tc.run(); !slices.Equal(got, want) {
+			t.Errorf("%s: Top() = %v, want %v", tc.name, got, want)
+		}
 	}
 }

@@ -346,7 +346,7 @@ func (m *WindowedMonitor) candidates() []ItemCount {
 				continue
 			}
 			seen[e.Item] = struct{}{}
-			out = append(out, ItemCount{Item: e.Item, Count: int64(view.Query(e.Item))})
+			out = append(out, ItemCount{Item: e.Item, Count: topk.CountOf(view.Query(e.Item))})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
