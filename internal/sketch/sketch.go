@@ -64,7 +64,7 @@ type CMS struct {
 	mask         uint64
 	conservative bool
 	slots        []uint32     // d pre-hashed slots: single-item ops hash once
-	probes       []core.Probe // d probe records of the SALSA conservative update
+	probes       []core.Probe // d probe records of the SALSA conservative update; nil otherwise
 	// chunkSlots is the per-chunk slot buffer of UpdateBatch; it lives on
 	// the sketch because a stack buffer would escape through the
 	// row-interface AddSlots call and allocate per batch.
@@ -92,7 +92,9 @@ func newCMS(rows []Row, seed uint64, conservative bool) *CMS {
 		mask:         uint64(w - 1),
 		conservative: conservative,
 		slots:        make([]uint32, len(rows)),
-		probes:       make([]core.Probe, len(rows)),
+	}
+	if conservative {
+		c.probes = make([]core.Probe, len(rows))
 	}
 	c.classifyRows()
 	return c
