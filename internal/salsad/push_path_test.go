@@ -105,6 +105,22 @@ func TestZeroAllocMarshalAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestZeroAllocDecodePush pins a steady-state DecodePush of a fanin-shape
+// delta frame to the allocations it returns: the Push, its agent id, its
+// candidates and its envelope. The inflater's tables and the run buffer
+// live in the pooled decoder.
+func TestZeroAllocDecodePush(t *testing.T) {
+	p := &Push{Agent: "edge-00", Gen: 1, Seq: 2, Candidates: faninCandidates,
+		Envelope: deltaEnvelope(t, stream.Univ2, 1<<18, 65_536, 1024)}
+	enc, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := allocsPerRun(t, func() { _, _ = DecodePush(enc, 0) }); n > 4 {
+		t.Fatalf("steady-state DecodePush: %v allocs, want at most 4", n)
+	}
+}
+
 // pushOnceAllocBudget bounds the allocations of one steady-state PushOnce
 // at the fanin-mixed shape: 58 measured with go1.24 on linux/amd64, plus
 // headroom. Most of them are the delta cut's two decoded copies of the

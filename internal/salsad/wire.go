@@ -42,8 +42,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -290,14 +290,15 @@ func (p *Push) encode() ([]byte, error) {
 // them would make those frames slower to decode for about the same coded
 // size.
 
-// encoder codes envelopes with a HuffmanOnly flate writer and section
-// buffers kept for reuse. A reset writer carries nothing over from its
-// last stream, since it builds a table per block, so it writes exactly the
-// bytes a new one would.
+// encoder codes envelopes with a HuffmanOnly flate writer, and keeps the
+// section buffers and split's bitmaps for reuse. A reset writer carries
+// nothing over from its last stream, since it builds a table per block, so
+// it writes exactly the bytes a new one would.
 type encoder struct {
-	fw         *flate.Writer
-	out        bytes.Buffer
-	runs, lits []byte
+	fw            *flate.Writer
+	out           bytes.Buffer
+	runs, lits    []byte
+	nonzero, ends []uint64
 }
 
 var encoders = sync.Pool{New: func() any {
@@ -309,117 +310,145 @@ var encoders = sync.Pool{New: func() any {
 // encode returns the coded sections of env and the length of its run
 // section. The coded bytes are held in e until it is used again.
 func (e *encoder) encode(env []byte) (coded []byte, runsLen int, err error) {
-	e.runs, e.lits = split(env, e.runs[:0], e.lits[:0])
+	e.split(env)
+	coded, err = e.code(e.runs, e.lits)
+	return coded, len(e.runs), err
+}
+
+// code codes runs and then lits in one HuffmanOnly stream, each section in
+// blocks of its own. The coded bytes are held in e until it is used again.
+func (e *encoder) code(runs, lits []byte) ([]byte, error) {
 	e.out.Reset()
 	e.fw.Reset(&e.out)
-	if _, err := e.fw.Write(e.runs); err != nil {
-		return nil, 0, err
+	if _, err := e.fw.Write(runs); err != nil {
+		return nil, err
 	}
 	// Flush ends the run section's last block, so the literals start a
 	// block of their own.
 	if err := e.fw.Flush(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if _, err := e.fw.Write(e.lits); err != nil {
-		return nil, 0, err
+	if _, err := e.fw.Write(lits); err != nil {
+		return nil, err
 	}
 	if err := e.fw.Close(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return e.out.Bytes(), len(e.runs), nil
+	return e.out.Bytes(), nil
 }
 
-// split appends env's run section to runs and its literals to lits.
-func split(env, runs, lits []byte) ([]byte, []byte) {
+// split sets e.runs to env's run section and e.lits to its literals. One
+// bitmap marks env's nonzero bytes and another the zeros that end a
+// literal run: those followed by at least minZeroRun−1 more zeros, and
+// those in the zeros that end env. A zero run ends at the next nonzero
+// byte and a literal run at the next marked zero, so each is a scan for
+// the next set bit.
+func (e *encoder) split(env []byte) {
+	e.nonzero = markNonzero(env, e.nonzero)
+	e.ends = markRunEnds(e.nonzero, e.ends)
+	runs, lits := e.runs[:0], e.lits[:0]
 	for i := 0; ; {
-		j := skipZeros(env, i)
+		j := nextSet(e.nonzero, i, len(env))
 		runs = binary.AppendUvarint(runs, uint64(j-i))
 		if j == len(env) {
-			return runs, lits
+			break
 		}
-		i = zeroRun(env, j)
+		i = nextSet(e.ends, j, len(env))
 		runs = binary.AppendUvarint(runs, uint64(i-j))
 		lits = append(lits, env[j:i]...)
 	}
+	e.runs, e.lits = runs, lits
 }
 
-// zeroRun returns the start of the first zero run at or after i that ends
-// a literal run: one of at least minZeroRun zeros, or the zeros that end
-// b. It returns len(b) when there is none.
-func zeroRun(b []byte, i int) int {
-	for {
-		i = nextZero(b, i)
-		end := skipZeros(b, i)
-		if end-i >= minZeroRun || end == len(b) {
-			return i
+// markNonzero returns a bitmap, reusing nz, whose bit i is set when env[i]
+// is not zero. It reads env eight bytes at a time: the high bit of each
+// byte of (w&0x7f…7f + 0x7f…7f) | w is set when that byte of w is not
+// zero, and multiplying those bits, shifted down to each byte's lowest,
+// by 0x0102…80 gathers them into the top byte, lowest byte first.
+func markNonzero(env []byte, nz []uint64) []uint64 {
+	const lo7, hi, gather = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080, 0x0102040810204080
+	nz = slices.Grow(nz[:0], (len(env)+63)/64)[:(len(env)+63)/64]
+	for k := range nz {
+		chunk := env[k*64 : min(k*64+64, len(env))]
+		var m uint64
+		if len(chunk) == 64 {
+			for c := 0; c < 64; c += 8 {
+				w := binary.LittleEndian.Uint64(chunk[c:])
+				m |= (((w&lo7 + lo7) | w) & hi >> 7 * gather >> 56) << c
+			}
+		} else {
+			for c, v := range chunk {
+				if v != 0 {
+					m |= 1 << c
+				}
+			}
 		}
-		i = end
+		nz[k] = m
 	}
+	return nz
 }
 
-// skipZeros returns the index of the first nonzero byte of b at or after
-// i, or len(b), reading eight bytes at a time.
-func skipZeros(b []byte, i int) int {
-	for ; i+8 <= len(b); i += 8 {
-		if w := binary.LittleEndian.Uint64(b[i : i+8]); w != 0 {
-			return i + bits.TrailingZeros64(w)/8
+// markRunEnds returns a bitmap, reusing ends, whose bit i is set when the
+// minZeroRun bytes from i are all zero, counting the bytes past the
+// envelope's end, which nz does not mark, as zeros.
+func markRunEnds(nz, ends []uint64) []uint64 {
+	ends = slices.Grow(ends[:0], len(nz))[:len(nz)]
+	for k, w := range nz {
+		z, next := ^w, ^uint64(0)
+		if k+1 < len(nz) {
+			next = ^nz[k+1]
+		}
+		m := z
+		for s := 1; s < minZeroRun; s++ {
+			m &= z>>s | next<<(64-s)
+		}
+		ends[k] = m
+	}
+	return ends
+}
+
+// nextSet returns the index of the first set bit of bm at or after i, or n
+// when there is none before n.
+func nextSet(bm []uint64, i, n int) int {
+	k := i >> 6
+	if k >= len(bm) {
+		return n
+	}
+	if w := bm[k] >> (i & 63); w != 0 {
+		return min(i+bits.TrailingZeros64(w), n)
+	}
+	for k++; k < len(bm); k++ {
+		if bm[k] != 0 {
+			return min(k<<6+bits.TrailingZeros64(bm[k]), n)
 		}
 	}
-	for i < len(b) && b[i] == 0 {
-		i++
-	}
-	return i
+	return n
 }
 
-// nextZero returns the index of the first zero byte of b at or after i, or
-// len(b), reading eight bytes at a time. The lowest zero byte of a word w
-// sets the lowest bit of (w − 0x01…01) &^ w & 0x80…80: the bytes below it
-// are nonzero and borrow nothing, and a borrow only marks bytes above it.
-func nextZero(b []byte, i int) int {
-	const lo, hi = 0x0101010101010101, 0x8080808080808080
-	for ; i+8 <= len(b); i += 8 {
-		w := binary.LittleEndian.Uint64(b[i : i+8])
-		if m := (w - lo) &^ w & hi; m != 0 {
-			return i + bits.TrailingZeros64(m)/8
-		}
-	}
-	for i < len(b) && b[i] != 0 {
-		i++
-	}
-	return i
-}
-
-// decoder decodes coded sections with a flate reader and a run buffer kept
-// for reuse. Resetting the reader clears every trace of the previous
-// stream, including one a decode error abandoned part-way.
+// decoder decodes coded sections with an inflater and a run buffer kept
+// for reuse. Each decode starts the inflater afresh, so nothing of a
+// stream a decode error abandoned part-way reaches the next.
 type decoder struct {
-	src  bytes.Reader
-	fr   io.ReadCloser
+	inf  inflater
 	runs []byte
 	one  [1]byte
 }
 
-var decoders = sync.Pool{New: func() any {
-	d := new(decoder)
-	d.fr = flate.NewReader(&d.src)
-	return d
-}}
+var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 // decode expands coded sections into an envelope of exactly rawLen bytes
 // whose run section is runsLen bytes long; the caller has bounded both.
 // The literals are read into the envelope's tail, then moved down to the
 // places the runs give them.
 func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
-	d.src.Reset(coded)
-	defer d.src.Reset(nil) // the pool must not keep the caller's frame alive
-	if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
-		return nil, ErrBadFrame
-	}
+	f := &d.inf
+	f.reset(coded)
+	defer f.reset(nil) // the pool must not keep the caller's frame alive
 	if cap(d.runs) < runsLen {
 		d.runs = make([]byte, runsLen)
 	}
 	runs := d.runs[:runsLen]
-	if _, err := io.ReadFull(d.fr, runs); err != nil {
+	if n, err := f.read(runs); err != nil || n < runsLen {
 		return nil, ErrBadFrame
 	}
 	nLits, ok := literalLen(runs, rawLen)
@@ -428,11 +457,11 @@ func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
 	}
 	env := make([]byte, rawLen)
 	tail := rawLen - nLits
-	if _, err := io.ReadFull(d.fr, env[tail:]); err != nil {
+	if n, err := f.read(env[tail:]); err != nil || n < nLits {
 		return nil, ErrBadFrame
 	}
 	// The stream must end with the literals, and the frame with the stream.
-	if n, err := d.fr.Read(d.one[:]); n != 0 || err != io.EOF || d.src.Len() != 0 {
+	if n, err := f.read(d.one[:]); n != 0 || err != nil || f.unread() != 0 {
 		return nil, ErrBadFrame
 	}
 	expand(env, runs, tail)
@@ -463,13 +492,21 @@ func literalLen(runs []byte, n int) (int, bool) {
 }
 
 // uvarint reads the uvarint at runs[i:] and returns it with the index
-// after it, or with an index no greater than i when there is none.
+// after it, or with i when there is none. It accepts what binary.Uvarint
+// accepts, and is small enough to inline into the loops over the runs.
 func uvarint(runs []byte, i int) (uint64, int) {
-	if i < len(runs) && runs[i] < 0x80 {
-		return uint64(runs[i]), i + 1
+	var v uint64
+	for j, s := i, uint(0); j < len(runs) && s < 64; j, s = j+1, s+7 {
+		c := runs[j]
+		if c < 0x80 {
+			if s == 63 && c > 1 {
+				break
+			}
+			return v | uint64(c)<<s, j + 1
+		}
+		v |= uint64(c&0x7f) << s
 	}
-	v, k := binary.Uvarint(runs[i:])
-	return v, i + k
+	return 0, i
 }
 
 // expand moves the literals in env[tail:] down to the places a checked run

@@ -5,7 +5,9 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -179,19 +181,52 @@ func TestEnvelopeCodecEveryPattern(t *testing.T) {
 
 // TestDecodeRejectsBadSections checks that DecodePush answers ErrBadFrame,
 // never a panic or a wrong envelope, for sections that do not describe
-// exactly the declared envelope, and for a frame of the previous wire
-// version.
+// exactly the declared envelope, for deflate streams the inflater does not
+// accept, and for a frame of the previous wire version. The same sections
+// in a fixed-Huffman, a stored or a hand-built dynamic block decode.
 func TestDecodeRejectsBadSections(t *testing.T) {
-	lits := []byte{9, 9, 9}
+	runs, lits := []byte{1, 3, 1}, []byte{9, 9, 9}
+	sections := slices.Concat(runs, lits)
 	coded := func(runs, lits []byte) []byte { return huffmanSections(t, runs, lits) }
-	valid := coded([]byte{1, 3, 1}, lits)
-	if p, err := DecodePush(frameOf(t, 5, 3, valid), 0); err != nil || !bytes.Equal(p.Envelope, []byte{0, 9, 9, 9, 0}) {
-		t.Fatalf("the hand-built frame does not decode: %v", err)
+	valid := coded(runs, lits)
+	var fixed, stored bitWriter
+	fixed.fixed(true, sections)
+	stored.stored(true, sections, ^uint16(len(sections)))
+	accepted := map[string][]byte{
+		"HuffmanOnly sections":     valid,
+		"fixed-Huffman block":      fixed.bytes(),
+		"stored block":             stored.bytes(),
+		"hand-built dynamic block": dynamicBlock(sectionLens(), []uint8{1}, sections),
+	}
+	for name, stream := range accepted {
+		if p, err := DecodePush(frameOf(t, 5, 3, stream), 0); err != nil || !bytes.Equal(p.Envelope, []byte{0, 9, 9, 9, 0}) {
+			t.Fatalf("%s: the hand-built frame does not decode: %v", name, err)
+		}
 	}
 	v1 := frameOf(t, 5, 3, valid)
 	v1[4] = 1
 	heartbeat := frameOf(t, 0, 1, nil)
 	heartbeat[5] = FlagHeartbeat
+	var badNLEN, type3, backref bitWriter
+	badNLEN.stored(true, sections, uint16(len(sections)))
+	type3.header(true, 3)
+	// The literals 9 9 9 9 as a 9 and a copy of length 3 (symbol 257) at
+	// distance 1 (distance code 0), which compress/flate would accept.
+	backref.header(true, 1)
+	for _, c := range []byte{1, 4, 1, 9} {
+		backref.fixedSym(int(c))
+	}
+	backref.fixedSym(257)
+	backref.code(0, 5)
+	backref.fixedSym(endOfBlock)
+	oversubscribed, incomplete, noEOB := sectionLens(), sectionLens(), sectionLens()
+	oversubscribed[2] = 2
+	incomplete[9] = 3
+	noEOB[9], noEOB[endOfBlock] = 1, 0
+	var overClen [19]uint8
+	for i := range overClen {
+		overClen[i] = 4
+	}
 	// Runs that tile the envelope and a stream that inflates to the
 	// sections, each longer than its bound allows: empty flushes pad the
 	// stream.
@@ -200,22 +235,41 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 		t.Fatalf("padded stream of %d bytes is within the bound", len(padded))
 	}
 	cases := map[string][]byte{
-		"runs overrun":           frameOf(t, 4, 3, valid),
-		"runs underfill":         frameOf(t, 6, 3, valid),
-		"zero count overruns":    frameOf(t, 4, 1, coded([]byte{5}, nil)),
-		"no final zero count":    frameOf(t, 4, 2, coded([]byte{1, 3}, lits)),
-		"empty run section":      frameOf(t, 3, 0, coded(nil, lits)),
-		"truncated varint":       frameOf(t, 200, 3, coded([]byte{1, 0x80, 0x81}, nil)),
-		"overlong varint":        frameOf(t, 20, 11, coded(bytes.Repeat([]byte{0xff}, 11), nil)),
-		"run section over bound": frameOf(t, 2, 7, coded([]byte{0, 0, 0, 0, 0, 0, 2}, nil)),
-		"coded over bound":       frameOf(t, 5, 3, padded),
-		"literals short":         frameOf(t, 5, 3, coded([]byte{1, 3, 1}, lits[:2])),
-		"literals long":          frameOf(t, 5, 3, coded([]byte{1, 3, 1}, append(lits, 9))),
-		"runs short":             frameOf(t, 5, 4, valid),
-		"bytes after the stream": frameOf(t, 5, 3, append(valid, 0)),
-		"heartbeat with runs":    heartbeat,
-		"not deflate":            frameOf(t, 5, 3, []byte{0xff, 0xff, 0xff}),
-		"version 1":              v1,
+		"runs overrun":                     frameOf(t, 4, 3, valid),
+		"runs underfill":                   frameOf(t, 6, 3, valid),
+		"zero count overruns":              frameOf(t, 4, 1, coded([]byte{5}, nil)),
+		"no final zero count":              frameOf(t, 4, 2, coded([]byte{1, 3}, lits)),
+		"empty run section":                frameOf(t, 3, 0, coded(nil, lits)),
+		"truncated varint":                 frameOf(t, 200, 3, coded([]byte{1, 0x80, 0x81}, nil)),
+		"overlong varint":                  frameOf(t, 20, 11, coded(bytes.Repeat([]byte{0xff}, 11), nil)),
+		"run section over bound":           frameOf(t, 2, 7, coded([]byte{0, 0, 0, 0, 0, 0, 2}, nil)),
+		"coded over bound":                 frameOf(t, 5, 3, padded),
+		"literals short":                   frameOf(t, 5, 3, coded([]byte{1, 3, 1}, lits[:2])),
+		"literals long":                    frameOf(t, 5, 3, coded([]byte{1, 3, 1}, append(lits, 9))),
+		"runs short":                       frameOf(t, 5, 4, valid),
+		"bytes after the stream":           frameOf(t, 5, 3, append(valid, 0)),
+		"heartbeat with runs":              heartbeat,
+		"not deflate":                      frameOf(t, 5, 3, []byte{0xff, 0xff, 0xff}),
+		"version 1":                        v1,
+		"block after the literals":         frameOf(t, 5, 3, huffmanSections(t, runs, lits, []byte{9})),
+		"stored NLEN not ^LEN":             frameOf(t, 5, 3, badNLEN.bytes()),
+		"block type 3":                     frameOf(t, 5, 3, type3.bytes()),
+		"back-reference":                   frameOf(t, 6, 3, backref.bytes()),
+		"literal code over-subscribed":     frameOf(t, 5, 3, dynamicBlock(oversubscribed, []uint8{1}, sections)),
+		"literal code incomplete":          frameOf(t, 5, 3, dynamicBlock(incomplete, []uint8{1}, sections)),
+		"distance code incomplete":         frameOf(t, 5, 3, dynamicBlock(sectionLens(), []uint8{2}, sections)),
+		"no end-of-block code":             frameOf(t, 5, 3, dynamicBlock(noEOB, []uint8{1}, sections)),
+		"HLIT over 286":                    frameOf(t, 5, 3, dynamicHeader(287, 1, clenLens, nil)),
+		"HDIST over 30":                    frameOf(t, 5, 3, dynamicHeader(257, 31, clenLens, nil)),
+		"code-length code over-subscribed": frameOf(t, 5, 3, dynamicHeader(257, 1, overClen, lensOps(sectionLens()))),
+		"repeat with no previous length":   frameOf(t, 5, 3, dynamicHeader(257, 1, clenLens, []clenOp{{16, 0}})),
+		"repeat past the lengths":          frameOf(t, 5, 3, dynamicHeader(257, 1, clenLens, append(lensOps(sectionLens()), clenOp{18, 0}))),
+	}
+	// Every proper prefix of an accepted stream is truncated.
+	for name, stream := range accepted {
+		for n := range len(stream) {
+			cases[fmt.Sprintf("%s truncated to %d bytes", name, n)] = frameOf(t, 5, 3, stream[:n])
+		}
 	}
 	for name, data := range cases {
 		if _, err := DecodePush(data, 0); !errors.Is(err, ErrBadFrame) {
@@ -299,10 +353,30 @@ func FuzzEnvelopeCodec(f *testing.F) {
 	})
 }
 
-// BenchmarkFrameCodec times Encode and DecodePush on two envelopes: a
-// sparse one shaped like a fanin-mixed delta (1024 items into a
-// CMS-SALSA core with 2^14 counters per row) and a dense one whose
-// counters have merged to 16 bits. frame_B reports the frame's length.
+// deltaEnvelope is the envelope an agent cuts after a prefill of items
+// and n more: the sketch of all of them minus the sketch of the prefill.
+// The items come from ds over the universe of a traceLen-item trace, as in
+// the pipeline benchmark's workloads.
+func deltaEnvelope(tb testing.TB, ds stream.Dataset, traceLen, prefill, n int) []byte {
+	tb.Helper()
+	items := stream.Zipf(prefill+n, ds.Universe(traceLen), ds.Alpha, 7)
+	shadow := salsa.MustBuild(faninSpec())
+	shadow.UpdateBatch(items[:prefill], 1)
+	delta := salsa.MustBuild(faninSpec())
+	delta.UpdateBatch(items, 1)
+	if err := salsa.SubtractInto(delta, shadow); err != nil {
+		tb.Fatal(err)
+	}
+	return marshalState(tb, delta)
+}
+
+// BenchmarkFrameCodec times Encode and DecodePush on four envelopes of a
+// CMS-SALSA core with 2^14 counters per row: a fresh sketch holding 1024
+// items (sparse), one whose counters have merged to 16 bits (dense), and
+// two deltas cut the way an agent cuts them, at the pipeline benchmark's
+// fanin-mixed shape (a 1024-item delta after 65,536 items) and
+// edge-ingest shape (100,000 items after 100,000). frame_B reports the
+// frame's length.
 func BenchmarkFrameCodec(b *testing.B) {
 	items := stream.Univ2.Generate(1<<16, 7)
 	sparse := salsa.MustBuild(faninSpec())
@@ -310,10 +384,15 @@ func BenchmarkFrameCodec(b *testing.B) {
 	dense := salsa.MustBuild(faninSpec())
 	dense.UpdateBatch(items, 300)
 	for _, c := range []struct {
-		name   string
-		sketch salsa.Sketch
-	}{{"sparse", sparse}, {"dense", dense}} {
-		p := &Push{Agent: "edge-00", Gen: 1, Seq: 1, Candidates: faninCandidates, Envelope: marshalState(b, c.sketch)}
+		name string
+		env  []byte
+	}{
+		{"sparse", marshalState(b, sparse)},
+		{"dense", marshalState(b, dense)},
+		{"fanin-delta", deltaEnvelope(b, stream.Univ2, 1<<18, 65_536, 1024)},
+		{"edge-delta", deltaEnvelope(b, stream.NY18, 1<<22, 100_000, 100_000)},
+	} {
+		p := &Push{Agent: "edge-00", Gen: 1, Seq: 1, Candidates: faninCandidates, Envelope: c.env}
 		enc, err := p.Encode()
 		if err != nil {
 			b.Fatal(err)
