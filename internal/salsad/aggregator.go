@@ -168,7 +168,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		a.now = time.Now
 	}
 	if cfg.DataDir != "" {
-		if _, _, err := a.openStore(cfg.DataDir, cfg.SnapshotEvery, a.MarshalState, stateKindAggregator); err != nil {
+		state := func() ([]byte, uint64, error) { return a.marshalState(stateKindAggregator, nil) }
+		if _, _, err := a.openStore(cfg.DataDir, cfg.SnapshotEvery, state, stateKindAggregator); err != nil {
 			return nil, err
 		}
 	}
@@ -179,7 +180,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 // snapshots state every `every` applied frames (zero means
 // DefaultSnapshotEvery), and restores the newest valid snapshot a node of
 // role kind wrote, returning what restore returns.
-func (a *Aggregator) openStore(dir string, every int, state func() ([]byte, error), kind byte) (upstream []byte, skipped int, err error) {
+func (a *Aggregator) openStore(dir string, every int, state func() ([]byte, uint64, error), kind byte) (upstream []byte, skipped int, err error) {
 	store, err := OpenStore(dir)
 	if err != nil {
 		return nil, 0, err
@@ -265,7 +266,7 @@ func (a *Aggregator) Persist() (uint64, error) {
 	if a.pers == nil {
 		return 0, &ConfigError{Field: "DataDir", Reason: "aggregator is not durable; set DataDir"}
 	}
-	epoch, err := a.pers.persist()
+	epoch, applied, err := a.pers.persist()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err != nil {
@@ -274,7 +275,9 @@ func (a *Aggregator) Persist() (uint64, error) {
 	}
 	a.snapEpoch = epoch
 	a.snapAt = a.now()
-	a.persistedApplied = a.stats.Applied
+	// Only the frames the snapshot captured are persisted: one applied
+	// while it was being written is not, and keeps MaybePersist due.
+	a.persistedApplied = max(a.persistedApplied, applied)
 	a.stats.Persists++
 	return epoch, nil
 }

@@ -350,10 +350,13 @@ const (
 // empty: older binaries kept a rejoined agent's earlier generations there,
 // and a restore folds them into the contribution.
 func (a *Aggregator) MarshalState() ([]byte, error) {
-	return a.marshalState(stateKindAggregator, nil)
+	state, _, err := a.marshalState(stateKindAggregator, nil)
+	return state, err
 }
 
-func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
+// marshalState returns the snapshot payload with the applied-frame count
+// it holds, read under the same lock.
+func (a *Aggregator) marshalState(kind byte, upstream []byte) (state []byte, applied uint64, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	buf := make([]byte, 0, 1<<12)
@@ -377,9 +380,8 @@ func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, e.lastSeq)
 		buf = binary.LittleEndian.AppendUint64(buf, e.cursor)
 		buf = append(buf, e.depth)
-		var err error
 		if buf, err = appendOptionalSketch(buf, e.contrib); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		buf = append(buf, 0) // the second sketch slot, empty
 	}
@@ -396,7 +398,7 @@ func (a *Aggregator) marshalState(kind byte, upstream []byte) ([]byte, error) {
 
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(upstream)))
 	buf = append(buf, upstream...)
-	return buf, nil
+	return buf, a.stats.Applied, nil
 }
 
 // appendOptionalSketch writes a presence byte and, when present, a
@@ -553,19 +555,21 @@ type persistor struct {
 	mu    sync.Mutex
 	store *Store
 	every int
-	// state produces the snapshot payload: the aggregator's MarshalState
-	// for a standalone aggregator, the relay's table+upstream marshal for
-	// a relay.
-	state func() ([]byte, error)
+	// state produces the snapshot payload and the count of applied frames
+	// it holds: the aggregator's table for a standalone aggregator, the
+	// relay's table+upstream marshal for a relay.
+	state func() ([]byte, uint64, error)
 }
 
-// persist runs one marshal+save cycle.
-func (p *persistor) persist() (uint64, error) {
+// persist runs one marshal+save cycle and returns the new epoch and the
+// applied-frame count the snapshot holds.
+func (p *persistor) persist() (epoch, applied uint64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	state, err := p.state()
+	state, applied, err := p.state()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return p.store.Save(state)
+	epoch, err = p.store.Save(state)
+	return epoch, applied, err
 }

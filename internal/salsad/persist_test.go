@@ -585,3 +585,31 @@ func TestStatsViewGauges(t *testing.T) {
 		t.Fatalf("persists = %d", v.Persists)
 	}
 }
+
+// TestPersistCountsOnlyCapturedFrames applies a frame between the moment a
+// snapshot captures the table and the end of its save, as a concurrent
+// push or a relay's downstream apply can. That frame is not in the
+// snapshot, so the next MaybePersist must still be due; with SnapshotEvery
+// 1 a restart then loses nothing.
+func TestPersistCountsOnlyCapturedFrames(t *testing.T) {
+	dir := t.TempDir()
+	a := newTestAggregator(t, AggregatorConfig{DataDir: dir, SnapshotEvery: 1})
+	push(t, a, &Push{Agent: "a1", Gen: 1, Seq: 1, Envelope: envelopeFor(t, 1)})
+	capture := a.pers.state
+	a.pers.state = func() ([]byte, uint64, error) {
+		a.pers.state = capture
+		state, applied, err := capture()
+		push(t, a, &Push{Agent: "a2", Gen: 1, Seq: 1, Envelope: envelopeFor(t, 2)})
+		return state, applied, err
+	}
+	if ok, err := a.MaybePersist(); !ok || err != nil {
+		t.Fatalf("first MaybePersist: %v, %v", ok, err)
+	}
+	if ok, err := a.MaybePersist(); !ok || err != nil {
+		t.Fatalf("a frame applied during the save left no snapshot due: %v, %v", ok, err)
+	}
+	b := newTestAggregator(t, AggregatorConfig{DataDir: dir, SnapshotEvery: 1})
+	if !b.Resume("a2").Known {
+		t.Fatal("a restart lost the frame applied during a save")
+	}
+}

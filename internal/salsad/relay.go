@@ -221,12 +221,12 @@ func (r *Relay) Persist() (uint64, error) {
 
 // marshalState is the persistor's payload hook: the upstream shipping
 // state captured under the relay lock, wrapped around the aggregator's
-// table marshal. The two captures are not atomic with each other, but the
+// table marshal, with the applied count that table holds. The two captures are not atomic with each other, but the
 // persistor serializes whole persist cycles, and the cut-before-send
 // barrier guarantees the newest snapshot at any transmission already
 // contains that frame — an older pairing is only ever restored when the
 // frame it lacks was never sent.
-func (r *Relay) marshalState() ([]byte, error) {
+func (r *Relay) marshalState() ([]byte, uint64, error) {
 	r.mu.Lock()
 	buf := make([]byte, 0, 256)
 	buf = binary.LittleEndian.AppendUint64(buf, r.gen)
@@ -235,7 +235,7 @@ func (r *Relay) marshalState() ([]byte, error) {
 	var err error
 	if buf, err = appendOptionalSketch(buf, r.shadow); err != nil {
 		r.mu.Unlock()
-		return nil, err
+		return nil, 0, err
 	}
 	if r.frame == nil {
 		buf = append(buf, 0)
@@ -246,7 +246,7 @@ func (r *Relay) marshalState() ([]byte, error) {
 		buf = append(buf, r.frame.wire...)
 		if buf, err = appendOptionalSketch(buf, r.frameState); err != nil {
 			r.mu.Unlock()
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	r.mu.Unlock()
