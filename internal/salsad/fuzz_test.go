@@ -65,9 +65,10 @@ func FuzzDecodePush(f *testing.F) {
 // Everything before the section lengths is fixed by the decoded fields,
 // so it matches the input byte for byte. The sections need not: the
 // decoder accepts any runs that cover the declared envelope and any
-// deflate blocks that inflate to the sections, while Encode writes the
-// runs split chooses, coded with the tables HuffmanOnly builds. So the
-// re-encoding must decode to the same frame and re-encode to itself.
+// literal-only deflate blocks that inflate to the sections, while Encode
+// writes the runs split chooses, coded with the tables HuffmanOnly
+// builds. So the re-encoding must decode to the same frame and re-encode
+// to itself.
 func checkReencode(t *testing.T, p *Push, data []byte) {
 	t.Helper()
 	enc, err := p.Encode()

@@ -76,12 +76,11 @@ func countCodes(lens []uint8, count *[maxCodeLen + 1]uint16) bool {
 	}
 	n := len(lens) - int(count[0])
 	count[0] = 0
-	left := 1 // codes of the current length still unassigned
+	// left counts the codes of length l still unassigned; once negative,
+	// the code is over-subscribed and it stays negative.
+	left := 1
 	for l := 1; l <= maxCodeLen; l++ {
 		left = left<<1 - int(count[l])
-		if left < 0 {
-			return false
-		}
 	}
 	return left == 0 || n == 0 || (n == 1 && count[1] == 1)
 }

@@ -175,8 +175,14 @@ func dynamicHeader(nlit, ndist int, clens [19]uint8, ops []clenOp) []byte {
 // dynamicBlock writes a final dynamic block whose code has the given
 // literal/length and distance lengths, holding the literals lits.
 func dynamicBlock(litLens, distLens []uint8, lits []byte) []byte {
+	return dynamicBlockOps(litLens, len(distLens), lensOps(slices.Concat(litLens, distLens)), lits)
+}
+
+// dynamicBlockOps is dynamicBlock with the header's code lengths sent as
+// ops.
+func dynamicBlockOps(litLens []uint8, ndist int, ops []clenOp, lits []byte) []byte {
 	var w bitWriter
-	w.dynamic(true, len(litLens), len(distLens), clenLens, lensOps(slices.Concat(litLens, distLens)))
+	w.dynamic(true, len(litLens), ndist, clenLens, ops)
 	codes := canonicalCodes(litLens)
 	for _, c := range lits {
 		w.code(codes[c], uint(litLens[c]))

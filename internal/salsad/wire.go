@@ -278,8 +278,9 @@ func (p *Push) encode() ([]byte, error) {
 //
 // flate at HuffmanOnly codes each section in blocks of its own, so each
 // gets its own Huffman table and run lengths do not compete with counter
-// bytes for short codes. The frame declares the envelope's length and the
-// run section's; the literals' length follows from the runs.
+// bytes for short codes; the inflater in inflate.go decodes them. The
+// frame declares the envelope's length and the run section's; the
+// literals' length follows from the runs.
 //
 // Zeros at either end of the envelope always form a run; between literals
 // only a run of at least minZeroRun zeros does, and shorter ones travel as
@@ -540,7 +541,7 @@ func expand(env, runs []byte, tail int) {
 // decoding a byte, so a hostile or corrupt push cannot balloon memory.
 // The runs must cover exactly the declared envelope, the literals must end
 // the coded stream, and the stream must end the frame. Decoding reuses
-// pooled flate readers and run buffers.
+// pooled inflaters and run buffers.
 func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 	if maxEnvelope <= 0 {
 		maxEnvelope = DefaultMaxEnvelopeBytes

@@ -138,6 +138,12 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 			isolated[i] = byte(0x81 + i)
 		}
 	}
+	// Byte k appears 1+2048>>(k/8) times, so the rarest bytes get Huffman
+	// codes longer than the inflater's table.
+	var skewed []byte
+	for k := 1; k < 256; k++ {
+		skewed = append(skewed, bytes.Repeat([]byte{byte(k)}, 1+2048>>(k/8))...)
+	}
 	cases := map[string][]byte{
 		"one byte":         {0x80},
 		"one zero":         {0},
@@ -153,6 +159,7 @@ func TestEnvelopeCodecRoundTrip(t *testing.T) {
 		"length 13":        {1, 0, 2, 2, 0, 0, 3, 3, 3, 0, 0, 0, 4},
 		"length 15":        {0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1},
 		"long literal run": bytes.Repeat([]byte{0x80, 0x01, 0xff}, 70000),
+		"long codes":       skewed,
 		"sketch envelope":  envelopeFor(t, 1, 2, 2, 3, 3, 3),
 	}
 	for name, env := range cases {
@@ -219,14 +226,33 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 	backref.fixedSym(257)
 	backref.code(0, 5)
 	backref.fixedSym(endOfBlock)
-	oversubscribed, incomplete, noEOB := sectionLens(), sectionLens(), sectionLens()
-	oversubscribed[2] = 2
+	incomplete, noEOB := sectionLens(), sectionLens()
 	incomplete[9] = 3
 	noEOB[9], noEOB[endOfBlock] = 1, 0
+	// Three 1-bit codes, for 1, 9 and the end of block, over-subscribe
+	// the code; a decoder that took them would read the run section {9}.
+	oversubscribed := make([]uint8, 257)
+	oversubscribed[1], oversubscribed[9], oversubscribed[endOfBlock] = 1, 1, 1
 	var overClen [19]uint8
 	for i := range overClen {
 		overClen[i] = 4
 	}
+	// The sections {3, 4, 3} and {9, 9, 9, 9}, whose first three code
+	// lengths, all zero, come as a repeat of a previous length that does
+	// not exist.
+	lens34 := make([]uint8, 257)
+	lens34[3], lens34[4], lens34[9], lens34[endOfBlock] = 2, 2, 2, 2
+	rep16 := dynamicBlockOps(lens34, 1, append([]clenOp{{16, 0}}, lensOps(append(lens34[3:], 1))...),
+		[]byte{3, 4, 3, 9, 9, 9, 9})
+	// A length symbol with no distance code after it: read as a literal,
+	// it would end the literals.
+	var length bitWriter
+	length.header(true, 1)
+	for _, c := range []byte{1, 3, 1, 9, 9} {
+		length.fixedSym(int(c))
+	}
+	length.fixedSym(257)
+	length.fixedSym(endOfBlock)
 	// Runs that tile the envelope and a stream that inflates to the
 	// sections, each longer than its bound allows: empty flushes pad the
 	// stream.
@@ -255,14 +281,15 @@ func TestDecodeRejectsBadSections(t *testing.T) {
 		"stored NLEN not ^LEN":             frameOf(t, 5, 3, badNLEN.bytes()),
 		"block type 3":                     frameOf(t, 5, 3, type3.bytes()),
 		"back-reference":                   frameOf(t, 6, 3, backref.bytes()),
-		"literal code over-subscribed":     frameOf(t, 5, 3, dynamicBlock(oversubscribed, []uint8{1}, sections)),
+		"length symbol":                    frameOf(t, 5, 3, length.bytes()),
+		"literal code over-subscribed":     frameOf(t, 9, 1, dynamicBlock(oversubscribed, []uint8{1}, []byte{9})),
 		"literal code incomplete":          frameOf(t, 5, 3, dynamicBlock(incomplete, []uint8{1}, sections)),
 		"distance code incomplete":         frameOf(t, 5, 3, dynamicBlock(sectionLens(), []uint8{2}, sections)),
 		"no end-of-block code":             frameOf(t, 5, 3, dynamicBlock(noEOB, []uint8{1}, sections)),
-		"HLIT over 286":                    frameOf(t, 5, 3, dynamicHeader(287, 1, clenLens, nil)),
-		"HDIST over 30":                    frameOf(t, 5, 3, dynamicHeader(257, 31, clenLens, nil)),
+		"HLIT over 286":                    frameOf(t, 5, 3, dynamicBlock(slices.Concat(sectionLens(), make([]uint8, 30)), []uint8{1}, sections)),
+		"HDIST over 30":                    frameOf(t, 5, 3, dynamicBlock(sectionLens(), append([]uint8{1}, make([]uint8, 30)...), sections)),
 		"code-length code over-subscribed": frameOf(t, 5, 3, dynamicHeader(257, 1, overClen, lensOps(sectionLens()))),
-		"repeat with no previous length":   frameOf(t, 5, 3, dynamicHeader(257, 1, clenLens, []clenOp{{16, 0}})),
+		"repeat with no previous length":   frameOf(t, 10, 3, rep16),
 		"repeat past the lengths":          frameOf(t, 5, 3, dynamicHeader(257, 1, clenLens, append(lensOps(sectionLens()), clenOp{18, 0}))),
 	}
 	// Every proper prefix of an accepted stream is truncated.
