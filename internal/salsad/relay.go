@@ -221,11 +221,12 @@ func (r *Relay) Persist() (uint64, error) {
 
 // marshalState is the persistor's payload hook: the upstream shipping
 // state captured under the relay lock, wrapped around the aggregator's
-// table marshal, with the applied count that table holds. The two captures are not atomic with each other, but the
-// persistor serializes whole persist cycles, and the cut-before-send
-// barrier guarantees the newest snapshot at any transmission already
-// contains that frame — an older pairing is only ever restored when the
-// frame it lacks was never sent.
+// table marshal, with the applied count that table holds. The two
+// captures are not atomic with each other, but the persistor serializes
+// whole persist cycles, and the cut-before-send barrier guarantees the
+// newest snapshot at any transmission already contains that frame — an
+// older pairing is only ever restored when the frame it lacks was never
+// sent.
 func (r *Relay) marshalState() ([]byte, uint64, error) {
 	r.mu.Lock()
 	buf := make([]byte, 0, 256)
