@@ -196,3 +196,20 @@ func TestZeroAllocMonitor(t *testing.T) {
 		assertZeroAllocs(t, s.tag+"/Process", func() { s.process(allocItems[i%512]); i++ })
 	}
 }
+
+// TestZeroAllocCopyInto pins CopyInto between built sketches of one spec,
+// the copy a push cut makes into its recycled sketches, to no allocation.
+func TestZeroAllocCopyInto(t *testing.T) {
+	for _, spec := range []Spec{
+		CountMinOf(Options{Width: 1 << 10, Merge: MergeSum, Seed: 1}),
+		CountSketchOf(Options{Width: 1 << 10, Seed: 1}),
+	} {
+		src, dst := MustBuild(spec), MustBuild(spec)
+		src.UpdateBatch(allocItems, 1)
+		assertZeroAllocs(t, fmt.Sprintf("CopyInto(%T)", dst), func() {
+			if err := CopyInto(dst, src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -8,9 +8,10 @@ package salsa
 // the other way around: it holds sketches decoded from envelopes sent by
 // remote (possibly hostile, possibly misconfigured) peers and must reject
 // bad pairs with an error, not a panic. MergeInto/SubtractInto are that
-// error-returning surface, and DeltaCore/CloneSketch round out what a
-// delta-shipping protocol needs: unwrapping a concurrent ingest layer to
-// its mergeable view, and deep-copying a sketch through the envelope codec.
+// error-returning surface, and DeltaCore/CloneSketch/CopyInto round out
+// what a delta-shipping protocol needs: unwrapping a concurrent ingest
+// layer to its mergeable view, deep-copying a sketch through the envelope
+// codec, and copying one word for word into a sketch the caller recycles.
 
 import (
 	"fmt"
@@ -22,7 +23,8 @@ import (
 // subtract kernel. Callers distinguish it from transport or payload
 // corruption errors with errors.As.
 type DeltaError struct {
-	// Op is the rejected operation ("merge", "subtract", "delta core").
+	// Op is the rejected operation ("merge", "subtract", "copy", "delta
+	// core").
 	Op string
 	// Reason says what ruled the operand(s) out.
 	Reason string
@@ -44,8 +46,10 @@ func deltaErrf(op, format string, args ...any) error {
 // a *DeltaError.
 //
 // The caller owns the coordination: for an epoch layer, flush writers and
-// Advance before touching the returned view, and do not mutate it
-// concurrently with drains.
+// Advance before touching the returned view, and neither read nor mutate
+// it while an Advance (or AutoAdvance) may drain into it. To copy the view
+// beside drains, pass the epoch layer itself to CopyInto, which holds the
+// view lock while it copies.
 func DeltaCore(s Sketch) (Sketch, error) {
 	core := s
 	if e, ok := s.(interface{ epochCore() *Epoch }); ok {
@@ -68,6 +72,49 @@ func CloneSketch(s Sketch) (Sketch, error) {
 		return nil, err
 	}
 	return Unmarshal(blob)
+}
+
+// CopyInto makes dst a copy of src, word for word: afterwards
+// Marshal(dst) equals Marshal(src), and the two share no storage. The
+// operands are checked as MergeInto checks them, and on a mismatch dst is
+// left untouched. src may also be an EpochShardedBy product whose view is
+// a CountMin or CountSketch; its view is copied under the view lock, so a
+// concurrent Advance cannot tear the copy. A caller that keeps dst between
+// copies copies a sketch without allocating, where CloneSketch encodes and
+// decodes a new one.
+func CopyInto(dst, src Sketch) error {
+	if e, ok := src.(interface{ epochCore() *Epoch }); ok {
+		ep := e.epochCore()
+		ep.viewMu.Lock()
+		defer ep.viewMu.Unlock()
+		return copyInto(dst, ep.view)
+	}
+	return copyInto(dst, src)
+}
+
+func copyInto(dst, src Sketch) error {
+	switch d := dst.(type) {
+	case *CountMin:
+		s, err := asCountMin("copy", src, d)
+		if err != nil {
+			return err
+		}
+		if err := d.sk.CopyFrom(s.sk); err != nil {
+			return deltaErrf("copy", "%v", err)
+		}
+		return nil
+	case *CountSketch:
+		s, err := asCountSketch("copy", src, d)
+		if err != nil {
+			return err
+		}
+		if err := d.sk.CopyFrom(s.sk); err != nil {
+			return deltaErrf("copy", "%v", err)
+		}
+		return nil
+	default:
+		return deltaErrf("copy", "unsupported destination topology %T", dst)
+	}
 }
 
 // MergeInto folds src into dst counter-wise (dst ∪ src under dst's merge

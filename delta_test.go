@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"salsa/internal/core"
 	"salsa/internal/stream"
 )
 
@@ -303,5 +304,182 @@ func TestCloneSketchIndependent(t *testing.T) {
 	orig.Update(1, 1000)
 	if bytes.Equal(mustMarshal(t, cl), mustMarshal(t, orig)) {
 		t.Fatal("clone tracked the original after mutation")
+	}
+}
+
+// copyBackends enumerates the sketches CopyInto covers: CountMin over
+// SALSA rows in both merge encodings at several base sizes, baseline and
+// Tango rows, conservative update, and Count Sketch over SALSA and
+// baseline rows.
+var copyBackends = []struct {
+	name string
+	spec Spec
+}{
+	{"cms-salsa4", CountMinOf(Options{Width: 1 << 10, CounterBits: 4, Merge: MergeSum, Seed: 3})},
+	{"cms-salsa8", CountMinOf(Options{Width: 1 << 10, Merge: MergeSum, Seed: 3})},
+	{"cms-salsa16-max", CountMinOf(Options{Width: 1 << 10, CounterBits: 16, Seed: 3})},
+	{"cms-salsa4-compact", CountMinOf(Options{Width: 1 << 10, CounterBits: 4, CompactEncoding: true, Merge: MergeSum, Seed: 3})},
+	{"cms-salsa8-compact", CountMinOf(Options{Width: 1 << 10, CompactEncoding: true, Seed: 3})},
+	{"cms-salsa16-compact", CountMinOf(Options{Width: 1 << 10, CounterBits: 16, CompactEncoding: true, Merge: MergeSum, Seed: 3})},
+	{"cms-fixed", CountMinOf(Options{Width: 1 << 10, Mode: ModeBaseline, CounterBits: 16, Seed: 3})},
+	{"cms-tango", CountMinOf(Options{Width: 1 << 10, Mode: ModeTango, Seed: 3})},
+	{"cus-salsa", ConservativeOf(Options{Width: 1 << 10, Seed: 3})},
+	{"cs-salsa", CountSketchOf(Options{Width: 1 << 10, Seed: 3})},
+	{"cs-fixed", CountSketchOf(Options{Width: 1 << 10, Mode: ModeBaseline, Seed: 3})},
+}
+
+// heavyStream returns n Zipf-like items over a small universe, offset so
+// that two streams with different offsets grow (and merge) different
+// counters.
+func heavyStream(n int, offset uint64) []uint64 {
+	items := stream.Univ2.Generate(n, offset)
+	for i := range items {
+		items[i] = items[i]%97 + offset<<32
+	}
+	return items
+}
+
+// mergedSlots counts, over the SALSA and Tango rows of a CountMin or
+// CountSketch, the slots whose counter has merged in a but not in b.
+func mergedSlots(a, b Sketch) int {
+	merged := func(s Sketch, row, i int) bool {
+		switch v := s.(type) {
+		case *CountMin:
+			switch r := v.sk.Rows()[row].(type) {
+			case *core.Salsa:
+				return r.Level(i) > 0
+			case *core.Tango:
+				lo, hi := r.Span(i)
+				return hi > lo
+			}
+		case *CountSketch:
+			if r, ok := v.sk.Rows()[row].(*core.SalsaSign); ok {
+				return r.Level(i) > 0
+			}
+		}
+		return false
+	}
+	n := 0
+	depth, width := a.(interface{ Depth() int }).Depth(), a.(interface{ Width() int }).Width()
+	for row := 0; row < depth; row++ {
+		for i := 0; i < width; i++ {
+			if merged(a, row, i) && !merged(b, row, i) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestCopyInto pins CopyInto's contract on every covered backend: src
+// holds merged counters and dst holds different ones, some merged where
+// src's are not; after the copy dst marshals to src's bytes, and it
+// shares no storage with src.
+func TestCopyInto(t *testing.T) {
+	for _, bk := range copyBackends {
+		t.Run(bk.name, func(t *testing.T) {
+			src, dst := MustBuild(bk.spec), MustBuild(bk.spec)
+			src.UpdateBatch(heavyStream(20_000, 1), 300)
+			dst.UpdateBatch(heavyStream(30_000, 2), 300)
+			want := mustMarshal(t, src)
+			if bytes.Equal(mustMarshal(t, dst), want) {
+				t.Fatal("dst already equals src")
+			}
+			if o := src.(interface{ Options() Options }).Options(); o.Mode != ModeBaseline &&
+				(mergedSlots(src, dst) == 0 || mergedSlots(dst, src) == 0) {
+				t.Fatalf("src and dst must each hold merges the other lacks: %d, %d",
+					mergedSlots(src, dst), mergedSlots(dst, src))
+			}
+			if err := CopyInto(dst, src); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mustMarshal(t, dst), want) {
+				t.Fatal("Marshal(dst) differs from Marshal(src) after CopyInto")
+			}
+			src.UpdateBatch(heavyStream(20_000, 3), 1)
+			if !bytes.Equal(mustMarshal(t, dst), want) {
+				t.Fatal("updating src moved dst")
+			}
+			dst.UpdateBatch(heavyStream(1000, 4), 1)
+			if bytes.Equal(mustMarshal(t, src), want) {
+				t.Fatal("updating dst moved src")
+			}
+		})
+	}
+}
+
+// TestCopyIntoEpochView copies an epoch layer's view: the copy equals
+// the view's bytes, and the epoch layer may be passed as src directly.
+func TestCopyIntoEpochView(t *testing.T) {
+	opt := Options{Width: 1 << 10, Merge: MergeSum, Seed: 3}
+	ep := MustBuild(EpochShardedBy(CountMinOf(opt), 2)).(*EpochCountMin)
+	w := ep.NewWriter(0)
+	for _, x := range heavyStream(10_000, 5) {
+		w.Increment(x)
+	}
+	w.Flush()
+	ep.Advance()
+	dst := MustBuild(CountMinOf(opt))
+	if err := CopyInto(dst, ep); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustMarshal(t, dst), mustMarshal(t, ep.View())) {
+		t.Fatal("copy of the epoch view differs from the view")
+	}
+}
+
+// TestCopyIntoRejects pins the typed rejections: every mismatch MergeInto
+// rejects, plus destinations CopyInto does not cover and rows whose merge
+// encoding disagrees, fail with a *DeltaError and leave dst byte for byte
+// as it was.
+func TestCopyIntoRejects(t *testing.T) {
+	opt := Options{Width: 1 << 8, Merge: MergeSum, Seed: 3}
+	with := func(f func(*Options)) Options { o := opt; f(&o); return o }
+	// A decoded CountMin whose header says simple encoding but whose rows
+	// are compact: its Options match a simple-encoding sketch's.
+	blob, err := MustBuild(CountMinOf(with(func(o *Options) { o.CompactEncoding = true }))).(*CountMin).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[4+8*5] = 0 // the options header's CompactEncoding word
+	mislabeled, err := UnmarshalCountMin(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MustBuild(CountMinOf(opt)).(*CountMin).Options(); mislabeled.Options() != want {
+		t.Fatalf("mislabeled sketch has Options %+v, want %+v", mislabeled.Options(), want)
+	}
+	cases := []struct {
+		name     string
+		dst, src Sketch
+	}{
+		{"type", MustBuild(CountMinOf(opt)), MustBuild(CountSketchOf(opt))},
+		{"width", MustBuild(CountMinOf(opt)), MustBuild(CountMinOf(with(func(o *Options) { o.Width = 1 << 9 })))},
+		{"counter bits", MustBuild(CountMinOf(opt)), MustBuild(CountMinOf(with(func(o *Options) { o.CounterBits = 16 })))},
+		{"encoding", MustBuild(CountMinOf(opt)), MustBuild(CountMinOf(with(func(o *Options) { o.CompactEncoding = true })))},
+		{"mode", MustBuild(CountMinOf(opt)), MustBuild(CountMinOf(with(func(o *Options) { o.Mode = ModeTango })))},
+		{"seed", MustBuild(CountMinOf(opt)), MustBuild(CountMinOf(with(func(o *Options) { o.Seed = 4 })))},
+		{"cs seed", MustBuild(CountSketchOf(opt)), MustBuild(CountSketchOf(with(func(o *Options) { o.Seed = 4 })))},
+		{"conservative", MustBuild(CountMinOf(opt)), MustBuild(ConservativeOf(opt))},
+		{"row encoding", MustBuild(CountMinOf(opt)), mislabeled},
+		{"unsupported src", MustBuild(CountMinOf(opt)), MustBuild(MonitorOf(opt, 8))},
+		{"unsupported dst", MustBuild(Windowed(CountMinOf(opt), 4, 100)), MustBuild(CountMinOf(opt))},
+		{"epoch dst", MustBuild(EpochShardedBy(CountMinOf(opt), 2)), MustBuild(CountMinOf(opt))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.dst.UpdateBatch(heavyStream(2000, 6), 1)
+			if tc.src != mislabeled {
+				tc.src.UpdateBatch(heavyStream(2000, 7), 1)
+			}
+			before := mustMarshal(t, tc.dst)
+			var de *DeltaError
+			if err := CopyInto(tc.dst, tc.src); !errors.As(err, &de) {
+				t.Fatalf("CopyInto = %v, want *DeltaError", err)
+			}
+			if !bytes.Equal(mustMarshal(t, tc.dst), before) {
+				t.Fatal("a rejected CopyInto changed dst")
+			}
+		})
 	}
 }

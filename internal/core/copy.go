@@ -1,0 +1,69 @@
+package core
+
+// Word-for-word row copies. A copy moves everything MarshalBinary writes
+// (counters, merge layout, Tango's merge count) from one array into
+// another of the same shape, so the destination marshals to the source's
+// bytes and the two share no storage. A caller that keeps a spare array
+// copies a row at the cost of its words, where a marshal round trip
+// would allocate and decode a new one.
+
+// CopyFrom makes f a copy of other; both must share geometry.
+func (f *Fixed) CopyFrom(other *Fixed) {
+	if !f.SameGeometry(other) {
+		panic("core: fixed geometry mismatch")
+	}
+	copy(f.words, other.words)
+}
+
+// CopyFrom makes f a copy of other; both must share geometry.
+func (f *FixedSign) CopyFrom(other *FixedSign) {
+	if !f.SameGeometry(other) {
+		panic("core: fixed geometry mismatch")
+	}
+	copy(f.words, other.words)
+}
+
+// SameEncoding reports whether other records merges in c's encoding
+// (simple or compact), which CopyFrom needs on top of SameGeometry.
+func (c *Salsa) SameEncoding(other *Salsa) bool {
+	return (c.blWords == nil) == (other.blWords == nil)
+}
+
+// CopyFrom makes c a copy of other, merge layout and merge count
+// included; both must share geometry and merge encoding.
+func (c *Salsa) CopyFrom(other *Salsa) {
+	if !c.SameGeometry(other) || !c.SameEncoding(other) {
+		panic("core: SALSA geometry/encoding mismatch")
+	}
+	copy(c.words, other.words)
+	copy(layoutWords(c.lay), layoutWords(other.lay))
+	c.merges = other.merges
+}
+
+// SameEncoding reports whether other records merges in c's encoding
+// (simple or compact), which CopyFrom needs on top of SameGeometry.
+func (c *SalsaSign) SameEncoding(other *SalsaSign) bool {
+	return (c.blWords == nil) == (other.blWords == nil)
+}
+
+// CopyFrom makes c a copy of other, merge layout and merge count
+// included; both must share geometry and merge encoding.
+func (c *SalsaSign) CopyFrom(other *SalsaSign) {
+	if !c.SameGeometry(other) || !c.SameEncoding(other) {
+		panic("core: SALSA geometry/encoding mismatch")
+	}
+	copy(c.words, other.words)
+	copy(layoutWords(c.lay), layoutWords(other.lay))
+	c.merges = other.merges
+}
+
+// CopyFrom makes t a copy of other, merge links and merge count included;
+// both must share geometry.
+func (t *Tango) CopyFrom(other *Tango) {
+	if !t.SameGeometry(other) {
+		panic("core: Tango geometry/policy mismatch")
+	}
+	copy(t.words, other.words)
+	copy(t.link.Words(), other.link.Words())
+	t.merges = other.merges
+}

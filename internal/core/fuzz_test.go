@@ -46,7 +46,8 @@ func FuzzSalsaOps(f *testing.F) {
 // arbitrary op bytes, merges them through the word-parallel kernels and
 // through the per-counter reference paths, and requires marshal-byte-
 // identical results — the deep-exploration companion to the randomized
-// TestSWARKernelEquivalence* suite, for merges and subtractions. The odd
+// TestSWARKernelEquivalence* suite, for merges and subtractions. Copying
+// one row of each pair over the other must reproduce it byte for byte. The odd
 // trailing byte steers both the counter size and whether the rows share a
 // layout (cloning before merge), so the same-layout, overflow-replay and
 // widened paths all get fuzzed.
@@ -81,10 +82,18 @@ func FuzzMergeKernels(f *testing.F) {
 		}
 		mergeEqual := func(fastBlob, slowBlob []byte, kind string) {
 			if !bytes.Equal(fastBlob, slowBlob) {
-				t.Fatalf("%s: kernel merge differs from reference", kind)
+				t.Fatalf("%s: kernel result differs from reference", kind)
 			}
 		}
 		ablob, _ := a.MarshalBinary()
+		bblob, _ := b.MarshalBinary()
+		cp, _ := UnmarshalSalsa(ablob)
+		cp.CopyFrom(b)
+		cpBlob, _ := cp.MarshalBinary()
+		mergeEqual(cpBlob, bblob, "salsa-copy")
+		cp.CopyFrom(a)
+		cpBlob, _ = cp.MarshalBinary()
+		mergeEqual(cpBlob, ablob, "salsa-copy-back")
 		fast, _ := UnmarshalSalsa(ablob)
 		slow, _ := UnmarshalSalsa(ablob)
 		fast.MergeFrom(b)
@@ -109,6 +118,11 @@ func FuzzMergeKernels(f *testing.F) {
 		mergeEqual(fastBlob, slowBlob, "salsa-subtract-clamp")
 
 		fablob, _ := fa.MarshalBinary()
+		fbblob, _ := fb.MarshalBinary()
+		fcp, _ := UnmarshalFixed(fablob)
+		fcp.CopyFrom(fb)
+		cpBlob, _ = fcp.MarshalBinary()
+		mergeEqual(cpBlob, fbblob, "fixed-copy")
 		ffast, _ := UnmarshalFixed(fablob)
 		fslow, _ := UnmarshalFixed(fablob)
 		ffast.MergeFrom(fb)

@@ -220,6 +220,26 @@ func (c *CountSketch) Reset() {
 	}
 }
 
+// CopyFrom is the Count Sketch counterpart of (*CMS).CopyFrom.
+func (c *CountSketch) CopyFrom(other *CountSketch) error {
+	for i, r := range c.rows {
+		if s, ok := r.(*core.SalsaSign); ok && !s.SameEncoding(other.rows[i].(*core.SalsaSign)) {
+			return fmt.Errorf("sketch: row %d merge encoding mismatch", i)
+		}
+	}
+	for i, r := range c.rows {
+		switch row := r.(type) {
+		case *core.FixedSign:
+			row.CopyFrom(other.rows[i].(*core.FixedSign))
+		case *core.SalsaSign:
+			row.CopyFrom(other.rows[i].(*core.SalsaSign))
+		default:
+			panic(fmt.Sprintf("sketch: copy unsupported for %T", r))
+		}
+	}
+	return nil
+}
+
 // MergeFrom adds scale (±1) times other into c, producing s(A∪B) or s(A\B)
 // (§V): Count Sketch is linear, so change detection between epochs is a
 // subtraction of sketches sharing seeds.
