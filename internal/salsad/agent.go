@@ -30,7 +30,11 @@ type AgentConfig struct {
 	// CountMin/ConservativeOf, or CountSketch), optionally wrapped in
 	// EpochShardedBy for lock-free multi-goroutine ingest: writers taken
 	// from Sketch() may feed the agent from other goroutines, and
-	// PushOnce ships what they have flushed. Required.
+	// PushOnce ships what they have flushed. Beside PushOnce, other
+	// goroutines may run those writers, Advance or AutoAdvance and the
+	// epoch layer's queries, because a cut copies the view under the view
+	// lock; Ingest and the Agent's own methods stay on PushOnce's
+	// goroutine. Required.
 	Spec salsa.Spec
 	// Transport delivers frames. Required.
 	Transport Transport
@@ -77,14 +81,12 @@ type Agent struct {
 	cfg    AgentConfig
 	live   salsa.Sketch
 	// ingest/flush/cut/held abstract over the plain and epoch-wrapped
-	// backends; core is the delta-capable sketch inside live. held counts
-	// the items live holds: cut into core (Drained) and flushed by a
-	// writer but not yet cut (Pending). A plain sketch holds what Ingest
-	// fed it.
+	// backends. held counts the items live holds: cut into the
+	// delta-capable core (Drained) and flushed by a writer but not yet cut
+	// (Pending). A plain sketch holds what Ingest fed it.
 	ingest func(item uint64, count int64)
 	flush  func()
 	cut    func()
-	core   salsa.Sketch
 	held   func() salsa.EpochStats
 
 	frontier uint64 // upstream cursor: StartCursor + items ingested
@@ -110,12 +112,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if err := salsa.DeltaCapable(built); err != nil {
 		return nil, err
 	}
-	core, err := salsa.DeltaCore(built)
-	if err != nil {
-		return nil, err
-	}
-	a := &Agent{cfg: cfg, live: built, core: core, frontier: cfg.StartCursor}
-	a.setup(cfg.Transport, max(cfg.Generation, 1), cfg.MaxAttempts,
+	a := &Agent{cfg: cfg, live: built, frontier: cfg.StartCursor}
+	a.setup(cfg.Spec, cfg.Transport, max(cfg.Generation, 1), cfg.MaxAttempts,
 		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
 	// An epoch topology ingests through one writer and cuts an epoch
 	// before each snapshot; a plain sketch ingests directly.
@@ -192,12 +190,14 @@ func (a *Agent) progress() (uint64, Push) {
 	return a.held().Drained, Push{Agent: a.cfg.ID, Cursor: a.frontier}
 }
 
-// state marshals the core once. It counts the items the core holds before
-// it copies the core, so a drain in between shows up in the next cut.
-func (a *Agent) state() ([]byte, uint64, Push, error) {
+// state hands over the live sketch. On an epoch topology that is the
+// epoch layer, whose view CopyInto copies under the view lock, so an
+// Advance beside PushOnce cannot tear the cut. It counts the items the
+// core holds before the uplink copies the core, so a drain in between
+// shows up in the next cut.
+func (a *Agent) state() (salsa.Sketch, uint64, Push, error) {
 	n := a.held().Drained
-	env, err := salsa.Marshal(a.core)
-	return env, n, Push{Agent: a.cfg.ID, Cursor: a.frontier, Candidates: a.candidates()}, err
+	return a.live, n, Push{Agent: a.cfg.ID, Cursor: a.frontier, Candidates: a.candidates()}, nil
 }
 
 // beforeSend has nothing to do: an agent keeps no durable state, and a

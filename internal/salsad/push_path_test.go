@@ -10,10 +10,11 @@ import (
 	"salsa/internal/stream"
 )
 
-// The push path at the shape of the pipeline benchmark's fanin-mixed
-// workload: a CMS-SALSA core with 2^14 counters per row and sum merge,
-// 1024-item frames from a Univ2-like source, and 64 heavy-hitter
-// candidates per frame.
+// The push path at the shape of the pipeline benchmark's workloads: a
+// CMS-SALSA core with 2^14 counters per row and sum merge and 64
+// heavy-hitter candidates per frame, which all three share, fed 1024-item
+// frames from a Univ2-like source as fanin-mixed's agents are, unless a
+// case says otherwise.
 
 func faninSpec() salsa.Spec {
 	return salsa.CountMinOf(salsa.Options{Width: 1 << 14, Merge: salsa.MergeSum, Seed: 1})
@@ -39,21 +40,22 @@ func newFaninAgent(tb testing.TB, tr Transport) *Agent {
 	return ag
 }
 
-// frameFeeder ingests the next 1024 items of a cyclic source per frame.
+// frameFeeder ingests the next n items of a cyclic source per frame.
 type frameFeeder struct {
-	items []uint64
-	pos   int
+	items  []uint64
+	pos, n int
 }
 
+// newFrameFeeder feeds 1024-item frames from a Univ2-like source.
 func newFrameFeeder() *frameFeeder {
-	return &frameFeeder{items: stream.Univ2.Generate(1<<16, 7)}
+	return &frameFeeder{items: stream.Univ2.Generate(1<<16, 7), n: 1024}
 }
 
 func (f *frameFeeder) feed(ag *Agent) {
-	for _, x := range f.items[f.pos : f.pos+1024] {
-		ag.Ingest(x)
+	for range f.n {
+		ag.Ingest(f.items[f.pos])
+		f.pos = (f.pos + 1) % len(f.items)
 	}
-	f.pos = (f.pos + 1024) % len(f.items)
 }
 
 // ackTransport acknowledges every frame without delivering it, so only the
@@ -122,10 +124,11 @@ func TestZeroAllocDecodePush(t *testing.T) {
 }
 
 // pushOnceAllocBudget bounds the allocations of one steady-state PushOnce
-// at the fanin-mixed shape: 58 measured with go1.24 on linux/amd64, plus
-// headroom. Most of them are the delta cut's two decoded copies of the
-// live sketch; the frame itself is one allocation.
-const pushOnceAllocBudget = 64
+// at the fanin-mixed shape: 3 measured with go1.24 on linux/amd64 (the
+// delta's envelope, the frozen Push and its wire bytes), plus one of
+// headroom. The cut copies the live sketch into recycled sketches, so it
+// allocates none.
+const pushOnceAllocBudget = 4
 
 func TestZeroAllocPushOnceBudget(t *testing.T) {
 	ag := newFaninAgent(t, &ackTransport{})
@@ -179,26 +182,52 @@ func TestEncodeMatchesFreshWriter(t *testing.T) {
 	}
 }
 
-// BenchmarkPushPath times one frame through the whole push path at the
-// fanin-mixed shape: the agent's delta cut and freeze, then Encode,
-// DecodePush and ApplyPush, which directTransport runs in process. The
-// ingest of each frame's items is not timed.
+// pushShapes are the pipeline benchmark's workloads as one agent sees
+// them: its source, the items it pushes during set-up (prefill) and the
+// items in each timed frame. relay-tree agents read a CH16 mix there; the
+// CH16 trace alone stands in for it here.
+var pushShapes = []struct {
+	name              string
+	ds                stream.Dataset
+	traceLen          int
+	prefill, perFrame int
+}{
+	{"fanin-mixed", stream.Univ2, 1 << 16, 0, 1024},
+	{"edge-ingest", stream.NY18, 1 << 22, 100_000, 100_000},
+	{"relay-tree", stream.CH16, 1 << 17, 8192, 8192},
+}
+
+// BenchmarkPushPath times one frame through the whole push path at each
+// pipeline workload's shape: the agent's delta cut and freeze, then
+// Encode, DecodePush and ApplyPush, which directTransport runs in
+// process. The ingest of each frame's items is not timed.
 func BenchmarkPushPath(b *testing.B) {
-	agg, err := NewAggregator(AggregatorConfig{Spec: faninSpec()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ag := newFaninAgent(b, &directTransport{agg: agg})
-	f := newFrameFeeder()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		f.feed(ag)
-		b.StartTimer()
-		if err := ag.PushOnce(ctx); err != nil {
-			b.Fatal(err)
-		}
+	for _, sh := range pushShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			agg, err := NewAggregator(AggregatorConfig{Spec: faninSpec()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ag := newFaninAgent(b, &directTransport{agg: agg})
+			f := &frameFeeder{items: sh.ds.Generate(sh.traceLen, 7), n: sh.prefill}
+			ctx := context.Background()
+			if sh.prefill > 0 {
+				f.feed(ag)
+				if err := ag.PushOnce(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			f.n = sh.perFrame
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f.feed(ag)
+				b.StartTimer()
+				if err := ag.PushOnce(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

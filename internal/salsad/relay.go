@@ -107,7 +107,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	// state, so the first frame replaces it.
 	r := &Relay{cfg: cfg, agg: agg}
 	r.full = true
-	r.setup(cfg.Upstream, cfg.Generation, cfg.MaxAttempts,
+	r.setup(cfg.Spec, cfg.Upstream, cfg.Generation, cfg.MaxAttempts,
 		cfg.BackoffBase, cfg.BackoffCap, cfg.JitterSeed, cfg.Sleep)
 	agg.upstreamStats = r.Stats
 	if cfg.DataDir != "" {
@@ -183,16 +183,15 @@ func (r *Relay) progress() (uint64, Push) {
 	return applied, Push{Agent: r.cfg.ID, Cursor: applied, Flags: FlagRelay, Depth: byte(min(depth, 255))}
 }
 
-// state captures the downstream table atomically with the applied count
-// it reflects and its heaviest candidates.
-func (r *Relay) state() ([]byte, uint64, Push, error) {
+// state folds the downstream table atomically with the applied count it
+// reflects and its heaviest candidates, and hands over the fold.
+func (r *Relay) state() (salsa.Sketch, uint64, Push, error) {
 	merged, applied, cands, depth, err := r.agg.upstreamCut()
 	if err != nil {
 		return nil, 0, Push{}, err
 	}
-	env, err := salsa.Marshal(merged)
-	return env, applied, Push{Agent: r.cfg.ID, Cursor: applied, Flags: FlagRelay,
-		Depth: byte(min(depth, 255)), Candidates: cands}, err
+	return merged, applied, Push{Agent: r.cfg.ID, Cursor: applied, Flags: FlagRelay,
+		Depth: byte(min(depth, 255)), Candidates: cands}, nil
 }
 
 // beforeSend enforces the durability barrier: a durable relay's frozen

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"salsa"
 )
 
 // corruptFile flips one bit in the middle of the file at path.
@@ -629,4 +631,204 @@ func TestRelayForwardsHeaviestCandidates(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("root received %d candidates, not the relay's %d heaviest", len(got), len(want))
 	}
+}
+
+// cutChecker sits between a sender and its upstream. At the first
+// transmission of each data frame it computes the frame's envelope the
+// way a sender cut it by decoding its state's envelope twice: Marshal of
+// the owner's state, Unmarshal, SubtractInto a reference shadow, Marshal.
+// The frame must carry exactly that envelope, and every retry must resend
+// the first transmission's bytes. The reference shadow advances to the
+// decoded state when upstream acknowledges the frame and is dropped on a
+// resync demand.
+type cutChecker struct {
+	t     *testing.T
+	next  *directTransport
+	state func() salsa.Sketch
+	// gen/seq/wire identify the data frame in flight and its bytes;
+	// frameState is its decoded state.
+	gen, seq   uint64
+	wire       []byte
+	frameState salsa.Sketch
+	shadow     salsa.Sketch
+	checked    int
+}
+
+func (c *cutChecker) Push(ctx context.Context, p *Push) (*Ack, error) {
+	t := c.t
+	if !p.Heartbeat() {
+		enc, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Gen == c.gen && p.Seq == c.seq {
+			if !bytes.Equal(enc, c.wire) {
+				t.Fatalf("%s gen %d seq %d: a retry changed the frame's bytes", p.Agent, p.Gen, p.Seq)
+			}
+		} else {
+			env := marshalState(t, c.state())
+			if c.frameState, err = salsa.Unmarshal(env); err != nil {
+				t.Fatal(err)
+			}
+			want := env
+			if c.shadow != nil {
+				delta, err := salsa.Unmarshal(env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := salsa.SubtractInto(delta, c.shadow); err != nil {
+					t.Fatal(err)
+				}
+				want = marshalState(t, delta)
+			}
+			if !bytes.Equal(p.Envelope, want) {
+				t.Fatalf("%s gen %d seq %d: envelope differs from the decode-twice cut", p.Agent, p.Gen, p.Seq)
+			}
+			c.gen, c.seq, c.wire = p.Gen, p.Seq, enc
+			c.checked++
+		}
+	}
+	ack, err := c.next.Push(ctx, p)
+	switch {
+	case err != nil:
+	case ack.Status == StatusResync:
+		c.shadow = nil
+	case !p.Heartbeat():
+		c.shadow = c.frameState
+	}
+	return ack, err
+}
+
+func (c *cutChecker) Resume(ctx context.Context, agent string) (*ResumeInfo, error) {
+	return c.next.Resume(ctx, agent)
+}
+
+// TestSenderCutMatchesEnvelopeCut checks every data frame a plain agent,
+// an epoch agent and a durable relay freeze against the decode-twice cut
+// (cutChecker), through deltas, heartbeats, a failed delivery retried, a
+// resync that forces a FlagFull frame and, for the relay, a restart that
+// restores its frozen frame from disk. Sketches recycled between cuts
+// that alias the shadow or a frozen frame's state show up as a differing
+// envelope.
+func TestSenderCutMatchesEnvelopeCut(t *testing.T) {
+	ctx := context.Background()
+	items := func(round int) []uint64 {
+		out := make([]uint64, 400)
+		for i := range out {
+			out[i] = uint64(i*i+round) % 61
+		}
+		return out
+	}
+	// script drives one sender; feed adds a round of items, push is one
+	// PushOnce, and restart (relay only) kills the sender with its frame
+	// frozen and brings it back from disk.
+	script := func(t *testing.T, c *cutChecker, feed func(round int), push func() error, restart func()) {
+		t.Helper()
+		pushOK := func() {
+			t.Helper()
+			if err := push(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round := 0
+		next := func() { round++; feed(round) }
+		for range 3 { // deltas
+			next()
+			pushOK()
+		}
+		pushOK() // heartbeat
+		c.next.failN = 99
+		next()
+		if err := push(); !errors.Is(err, ErrPushFailed) {
+			t.Fatalf("push through an outage: %v, want ErrPushFailed", err)
+		}
+		next()
+		c.next.failN = 0
+		pushOK() // the frozen frame, retried
+		pushOK() // the outage's traffic
+		c.next.agg = newTestAggregator(t, AggregatorConfig{})
+		next()
+		pushOK() // resync, then a full frame
+		next()
+		pushOK()
+		if restart != nil {
+			c.next.failN = 99
+			next()
+			if err := push(); !errors.Is(err, ErrPushFailed) {
+				t.Fatalf("push before the restart: %v, want ErrPushFailed", err)
+			}
+			restart()
+			c.next.failN = 0
+			pushOK() // the restored frame, retried
+			next()
+			pushOK()
+			next()
+			pushOK()
+		}
+		want := 8
+		if restart != nil {
+			want = 11
+		}
+		if c.checked != want {
+			t.Fatalf("checked %d data frames, want %d", c.checked, want)
+		}
+		got, err := c.next.agg.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, marshalState(t, c.state())) {
+			t.Fatal("the root diverged from the sender")
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		spec salsa.Spec
+	}{{"agent", testSpec()}, {"epoch-agent", salsa.EpochShardedBy(testSpec(), 2)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &cutChecker{t: t, next: &directTransport{agg: newTestAggregator(t, AggregatorConfig{})}}
+			ag := newTestAgent(t, AgentConfig{ID: "edge", Spec: tc.spec, Transport: c, MaxAttempts: 2})
+			c.state = func() salsa.Sketch {
+				core, err := salsa.DeltaCore(ag.Sketch())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return core
+			}
+			feed := func(round int) {
+				for _, x := range items(round) {
+					ag.Ingest(x)
+				}
+			}
+			script(t, c, feed, func() error { return ag.PushOnce(ctx) }, nil)
+		})
+	}
+	t.Run("relay", func(t *testing.T) {
+		dir := t.TempDir()
+		c := &cutChecker{t: t, next: &directTransport{agg: newTestAggregator(t, AggregatorConfig{})}}
+		open := func() *Relay {
+			r, err := NewRelay(RelayConfig{ID: "relay-1", Spec: testSpec(), Upstream: c, Generation: 1,
+				DataDir: dir, MaxAttempts: 2, Sleep: func(time.Duration) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.RestoreError(); err != nil {
+				t.Fatal(err)
+			}
+			c.state = func() salsa.Sketch {
+				s, err := r.Agg().Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			return r
+		}
+		r := open()
+		seq := uint64(0)
+		feed := func(round int) {
+			seq++
+			feedRelay(t, r, "e1", 1, seq, items(round)...)
+		}
+		script(t, c, feed, func() error { return r.PushOnce(ctx) }, func() { r = open() })
+	})
 }

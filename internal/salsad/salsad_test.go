@@ -1019,3 +1019,56 @@ func TestHTTPQueryEndpoints(t *testing.T) {
 		t.Fatalf("stats: %d %s", code, body)
 	}
 }
+
+// TestAgentEpochCutBesideAutoAdvance cuts frames from an epoch agent
+// while its layer's AutoAdvance drains a writer's flushes into the view
+// on other goroutines, as AgentConfig.Spec allows. Under -race a cut that
+// reads the view without the view lock is reported against the drain.
+// Once the writer and the merger stop, the root must hold the view.
+func TestAgentEpochCutBesideAutoAdvance(t *testing.T) {
+	agg := newTestAggregator(t, AggregatorConfig{})
+	ag := newTestAgent(t, AgentConfig{
+		ID:        "edge",
+		Spec:      salsa.EpochShardedBy(testSpec(), 2),
+		Transport: &directTransport{agg: agg},
+	})
+	local := ag.Sketch().(*salsa.EpochCountMin)
+	stop := local.AutoAdvance(0)
+	defer stop()
+	w := local.NewWriter(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200_000; i++ {
+			w.Increment(uint64(i*i) % 4099)
+			if i%100 == 99 {
+				w.Flush()
+			}
+		}
+		w.Flush()
+	}()
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		ag.Ingest(uint64(i))
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	stop()
+	for i := 0; !ag.Synced(); i++ {
+		if i == 10 {
+			t.Fatal("agent not synced after the writer and the merger stopped")
+		}
+		if err := ag.PushOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := agg.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, marshalState(t, local.View())) {
+		t.Fatal("root diverged from the agent's view")
+	}
+}

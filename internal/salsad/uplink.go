@@ -50,6 +50,7 @@ type AgentStats struct {
 // mu, so that goroutine reads the fields without mu. Other goroutines (a
 // relay's gauges and snapshots) read them under mu.
 type uplink struct {
+	spec        salsa.Spec
 	transport   Transport
 	maxAttempts int
 	backoffBase time.Duration
@@ -73,6 +74,13 @@ type uplink struct {
 	frame      *Push
 	frameState salsa.Sketch
 	frameN     uint64
+	// spare and scratch are sketches of the shipped core that neither the
+	// shadow nor a frame refers to: the next data frame's state is copied
+	// into spare, and state − shadow is cut in scratch. An ack retires the
+	// shadow into spare. A cut takes them under mu and writes them outside
+	// it, so a relay snapshot, which marshals shadow and frameState under
+	// mu, never reads one being written.
+	spare, scratch salsa.Sketch
 	// full makes the next data frame a FlagFull snapshot that replaces
 	// everything upstream holds for this sender. restart sets it, and so
 	// does a relay from the start; an acknowledged data frame clears it.
@@ -87,17 +95,20 @@ type framer interface {
 	// progress reports the progress the owner's state covers and the
 	// header of a heartbeat covering it.
 	progress() (uint64, Push)
-	// state hands over the envelope of the owner's whole state, the
-	// progress it covers and the header of a data frame carrying it.
-	state() ([]byte, uint64, Push, error)
+	// state hands over the owner's whole state, the progress it covers
+	// and the header of a data frame carrying it. The state is a sketch
+	// CopyInto accepts as its source; the uplink copies it before the cut
+	// returns and never keeps it.
+	state() (salsa.Sketch, uint64, Push, error)
 	// beforeSend runs before every transmission of the frozen frame.
 	beforeSend() error
 }
 
-// setup installs the transport, the first generation and the retry
-// settings. Zero settings take the defaults: 4 attempts, 50ms / 2s
-// backoff, a crypto-random jitter seed, and time.Sleep.
-func (u *uplink) setup(t Transport, gen uint64, attempts int, base, ceiling time.Duration, seed uint64, sleep func(time.Duration)) {
+// setup installs the spec of the shipped state, the transport, the first
+// generation and the retry settings. Zero settings take the defaults: 4
+// attempts, 50ms / 2s backoff, a crypto-random jitter seed, and
+// time.Sleep.
+func (u *uplink) setup(spec salsa.Spec, t Transport, gen uint64, attempts int, base, ceiling time.Duration, seed uint64, sleep func(time.Duration)) {
 	if attempts <= 0 {
 		attempts = 4
 	}
@@ -113,7 +124,7 @@ func (u *uplink) setup(t Transport, gen uint64, attempts int, base, ceiling time
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	u.transport, u.gen = t, gen
+	u.spec, u.transport, u.gen = spec, t, gen
 	u.maxAttempts, u.backoffBase, u.backoffCap = attempts, base, ceiling
 	u.rng, u.sleep = rand.New(rand.NewSource(int64(seed))), sleep
 }
@@ -196,39 +207,72 @@ func (u *uplink) backoff(n int) time.Duration {
 // of a generation that is not full is a plain delta holding the whole
 // state: a restarted agent's new generation merges into the contribution
 // the old one shipped.
+//
+// A data frame copies the owner's state into the spare, which becomes the
+// state the shadow advances to, and once there is a shadow copies that
+// into the scratch and subtracts the shadow there: one Marshal per frame,
+// and no sketch allocated once the first cuts have built the spares.
 func (u *uplink) cutFrame(f framer) error {
 	if n, hb := f.progress(); !u.full && n == u.shadowN {
 		hb.Gen, hb.Seq = u.gen, u.seq
 		hb.Flags |= FlagHeartbeat
 		return u.freezeFrame(hb, nil, n)
 	}
-	env, n, p, err := f.state()
+	src, n, p, err := f.state()
 	if err != nil {
 		return err
 	}
-	// The envelope decodes into the state the shadow advances to and, once
-	// there is a shadow, into a scratch copy the delta is computed in.
-	state, err := salsa.Unmarshal(env)
+	state, err := u.take(&u.spare)
 	if err != nil {
 		return err
 	}
+	if err := salsa.CopyInto(state, src); err != nil {
+		return err
+	}
+	cut := state
 	if u.shadow != nil {
-		delta, err := salsa.Unmarshal(env)
-		if err != nil {
+		if cut, err = u.take(&u.scratch); err != nil {
 			return err
 		}
-		if err := salsa.SubtractInto(delta, u.shadow); err != nil {
+		if err := salsa.CopyInto(cut, state); err != nil {
 			return err
 		}
-		if env, err = salsa.Marshal(delta); err != nil {
+		if err := salsa.SubtractInto(cut, u.shadow); err != nil {
 			return err
 		}
+	}
+	env, err := salsa.Marshal(cut)
+	if err != nil {
+		return err
+	}
+	if cut != state {
+		u.mu.Lock()
+		u.scratch = cut
+		u.mu.Unlock()
 	}
 	p.Gen, p.Seq, p.Envelope = u.gen, u.seq+1, env
 	if u.full {
 		p.Flags |= FlagFull
 	}
 	return u.freezeFrame(p, state, n)
+}
+
+// take empties the spare slot *s and returns its sketch, or, when it is
+// empty (the first cuts, or a cut after an error dropped the sketch), an
+// empty sketch of the core the spec builds.
+func (u *uplink) take(s *salsa.Sketch) (salsa.Sketch, error) {
+	u.mu.Lock()
+	sk := *s
+	*s = nil
+	u.mu.Unlock()
+	if sk != nil {
+		return sk, nil
+	}
+	built, err := salsa.Build(u.spec)
+	if err != nil {
+		return nil, err
+	}
+	return salsa.DeltaCore(built)
 }
 
 // freezeFrame makes p the in-flight frame and encodes it once; state and
@@ -251,6 +295,7 @@ func (u *uplink) commitFrame() {
 		u.stats.Heartbeats++
 	} else {
 		u.seq = u.frame.Seq
+		u.spare = u.shadow
 		u.shadow, u.shadowN = u.frameState, u.frameN
 		u.full = false
 		u.stats.FramesAcked++
