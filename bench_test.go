@@ -95,8 +95,17 @@ func BenchmarkSingleUpdate(b *testing.B) {
 			return sketch.NewCUS(4, 1<<14, sketch.SalsaRow(8, core.MaxMerge, false), 1)
 		},
 		"CUS/baseline32": func() interface{ Update(uint64, int64) } { return sketch.NewCUS(4, 1<<12, sketch.FixedRow(32), 1) },
+		"CMS/salsa16": func() interface{ Update(uint64, int64) } {
+			return sketch.NewCMS(4, 1<<13, sketch.SalsaRow(16, core.MaxMerge, false), 1)
+		},
+		"CUS/tango8": func() interface{ Update(uint64, int64) } {
+			return sketch.NewCUS(4, 1<<14, sketch.TangoRow(8, core.MaxMerge), 1)
+		},
 		"CS/salsasign8": func() interface{ Update(uint64, int64) } {
 			return sketch.NewCountSketch(5, 1<<14, sketch.SalsaSignRow(8, false), 1)
+		},
+		"CS/salsasign16": func() interface{ Update(uint64, int64) } {
+			return sketch.NewCountSketch(5, 1<<13, sketch.SalsaSignRow(16, false), 1)
 		},
 		"CS/baselinesign": func() interface{ Update(uint64, int64) } {
 			return sketch.NewCountSketch(5, 1<<12, sketch.FixedSignRow(32), 1)
@@ -121,11 +130,90 @@ func BenchmarkSingleQuery(b *testing.B) {
 		sk := sketch.NewCMS(4, 1<<12, sketch.FixedRow(32), 1)
 		benchQueries(b, func(x uint64) { sk.Update(x, 1) }, func(x uint64) { sk.Query(x) })
 	})
+	b.Run("CMS/salsa16", func(b *testing.B) {
+		sk := sketch.NewCMS(4, 1<<13, sketch.SalsaRow(16, core.MaxMerge, false), 1)
+		benchQueries(b, func(x uint64) { sk.Update(x, 1) }, func(x uint64) { sk.Query(x) })
+	})
+	b.Run("CMS/tango8", func(b *testing.B) {
+		sk := sketch.NewCMS(4, 1<<14, sketch.TangoRow(8, core.MaxMerge), 1)
+		benchQueries(b, func(x uint64) { sk.Update(x, 1) }, func(x uint64) { sk.Query(x) })
+	})
 	b.Run("CS/salsasign8", func(b *testing.B) {
 		sk := sketch.NewCountSketch(5, 1<<14, sketch.SalsaSignRow(8, false), 1)
 		benchQueries(b, func(x uint64) { sk.Update(x, 1) }, func(x uint64) { sk.Query(x) })
 	})
+	b.Run("CS/salsasign16", func(b *testing.B) {
+		sk := sketch.NewCountSketch(5, 1<<13, sketch.SalsaSignRow(16, false), 1)
+		benchQueries(b, func(x uint64) { sk.Update(x, 1) }, func(x uint64) { sk.Query(x) })
+	})
 }
+
+// BenchmarkBatchUpdate times the batch kernels: UpdateBatch and QueryBatch
+// over one 256-item chunk per op, the chunk size the sketches process
+// internally. The query side runs on a sketch loaded with the whole trace.
+func BenchmarkBatchUpdate(b *testing.B) {
+	type batchSketch interface {
+		UpdateBatch(items []uint64, v int64)
+		queryBatch(items []uint64)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() batchSketch
+	}{
+		{"CMS/salsa8", func() batchSketch {
+			return cmsBatch{sketch.NewCMS(4, 1<<14, sketch.SalsaRow(8, core.MaxMerge, false), 1)}
+		}},
+		{"CMS/salsa16", func() batchSketch {
+			return cmsBatch{sketch.NewCMS(4, 1<<13, sketch.SalsaRow(16, core.MaxMerge, false), 1)}
+		}},
+		{"CMS/tango8", func() batchSketch {
+			return cmsBatch{sketch.NewCMS(4, 1<<14, sketch.TangoRow(8, core.MaxMerge), 1)}
+		}},
+		{"CS/salsasign8", func() batchSketch {
+			return csBatch{sketch.NewCountSketch(5, 1<<14, sketch.SalsaSignRow(8, false), 1)}
+		}},
+		{"CS/salsasign16", func() batchSketch {
+			return csBatch{sketch.NewCountSketch(5, 1<<13, sketch.SalsaSignRow(16, false), 1)}
+		}},
+	} {
+		data := benchStream()
+		chunks := len(data) / 256
+		b.Run(tc.name+"/update", func(b *testing.B) {
+			sk := tc.build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := i % chunks * 256
+				sk.UpdateBatch(data[c:c+256], 1)
+			}
+		})
+		b.Run(tc.name+"/query", func(b *testing.B) {
+			sk := tc.build()
+			sk.UpdateBatch(data, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := i % chunks * 256
+				sk.queryBatch(data[c : c+256])
+			}
+		})
+	}
+}
+
+// cmsBatch and csBatch give BenchmarkBatchUpdate one QueryBatch signature,
+// each with a reused destination buffer.
+type cmsBatch struct{ *sketch.CMS }
+
+func (c cmsBatch) queryBatch(items []uint64) { benchSinkU = c.QueryBatch(items, benchSinkU[:0]) }
+
+type csBatch struct{ *sketch.CountSketch }
+
+func (c csBatch) queryBatch(items []uint64) { benchSinkI = c.QueryBatch(items, benchSinkI[:0]) }
+
+var (
+	benchSinkU []uint64
+	benchSinkI []int64
+)
 
 // BenchmarkFig04CounterScaling times CMS updates across SALSA base sizes
 // (the Fig. 4 configurations; error series via `salsabench -experiment
@@ -420,6 +508,14 @@ func BenchmarkAblationRowOps(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			arr.Add(i&mask, 1)
+		}
+	})
+	b.Run("SalsaSignAdd", func(b *testing.B) {
+		arr := core.NewSalsaSign(1<<14, 8, false)
+		mask := 1<<14 - 1
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			arr.Add(i&mask, int64(1-2*(i>>14&1)))
 		}
 	})
 	b.Run("SalsaValue", func(b *testing.B) {

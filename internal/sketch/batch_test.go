@@ -82,24 +82,28 @@ func TestCMSQueryBatch(t *testing.T) {
 	}
 }
 
+// TestCountSketchBatchEquivalent pins UpdateBatch and QueryBatch against
+// per-item Updates and Queries on the fast path, and against a
+// disableFast twin fed the same updates one at a time: each batch carries
+// one weight, and every third batch subtracts.
 func TestCountSketchBatchEquivalent(t *testing.T) {
 	data := stream.Zipf(40000, 2500, 1.0, 13)
-	for name, spec := range map[string]SignedRowSpec{
-		"FixedSign": FixedSignRow(32),
-		"SalsaSign": SalsaSignRow(8, false),
-	} {
+	for name, spec := range csSpecs() {
 		seq := NewCountSketch(5, 1<<10, spec, 17)
 		bat := NewCountSketch(5, 1<<10, spec, 17)
-		for _, x := range data {
-			seq.Update(x, 1)
-		}
-		for off := 0; off < len(data); off += 1000 {
-			end := off + 1000
-			if end > len(data) {
-				end = len(data)
+		generic := NewCountSketch(5, 1<<10, spec, 17)
+		generic.disableFast()
+		for off, k := 0, 0; off < len(data); off, k = off+1000, k+1 {
+			end := min(off+1000, len(data))
+			v := mixedSign(k, int64(1+k%4))
+			bat.UpdateBatch(data[off:end], v)
+			for _, x := range data[off:end] {
+				seq.Update(x, v)
+				generic.Update(x, v)
 			}
-			bat.UpdateBatch(data[off:end], 1)
 		}
+		checkCSEqual(t, name+"/batch", bat, generic)
+		checkCSEqual(t, name+"/sequential", seq, generic)
 		items := make([]uint64, 500)
 		for i := range items {
 			items[i] = uint64(i)
@@ -109,8 +113,8 @@ func TestCountSketchBatchEquivalent(t *testing.T) {
 			if seq.Query(x) != bat.Query(x) {
 				t.Fatalf("%s: item %d: sequential %d != batch-built %d", name, x, seq.Query(x), bat.Query(x))
 			}
-			if est[i] != bat.Query(x) {
-				t.Fatalf("%s: item %d: QueryBatch %d != Query %d", name, x, est[i], bat.Query(x))
+			if want := generic.Query(x); est[i] != want {
+				t.Fatalf("%s: item %d: QueryBatch %d != generic Query %d", name, x, est[i], want)
 			}
 		}
 	}

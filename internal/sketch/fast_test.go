@@ -234,43 +234,71 @@ func TestFastPathEquivalenceBatch(t *testing.T) {
 	}
 }
 
-func TestFastPathEquivalenceCountSketch(t *testing.T) {
-	data := stream.Zipf(60000, 3000, 1.0, 29)
-	for name, spec := range map[string]SignedRowSpec{
+// csSpecs covers every Count Sketch row backend at every base size a
+// signed SALSA row accepts (one of its bits is the sign, so 2–32).
+func csSpecs() map[string]SignedRowSpec {
+	return map[string]SignedRowSpec{
 		"FixedSign32":      FixedSignRow(32),
 		"FixedSign8":       FixedSignRow(8),
 		"SalsaSign":        SalsaSignRow(8, false),
+		"SalsaSign2":       SalsaSignRow(2, false),
 		"SalsaSign4":       SalsaSignRow(4, false),
+		"SalsaSign16":      SalsaSignRow(16, false),
+		"SalsaSign32":      SalsaSignRow(32, false),
 		"SalsaSignCompact": SalsaSignRow(8, true),
-	} {
-		build := func() *CountSketch { return NewCountSketch(5, 1<<10, spec, 13) }
-		fast := build()
-		generic := build()
-		generic.disableFast()
-		drive := func(c *CountSketch) {
-			for j, x := range data {
-				v := int64(1 + j%6)
-				if j%3 == 2 {
-					v = -v // mixed signs exercise both overflow directions
+	}
+}
+
+// mixedSign is the Count Sketch test weight: every third update subtracts,
+// so counters overflow in both directions.
+func mixedSign(j int, v int64) int64 {
+	if j%3 == 2 {
+		return -v
+	}
+	return v
+}
+
+// TestFastPathEquivalenceCountSketch runs each backend over a mixed-sign
+// stream, and again with weights that climb to ±2^62: two same-sign updates
+// of 2^62 on one 64-bit counter sum to exactly MinInt64, which the 64-bit
+// update must clamp as the general path does.
+func TestFastPathEquivalenceCountSketch(t *testing.T) {
+	data := stream.Zipf(60000, 3000, 1.0, 29)
+	runs := []equivalenceRun{
+		{"mixed", 5, len(data), func(j int) int64 { return mixedSign(j, int64(1+j%6)) }},
+		{"saturating", 5, len(data) / 3, func(j int) int64 { return mixedSign(j, 1<<(62-j%63)) }},
+	}
+	for name, spec := range csSpecs() {
+		for _, run := range runs {
+			tag := name + "/" + run.tag
+			build := func() *CountSketch { return NewCountSketch(run.d, 1<<10, spec, 13) }
+			fast := build()
+			generic := build()
+			generic.disableFast()
+			for j, x := range data[:run.n] {
+				fast.Update(x, run.weight(j))
+				generic.Update(x, run.weight(j))
+			}
+			checkCSEqual(t, tag, fast, generic)
+			for _, x := range data[:2000] {
+				if fv, gv := fast.Query(x), generic.Query(x); fv != gv {
+					t.Fatalf("%s: query(%d): fast %d != generic %d", tag, x, fv, gv)
 				}
-				c.Update(x, v)
 			}
 		}
-		drive(fast)
-		drive(generic)
-		fb, err1 := fast.MarshalBinary()
-		gb, err2 := generic.MarshalBinary()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: marshal: %v / %v", name, err1, err2)
-		}
-		if !bytes.Equal(fb, gb) {
-			t.Fatalf("%s: fast and generic paths diverged (marshal bytes differ)", name)
-		}
-		for _, x := range data[:2000] {
-			if fv, gv := fast.Query(x), generic.Query(x); fv != gv {
-				t.Fatalf("%s: query(%d): fast %d != generic %d", name, x, fv, gv)
-			}
-		}
+	}
+}
+
+// checkCSEqual asserts that two Count Sketches marshal to the same bytes.
+func checkCSEqual(t *testing.T, name string, fast, generic *CountSketch) {
+	t.Helper()
+	fb, err1 := fast.MarshalBinary()
+	gb, err2 := generic.MarshalBinary()
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%s: marshal: %v / %v", name, err1, err2)
+	}
+	if !bytes.Equal(fb, gb) {
+		t.Fatalf("%s: fast and generic paths diverged (marshal bytes differ)", name)
 	}
 }
 
