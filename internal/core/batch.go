@@ -44,11 +44,10 @@ func (s *Salsa) AddSlots(slots []uint32, v int64) {
 		}
 		return
 	}
-	// The per-slot body is the branchless probe of fastLevel/AddFast: one
-	// merge-bit word load replaces the level-by-level dependent loads of
-	// level(), and the branchless probe avoids the data-dependent branches
-	// that would mispredict on the mixed merged/unmerged slot populations
-	// batches sweep over. 8-bit rows use the parallel three-bit probe.
+	// The per-slot probe is the branchless probeLevel (rowset.go) rather
+	// than level()'s early out, which would mispredict on the mixed
+	// merged/unmerged slot populations batches sweep over. 8-bit rows use
+	// the parallel three-bit probeLevel8.
 	if s.s == 8 {
 		bl, words, d := s.blWords, s.words, uint64(v)
 		for _, u := range slots {
@@ -69,10 +68,10 @@ func (s *Salsa) AddSlots(slots []uint32, v int64) {
 		}
 		return
 	}
-	words, sb, d := s.words, s.s, uint64(v)
+	bl, words, sb, maxLvl, d := s.blWords, s.words, s.s, s.maxLvl, uint64(v)
 	for _, u := range slots {
 		i := uint(u)
-		lvl := s.fastLevel(i)
+		lvl := probeLevel(bl[i>>6], i, maxLvl)
 		size := sb << lvl
 		off := (i &^ (1<<lvl - 1)) * sb
 		w, sh := off>>6, off&63
@@ -107,11 +106,7 @@ func (t *Tango) AddSlots(slots []uint32, v int64) {
 	mask := (uint64(1) << sb) - 1
 	for _, u := range slots {
 		i := uint(u)
-		merged := link[i>>6] >> (i & 63) & 1
-		if i > 0 {
-			merged |= link[(i-1)>>6] >> ((i - 1) & 63) & 1
-		}
-		if merged != 0 {
+		if tangoMerged(link, i) {
 			t.Add(int(u), v) // merged span: general path scans and grows it
 			continue
 		}
@@ -151,22 +146,49 @@ func (f *FixedSign) AddSignedSlots(slots []uint32, signs []int8, v int64) {
 
 // AddSignedSlots adds signs[j]*v to the counter addressed by slots[j], in
 // slot order. Counters whose updated magnitude still fits are updated inline
-// through the branchless merge-bit probe of AddSignedFast; overflows fall
-// back to the general Add, so merges fire exactly as under sequential Adds.
+// through the branchless merge-bit probe; overflows fall back to the
+// general Add, so merges fire exactly as under sequential Adds.
 //
 //salsa:hotpath
 func (s *SalsaSign) AddSignedSlots(slots []uint32, signs []int8, v int64) {
 	_ = signs[len(slots)-1]
-	if s.blWords == nil {
+	bl := s.blWords
+	if bl == nil {
 		for j, i := range slots {
 			s.Add(int(i), int64(signs[j])*v)
 		}
 		return
 	}
+	words, sb, maxLvl := s.words, s.s, s.maxLvl
 	for j, u := range slots {
-		sv := int64(signs[j]) * v
-		if !s.AddSignedFast(u, sv) {
-			s.Add(int(u), sv)
+		i, sv := uint(u), int64(signs[j])*v
+		var lvl uint
+		if sb == 8 {
+			lvl = probeLevel8(bl[i>>6], i)
+		} else {
+			lvl = probeLevel(bl[i>>6], i, maxLvl)
 		}
+		size := sb << lvl
+		off := (i &^ (1<<lvl - 1)) * sb
+		w, sh := off>>6, off&63
+		if size == 64 {
+			nv := satAddSigned(decodeSM(words[w], 64), sv)
+			// satAddSigned only saturates on same-sign overflow: a sum
+			// landing exactly on MinInt64 (= -maxMag(64)-1) passes through,
+			// and encodeSM would fold it to negative zero. Clamp as store
+			// does.
+			if nv < -maxMag(64) {
+				nv = -maxMag(64)
+			}
+			words[w] = encodeSM(nv, 64)
+			continue
+		}
+		mask := (uint64(1) << size) - 1
+		nv := satAddSigned(decodeSM((words[w]>>sh)&mask, size), sv)
+		if nv > maxMag(size) || nv < -maxMag(size) {
+			s.Add(int(u), sv) // overflow: merge via the general path
+			continue
+		}
+		words[w] = words[w]&^(mask<<sh) | encodeSM(nv, size)<<sh
 	}
 }

@@ -5,101 +5,25 @@ import (
 	"testing"
 )
 
-// The single-item fast primitives must leave an array bit-for-bit as the
-// general methods would, falling back (returning false) in every case they
-// cannot handle. Small base counters force constant merging, so the
-// fallback routes are exercised heavily.
-
-func salsaWordsEqual(t *testing.T, name string, a, b *Salsa) {
-	t.Helper()
-	for i := range a.words {
-		if a.words[i] != b.words[i] {
-			t.Fatalf("%s: counter words diverge at %d", name, i)
-		}
-	}
-	for i := 0; i < a.width; i++ {
-		if a.Level(i) != b.Level(i) {
-			t.Fatalf("%s: level(%d): %d != %d", name, i, a.Level(i), b.Level(i))
-		}
-	}
-}
-
-func TestSalsaAddFastEquivalence(t *testing.T) {
-	for _, s := range []uint{2, 8} {
-		rng := rand.New(rand.NewSource(int64(s)))
-		fast := NewSalsa(256, s, MaxMerge, false)
-		gen := NewSalsa(256, s, MaxMerge, false)
-		for step := 0; step < 40000; step++ {
-			slot := uint32(rng.Intn(256))
-			v := int64(1 + rng.Intn(9))
-			if !fast.AddFast(slot, v) {
-				fast.Add(int(slot), v)
-			}
-			gen.Add(int(slot), v)
-		}
-		salsaWordsEqual(t, "AddFast", fast, gen)
-	}
-}
-
-func TestSalsaSetAtLeastFastEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	fast := NewSalsa(256, 2, MaxMerge, false)
-	gen := NewSalsa(256, 2, MaxMerge, false)
-	target := uint64(0)
-	for step := 0; step < 40000; step++ {
-		slot := uint32(rng.Intn(256))
-		if step%97 == 0 {
-			target += uint64(rng.Intn(50)) // occasionally jump past the size
-		}
-		v := target + uint64(rng.Intn(4))
-		if !fast.SetAtLeastFast(slot, v) {
-			fast.SetAtLeast(int(slot), v)
-		}
-		gen.SetAtLeast(int(slot), v)
-	}
-	salsaWordsEqual(t, "SetAtLeastFast", fast, gen)
-}
-
-func TestSalsaValueFastEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	arr := NewSalsa(256, 2, MaxMerge, false)
-	for step := 0; step < 30000; step++ {
-		arr.Add(rng.Intn(256), int64(1+rng.Intn(5)))
-	}
-	for i := 0; i < 256; i++ {
-		v, ok := arr.ValueFast(uint32(i))
-		if !ok {
-			t.Fatalf("ValueFast declined on the simple encoding at %d", i)
-		}
-		if want := arr.Value(i); v != want {
-			t.Fatalf("ValueFast(%d) = %d, want %d", i, v, want)
-		}
-	}
-	// Compact encoding must decline, never lie.
-	compact := NewSalsa(256, 8, MaxMerge, true)
-	if _, ok := compact.ValueFast(0); ok {
-		t.Fatal("ValueFast accepted a compact-encoding array")
-	}
-	if compact.AddFast(0, 1) {
-		t.Fatal("AddFast accepted a compact-encoding array")
-	}
-	if compact.SetAtLeastFast(0, 1) {
-		t.Fatal("SetAtLeastFast accepted a compact-encoding array")
-	}
-}
-
+// TestSalsaSignAddSignedFastEquivalence pins the inline batch update of
+// AddSignedSlots against the general Add: small base counters force
+// constant merging, so the overflow fallback fires heavily, and s = 2, 8
+// and 16 take both the probeLevel and the probeLevel8 route.
 func TestSalsaSignAddSignedFastEquivalence(t *testing.T) {
-	for _, s := range []uint{2, 8} {
+	for _, s := range []uint{2, 8, 16} {
 		rng := rand.New(rand.NewSource(int64(s)))
 		fast := NewSalsaSign(256, s, false)
 		gen := NewSalsaSign(256, s, false)
-		for step := 0; step < 40000; step++ {
-			slot := uint32(rng.Intn(256))
-			v := int64(rng.Intn(9) - 4)
-			if !fast.AddSignedFast(slot, v) {
-				fast.Add(int(slot), v)
+		slots, signs := make([]uint32, 16), make([]int8, 16)
+		for step := 0; step < 2500; step++ {
+			v := int64(1 + rng.Intn(4))
+			for j := range slots {
+				slots[j], signs[j] = uint32(rng.Intn(256)), int8(1-2*rng.Intn(2))
 			}
-			gen.Add(int(slot), v)
+			fast.AddSignedSlots(slots, signs, v)
+			for j, slot := range slots {
+				gen.Add(int(slot), int64(signs[j])*v)
+			}
 		}
 		for i := range fast.words {
 			if fast.words[i] != gen.words[i] {
@@ -107,9 +31,8 @@ func TestSalsaSignAddSignedFastEquivalence(t *testing.T) {
 			}
 		}
 		for i := 0; i < 256; i++ {
-			v, ok := fast.ValueFast(uint32(i))
-			if !ok || v != gen.Value(i) {
-				t.Fatalf("s=%d: ValueFast(%d) = (%d,%v), want %d", s, i, v, ok, gen.Value(i))
+			if fast.Level(i) != gen.Level(i) {
+				t.Fatalf("s=%d: level(%d): %d != %d", s, i, fast.Level(i), gen.Level(i))
 			}
 		}
 	}
@@ -129,11 +52,9 @@ func TestSalsaSignMinInt64Clamp(t *testing.T) {
 	want := build()
 	want.Add(0, minI64)
 	fast := build()
-	if !fast.AddSignedFast(0, minI64) {
-		fast.Add(0, minI64)
-	}
+	fast.AddSignedSlots([]uint32{0}, []int8{1}, minI64)
 	if fast.Value(0) != want.Value(0) || want.Value(0) != -maxMag(64) {
-		t.Fatalf("AddSignedFast: got %d, general %d, want %d", fast.Value(0), want.Value(0), -maxMag(64))
+		t.Fatalf("AddSignedSlots: got %d, general %d, want %d", fast.Value(0), want.Value(0), -maxMag(64))
 	}
 	rows := []*SalsaSign{build()}
 	// Mask 0 routes the item to slot 0; ±1·MinInt64 is MinInt64 either way
@@ -143,33 +64,6 @@ func TestSalsaSignMinInt64Clamp(t *testing.T) {
 	gen.Add(0, minI64)
 	if rows[0].Value(0) != gen.Value(0) {
 		t.Fatalf("SalsaSignUpdateEach: got %d, general %d", rows[0].Value(0), gen.Value(0))
-	}
-}
-
-func TestTangoFastEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fast := NewTango(256, 2, MaxMerge)
-	gen := NewTango(256, 2, MaxMerge)
-	for step := 0; step < 40000; step++ {
-		slot := uint32(rng.Intn(256))
-		v := int64(1 + rng.Intn(5))
-		if !fast.AddFast(slot, v) {
-			fast.Add(int(slot), v)
-		}
-		gen.Add(int(slot), v)
-	}
-	for i := range fast.words {
-		if fast.words[i] != gen.words[i] {
-			t.Fatalf("counter words diverge at %d", i)
-		}
-	}
-	if !fast.link.Equal(gen.link) {
-		t.Fatal("link bits diverge")
-	}
-	for i := 0; i < 256; i++ {
-		if v, ok := fast.ValueFast(uint32(i)); ok && v != gen.Value(i) {
-			t.Fatalf("ValueFast(%d) = %d, want %d", i, v, gen.Value(i))
-		}
 	}
 }
 

@@ -47,17 +47,12 @@ func newBitLayoutIn(width int, maxLvl uint, words []uint64) *bitLayout {
 	return &bitLayout{bits: bitvec.NewIn(width, words), maxLvl: maxLvl}
 }
 
+// level probes slot i's merge-bit word with firstLevel: every bit it
+// reads lies in the slot's 2^maxLvl-slot block, inside one word.
+//
 //salsa:hotpath
 func (l *bitLayout) level(i int) uint {
-	lvl := uint(0)
-	for lvl < l.maxLvl {
-		blockStart := i &^ (1<<(lvl+1) - 1)
-		if !l.bits.Get(blockStart + 1<<lvl - 1) {
-			break
-		}
-		lvl++
-	}
-	return lvl
+	return firstLevel(l.bits.Words()[i>>6], uint(i), l.maxLvl)
 }
 
 //salsa:hotpath

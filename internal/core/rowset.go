@@ -6,22 +6,43 @@ import "salsa/internal/hashing"
 // sketch in one call. The sketches' single-item Update/Query used to pay,
 // per item, d interface dispatches plus d hash-call boundaries; the XxxEach
 // functions below take the concrete row slice, hash inline (hashing.Index
-// is inlinable), and run the branchless single-word merge-bit probe of the
-// single-item fast paths (fast.go) with everything in registers — one
-// function-call boundary per item for the whole sketch.
+// is inlinable), and run a single-word merge-bit probe with everything in
+// registers — one function-call boundary per item for the whole sketch.
 //
-// The probe/update bodies deliberately repeat the AddFast/ValueFast/
-// SetAtLeastFast logic instead of calling them: those methods exceed the
-// inline budget, and a call per row is exactly the cost this file exists to
-// remove. Every body must stay bit-for-bit equivalent to the corresponding
-// general method; merged or overflowing slots fall back to it outright.
+// Each probe decision is written once, in an inlinable helper: probeLevel
+// and probeLevel8 (the SALSA level, branchless), firstLevel (the SALSA
+// level with an early out, for the general methods) and tangoMerged (the
+// Tango merged-cell check). The row-set loops here and the batch loops of
+// batch.go call them and keep the counter read-modify-write inline, since
+// a call per row is exactly the cost this file exists to remove. Every
+// body must stay bit-for-bit equivalent to the corresponding general
+// method; merged or overflowing slots fall back to it outright.
 
-// probeLevel8 returns the merge level of base slot u for 8-bit rows
-// (maxLvl = 3) given the slot's merge-bit word. The three probe bits are
-// independent shifts of wbits, so unlike the fastLevel loop there is no
-// loop-carried dependency and no data-dependent branch: the counter address
-// is ready a few cycles after the merge-bit word arrives. tₗ is the AND of
-// the path bits through level ℓ+1, exactly as the loop computes it.
+// probeLevel returns the merge level of base slot u of a simple-encoding
+// row with maxLvl merge levels, given the slot's merge-bit word. Every
+// merge bit slot u can probe lies in its 2^maxLvl-slot block, and 2^maxLvl
+// divides 64, so one word load covers all probes. tₗ is the AND of the path
+// bits through level ℓ+1 and the level is their sum: the fixed-trip loop
+// has no data-dependent branch to mispredict on the mixed merged/unmerged
+// slot populations that streams and batches sweep over.
+//
+//salsa:hotpath
+func probeLevel(wbits uint64, u, maxLvl uint) uint {
+	lvl, t := uint(0), uint(1)
+	for l := uint(0); l < maxLvl; l++ {
+		pos := u&^(1<<(l+1)-1) + 1<<l - 1
+		t &= uint(wbits>>(pos&63)) & 1
+		lvl += t
+	}
+	return lvl
+}
+
+// probeLevel8 is probeLevel for 8-bit rows (maxLvl = 3). The three probe
+// bits are independent shifts of wbits, so unlike the loop there is no
+// loop-carried dependency: the counter address is ready a few cycles after
+// the merge-bit word arrives. Each site that runs 8-bit rows makes the
+// s == 8 choice itself, because one helper wrapping both probes would
+// exceed the inline budget.
 //
 //salsa:hotpath
 func probeLevel8(wbits uint64, u uint) uint {
@@ -29,6 +50,39 @@ func probeLevel8(wbits uint64, u uint) uint {
 	t1 := t0 & uint(wbits>>(((u&^3)+1)&63)) & 1
 	t2 := t1 & uint(wbits>>(((u&^7)+3)&63)) & 1
 	return t0 + t1 + t2
+}
+
+// firstLevel is probeLevel with an early out at the first clear merge bit.
+// The general methods (Salsa.level, SalsaSign.level, bitLayout.level) keep
+// it on purpose: their single-item callers see highly predictable levels,
+// and there the branchless loop measured slower (BenchmarkAblationRowOps
+// SalsaAdd and SalsaValue).
+//
+//salsa:hotpath
+func firstLevel(wbits uint64, u, maxLvl uint) uint {
+	lvl := uint(0)
+	for lvl < maxLvl {
+		pos := u&^(1<<(lvl+1)-1) + 1<<lvl - 1
+		if wbits&(1<<(pos&63)) == 0 {
+			break
+		}
+		lvl++
+	}
+	return lvl
+}
+
+// tangoMerged reports whether Tango cell u belongs to a merged span, reading
+// the link bits directly: bit j set means cells j and j+1 are one counter,
+// so cell u is merged when bit u or bit u−1 is set. Bit width−1 is never
+// set, so the probe of bit u is safe at the last cell.
+//
+//salsa:hotpath
+func tangoMerged(link []uint64, u uint) bool {
+	merged := link[u>>6] >> (u & 63) & 1
+	if u > 0 {
+		merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
+	}
+	return merged != 0
 }
 
 // SalsaUpdateEach applies the stream update ⟨x, v⟩ to every row: row i adds
@@ -54,16 +108,9 @@ func SalsaUpdateEach(rows []*Salsa, seeds []uint64, mask, x uint64, v int64) {
 			r.Add(int(u), v) // compact encoding: general path
 			continue
 		}
-		wbits := bl[u>>6]
-		sb, maxLvl := r.s, r.maxLvl
-		lvl, t := uint(0), uint(1)
-		for l := uint(0); l < maxLvl; l++ {
-			pos := u&^(1<<(l+1)-1) + 1<<l - 1
-			t &= uint(wbits>>(pos&63)) & 1
-			lvl += t
-		}
-		size := sb << lvl
-		off := (u &^ (1<<lvl - 1)) * sb
+		lvl := probeLevel(bl[u>>6], u, r.maxLvl)
+		size := r.s << lvl
+		off := (u &^ (1<<lvl - 1)) * r.s
 		w, sh := off>>6, off&63
 		if size == 64 {
 			r.words[w] = satAdd(r.words[w], uint64(v))
@@ -128,13 +175,7 @@ func SalsaQueryEach(rows []*Salsa, seeds []uint64, mask, x uint64) uint64 {
 				v = (v >> (off & 63)) & ((uint64(1) << (8 << lvl)) - 1)
 			}
 		} else {
-			wbits := bl[u>>6]
-			lvl, t := uint(0), uint(1)
-			for l := uint(0); l < r.maxLvl; l++ {
-				pos := u&^(1<<(l+1)-1) + 1<<l - 1
-				t &= uint(wbits>>(pos&63)) & 1
-				lvl += t
-			}
+			lvl := probeLevel(bl[u>>6], u, r.maxLvl)
 			size := r.s << lvl
 			off := (u &^ (1<<lvl - 1)) * r.s
 			if size == 64 {
@@ -182,12 +223,7 @@ func SalsaConservative(rows []*Salsa, slots []uint32, v uint64, probes []Probe) 
 		if r.s == 8 {
 			lvl = probeLevel8(bl[u>>6], u)
 		} else {
-			wbits, t := bl[u>>6], uint(1)
-			for l := uint(0); l < r.maxLvl; l++ {
-				pos := u&^(1<<(l+1)-1) + 1<<l - 1
-				t &= uint(wbits>>(pos&63)) & 1
-				lvl += t
-			}
+			lvl = probeLevel(bl[u>>6], u, r.maxLvl)
 		}
 		off := (u &^ (1<<lvl - 1)) * r.s
 		p.w, p.sh = off>>6, off&63
@@ -263,19 +299,6 @@ func FixedQueryEach(rows []*Fixed, seeds []uint64, mask, x uint64) uint64 {
 	return est
 }
 
-// FixedConservativeEach applies the conservative update ⟨x, v⟩ over baseline
-// rows, hashing each row once, and returns the item's new estimate.
-//
-//salsa:hotpath
-func FixedConservativeEach(rows []*Fixed, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
-	for i := range rows {
-		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
-	}
-	slots := scratch[:len(rows)]
-	target := satAdd(FixedMinEach(rows, slots), v)
-	return FixedRaiseEach(rows, slots, target)
-}
-
 // FixedRaiseEach raises row i's counter at slots[i] to at least target
 // (saturating at the counter maximum) and returns the minimum over rows of
 // the raised counters.
@@ -317,12 +340,7 @@ func TangoUpdateEach(rows []*Tango, seeds []uint64, mask, x uint64, v int64) {
 	}
 	for i, r := range rows {
 		u := uint(hashing.Index(x, seeds[i], mask))
-		link := r.link.Words()
-		merged := link[u>>6] >> (u & 63) & 1
-		if u > 0 {
-			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
-		}
-		if merged != 0 {
+		if tangoMerged(r.link.Words(), u) {
 			r.Add(int(u), v)
 			continue
 		}
@@ -345,12 +363,7 @@ func TangoMinEach(rows []*Tango, slots []uint32) uint64 {
 	for i, r := range rows {
 		u := uint(slots[i])
 		var v uint64
-		link := r.link.Words()
-		merged := link[u>>6] >> (u & 63) & 1
-		if u > 0 {
-			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
-		}
-		if merged == 0 {
+		if !tangoMerged(r.link.Words(), u) {
 			off := u * r.s
 			v = (r.words[off>>6] >> (off & 63)) & ((uint64(1) << r.s) - 1)
 		} else {
@@ -371,13 +384,8 @@ func TangoQueryEach(rows []*Tango, seeds []uint64, mask, x uint64) uint64 {
 	est := ^uint64(0)
 	for i, r := range rows {
 		u := uint(hashing.Index(x, seeds[i], mask))
-		link := r.link.Words()
-		merged := link[u>>6] >> (u & 63) & 1
-		if u > 0 {
-			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
-		}
 		var v uint64
-		if merged == 0 {
+		if !tangoMerged(r.link.Words(), u) {
 			off := u * r.s
 			v = (r.words[off>>6] >> (off & 63)) & ((uint64(1) << r.s) - 1)
 		} else {
@@ -390,19 +398,6 @@ func TangoQueryEach(rows []*Tango, seeds []uint64, mask, x uint64) uint64 {
 	return est
 }
 
-// TangoConservativeEach applies the conservative update ⟨x, v⟩ over Tango
-// rows, hashing each row once, and returns the item's new estimate.
-//
-//salsa:hotpath
-func TangoConservativeEach(rows []*Tango, seeds []uint64, mask, x uint64, v uint64, scratch []uint32) uint64 {
-	for i := range rows {
-		scratch[i] = uint32(hashing.Index(x, seeds[i], mask))
-	}
-	slots := scratch[:len(rows)]
-	target := satAdd(TangoMinEach(rows, slots), v)
-	return TangoRaiseEach(rows, slots, target)
-}
-
 // TangoRaiseEach raises row i's counter at slots[i] to at least target —
 // unmerged cells inline, merged spans and overflows via the general
 // SetAtLeast — and returns the minimum over rows of the raised counters.
@@ -412,17 +407,12 @@ func TangoRaiseEach(rows []*Tango, slots []uint32, target uint64) uint64 {
 	est := ^uint64(0)
 	for i, r := range rows {
 		u := uint(slots[i])
-		link := r.link.Words()
-		merged := link[u>>6] >> (u & 63) & 1
-		if u > 0 {
-			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
-		}
 		off := u * r.s
 		w, sh := off>>6, off&63
 		cmask := (uint64(1) << r.s) - 1
 		var v uint64
 		switch v = (r.words[w] >> sh) & cmask; {
-		case merged != 0 || target > cmask:
+		case tangoMerged(r.link.Words(), u) || target > cmask:
 			r.SetAtLeast(int(u), target)
 			v = r.Value(int(u))
 		case target > v:
@@ -470,13 +460,7 @@ func SalsaMinSlots(r *Salsa, slots []uint32, out []uint64) {
 	words, sb, maxLvl := r.words, r.s, r.maxLvl
 	for j, slot := range slots {
 		u := uint(slot)
-		wbits := bl[u>>6]
-		lvl, t := uint(0), uint(1)
-		for l := uint(0); l < maxLvl; l++ {
-			pos := u&^(1<<(l+1)-1) + 1<<l - 1
-			t &= uint(wbits>>(pos&63)) & 1
-			lvl += t
-		}
+		lvl := probeLevel(bl[u>>6], u, maxLvl)
 		size := sb << lvl
 		off := (u &^ (1<<lvl - 1)) * sb
 		w, sh := off>>6, off&63
@@ -512,12 +496,8 @@ func TangoMinSlots(r *Tango, slots []uint32, out []uint64) {
 	cmask := (uint64(1) << sb) - 1
 	for j, slot := range slots {
 		u := uint(slot)
-		merged := link[u>>6] >> (u & 63) & 1
-		if u > 0 {
-			merged |= link[(u-1)>>6] >> ((u - 1) & 63) & 1
-		}
 		var v uint64
-		if merged == 0 {
+		if !tangoMerged(link, u) {
 			off := u * sb
 			v = (words[off>>6] >> (off & 63)) & cmask
 		} else {
@@ -548,13 +528,7 @@ func SalsaSignReadSlots(r *SalsaSign, slots []uint32, signs []int8, out []int64,
 		if sb == 8 {
 			lvl = probeLevel8(bl[u>>6], u)
 		} else {
-			wbits := bl[u>>6]
-			t := uint(1)
-			for l := uint(0); l < maxLvl; l++ {
-				pos := u&^(1<<(l+1)-1) + 1<<l - 1
-				t &= uint(wbits>>(pos&63)) & 1
-				lvl += t
-			}
+			lvl = probeLevel(bl[u>>6], u, maxLvl)
 		}
 		size := sb << lvl
 		off := (u &^ (1<<lvl - 1)) * sb
@@ -601,13 +575,7 @@ func SalsaSignUpdateEach(rows []*SalsaSign, idxSeeds, signSeeds []uint64, mask, 
 		if r.s == 8 {
 			lvl = probeLevel8(bl[u>>6], u)
 		} else {
-			wbits := bl[u>>6]
-			t := uint(1)
-			for l := uint(0); l < r.maxLvl; l++ {
-				pos := u&^(1<<(l+1)-1) + 1<<l - 1
-				t &= uint(wbits>>(pos&63)) & 1
-				lvl += t
-			}
+			lvl = probeLevel(bl[u>>6], u, r.maxLvl)
 		}
 		size := r.s << lvl
 		off := (u &^ (1<<lvl - 1)) * r.s
@@ -616,7 +584,7 @@ func SalsaSignUpdateEach(rows []*SalsaSign, idxSeeds, signSeeds []uint64, mask, 
 			nv := satAddSigned(decodeSM(r.words[w], 64), sv)
 			// A sum landing exactly on MinInt64 passes satAddSigned
 			// unsaturated and would encode as negative zero; clamp as
-			// store does (see AddSignedFast).
+			// store does.
 			if nv < -maxMag(64) {
 				nv = -maxMag(64)
 			}
@@ -646,13 +614,7 @@ func SalsaSignReadEach(rows []*SalsaSign, idxSeeds, signSeeds []uint64, mask, x 
 			if r.s == 8 {
 				lvl = probeLevel8(bl[u>>6], u)
 			} else {
-				wbits := bl[u>>6]
-				t := uint(1)
-				for l := uint(0); l < r.maxLvl; l++ {
-					pos := u&^(1<<(l+1)-1) + 1<<l - 1
-					t &= uint(wbits>>(pos&63)) & 1
-					lvl += t
-				}
+				lvl = probeLevel(bl[u>>6], u, r.maxLvl)
 			}
 			size := r.s << lvl
 			off := (u &^ (1<<lvl - 1)) * r.s

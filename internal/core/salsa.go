@@ -125,11 +125,8 @@ func (c *Salsa) Merges() uint64 { return c.merges }
 func (c *Salsa) Level(i int) uint { return c.level(i) }
 
 // level avoids the layout interface dispatch on the update/query hot path
-// for the simple encoding, probing the merge-bit words directly. Every
-// merge bit slot i can probe lies in its 2^maxLvl-slot block, and 2^maxLvl
-// divides 64, so a single word load covers all probes; the early-out loop
-// beats a branchless probe here because single-item callers see highly
-// predictable levels (AddSlots makes the opposite choice — see batch.go).
+// for the simple encoding, probing the merge-bit word directly with the
+// early-out firstLevel (rowset.go says why the general methods keep it).
 //
 //salsa:hotpath
 func (c *Salsa) level(i int) uint {
@@ -137,16 +134,7 @@ func (c *Salsa) level(i int) uint {
 	if words == nil {
 		return c.lay.level(i)
 	}
-	wbits := words[i>>6]
-	lvl := uint(0)
-	for lvl < c.maxLvl {
-		pos := i&^(1<<(lvl+1)-1) + 1<<lvl - 1
-		if wbits&(1<<(uint(pos)&63)) == 0 {
-			break
-		}
-		lvl++
-	}
-	return lvl
+	return firstLevel(words[i>>6], uint(i), c.maxLvl)
 }
 
 // Reset zeroes every counter and un-merges the layout, restoring the

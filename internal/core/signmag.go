@@ -68,9 +68,7 @@ func newSalsaSignIn(width int, s uint, compact bool, words, layWords []uint64) *
 	}
 }
 
-// level avoids the layout interface dispatch on the update/query hot path
-// for the simple encoding, probing the merge-bit words directly; the probe
-// is identical to (*Salsa).level.
+// level is (*Salsa).level for the signed array.
 //
 //salsa:hotpath
 func (c *SalsaSign) level(i int) uint {
@@ -78,16 +76,7 @@ func (c *SalsaSign) level(i int) uint {
 	if words == nil {
 		return c.lay.level(i)
 	}
-	wbits := words[i>>6]
-	lvl := uint(0)
-	for lvl < c.maxLvl {
-		pos := i&^(1<<(lvl+1)-1) + 1<<lvl - 1
-		if wbits&(1<<(uint(pos)&63)) == 0 {
-			break
-		}
-		lvl++
-	}
-	return lvl
+	return firstLevel(words[i>>6], uint(i), c.maxLvl)
 }
 
 // Width returns the number of base counter slots.

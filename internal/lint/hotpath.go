@@ -21,8 +21,8 @@ import (
 // Call-graph discipline: a hotpath function may call, within this
 // module, only functions that are themselves marked //salsa:hotpath.
 // Annotating a function therefore transitively pins its callees, which
-// is how the AddFast/ValueFast/UpdateBatch/probe/SWAR-kernel graph
-// stays closed under refactoring.
+// is how the row-set/UpdateBatch/probe/SWAR-kernel graph stays closed
+// under refactoring.
 //
 // Escape hatches, both deliberate: arguments of an explicit panic(...)
 // call are exempt (a path that allocates only while crashing is not a

@@ -29,9 +29,11 @@ func (c *CMS) conservativeFast(x uint64, v int64) (est uint64, ok bool) {
 	case c.salsa != nil:
 		return core.SalsaConservative(c.salsa, c.hashOnce(x), nv, c.probes), true
 	case c.fixed != nil:
-		return core.FixedConservativeEach(c.fixed, c.seeds, c.mask, x, nv, c.slots), true
+		slots := c.hashOnce(x)
+		return core.FixedRaiseEach(c.fixed, slots, satAddU(core.FixedMinEach(c.fixed, slots), nv)), true
 	case c.tango != nil:
-		return core.TangoConservativeEach(c.tango, c.seeds, c.mask, x, nv, c.slots), true
+		slots := c.hashOnce(x)
+		return core.TangoRaiseEach(c.tango, slots, satAddU(core.TangoMinEach(c.tango, slots), nv)), true
 	}
 	return 0, false
 }
