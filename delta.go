@@ -99,18 +99,14 @@ func copyInto(dst, src Sketch) error {
 		if err != nil {
 			return err
 		}
-		if err := d.sk.CopyFrom(s.sk); err != nil {
-			return deltaErrf("copy", "%v", err)
-		}
+		d.sk.CopyFrom(s.sk)
 		return nil
 	case *CountSketch:
 		s, err := asCountSketch("copy", src, d)
 		if err != nil {
 			return err
 		}
-		if err := d.sk.CopyFrom(s.sk); err != nil {
-			return deltaErrf("copy", "%v", err)
-		}
+		d.sk.CopyFrom(s.sk)
 		return nil
 	default:
 		return deltaErrf("copy", "unsupported destination topology %T", dst)

@@ -317,13 +317,6 @@ func unmarshalColdFilter(data []byte) (Sketch, error) {
 		return nil, err
 	}
 	opt := stage2.opt
-	kind := kindCountMin
-	if stage2.conservative {
-		kind = kindConservative
-	}
-	if err := opt.validateFor(kind); err != nil {
-		return nil, err
-	}
 	if err := validateFilterWidth(opt.Width); err != nil {
 		return nil, err
 	}

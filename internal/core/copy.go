@@ -23,16 +23,10 @@ func (f *FixedSign) CopyFrom(other *FixedSign) {
 	copy(f.words, other.words)
 }
 
-// SameEncoding reports whether other records merges in c's encoding
-// (simple or compact), which CopyFrom needs on top of SameGeometry.
-func (c *Salsa) SameEncoding(other *Salsa) bool {
-	return (c.blWords == nil) == (other.blWords == nil)
-}
-
 // CopyFrom makes c a copy of other, merge layout and merge count
 // included; both must share geometry and merge encoding.
 func (c *Salsa) CopyFrom(other *Salsa) {
-	if !c.SameGeometry(other) || !c.SameEncoding(other) {
+	if !c.SameGeometry(other) || c.Compact() != other.Compact() {
 		panic("core: SALSA geometry/encoding mismatch")
 	}
 	copy(c.words, other.words)
@@ -40,16 +34,10 @@ func (c *Salsa) CopyFrom(other *Salsa) {
 	c.merges = other.merges
 }
 
-// SameEncoding reports whether other records merges in c's encoding
-// (simple or compact), which CopyFrom needs on top of SameGeometry.
-func (c *SalsaSign) SameEncoding(other *SalsaSign) bool {
-	return (c.blWords == nil) == (other.blWords == nil)
-}
-
 // CopyFrom makes c a copy of other, merge layout and merge count
 // included; both must share geometry and merge encoding.
 func (c *SalsaSign) CopyFrom(other *SalsaSign) {
-	if !c.SameGeometry(other) || !c.SameEncoding(other) {
+	if !c.SameGeometry(other) || c.Compact() != other.Compact() {
 		panic("core: SALSA geometry/encoding mismatch")
 	}
 	copy(c.words, other.words)

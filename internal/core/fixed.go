@@ -218,6 +218,9 @@ func newFixedSignIn(width int, bits uint, words []uint64) *FixedSign {
 // Width returns the number of counters.
 func (f *FixedSign) Width() int { return f.width }
 
+// CounterBits returns the per-counter width in bits, sign bit included.
+func (f *FixedSign) CounterBits() uint { return f.bits }
+
 // SizeBits returns the total memory footprint in bits.
 func (f *FixedSign) SizeBits() int { return f.width * int(f.bits) }
 

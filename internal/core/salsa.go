@@ -109,6 +109,9 @@ func (c *Salsa) BaseBits() uint { return c.s }
 // Policy returns the merge policy.
 func (c *Salsa) Policy() MergePolicy { return c.policy }
 
+// Compact reports whether merges are recorded in the compact encoding.
+func (c *Salsa) Compact() bool { return c.blWords == nil }
+
 // SizeBits returns the memory footprint in bits, including the merge
 // encoding overhead.
 func (c *Salsa) SizeBits() int { return c.width*int(c.s) + c.lay.overheadBits() }

@@ -85,6 +85,9 @@ func (c *SalsaSign) Width() int { return c.width }
 // BaseBits returns s, the initial per-counter size in bits.
 func (c *SalsaSign) BaseBits() uint { return c.s }
 
+// Compact reports whether merges are recorded in the compact encoding.
+func (c *SalsaSign) Compact() bool { return c.blWords == nil }
+
 // SizeBits returns the memory footprint in bits including encoding overhead.
 func (c *SalsaSign) SizeBits() int { return c.width*int(c.s) + c.lay.overheadBits() }
 

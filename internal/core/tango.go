@@ -60,6 +60,9 @@ func (t *Tango) Width() int { return t.width }
 // BaseBits returns s, the initial per-counter size in bits.
 func (t *Tango) BaseBits() uint { return t.s }
 
+// Policy returns the merge policy.
+func (t *Tango) Policy() MergePolicy { return t.policy }
+
 // SizeBits returns the memory footprint in bits including the one merge bit
 // per counter.
 func (t *Tango) SizeBits() int { return t.width*int(t.s) + t.width }

@@ -221,12 +221,7 @@ func (c *CountSketch) Reset() {
 }
 
 // CopyFrom is the Count Sketch counterpart of (*CMS).CopyFrom.
-func (c *CountSketch) CopyFrom(other *CountSketch) error {
-	for i, r := range c.rows {
-		if s, ok := r.(*core.SalsaSign); ok && !s.SameEncoding(other.rows[i].(*core.SalsaSign)) {
-			return fmt.Errorf("sketch: row %d merge encoding mismatch", i)
-		}
-	}
+func (c *CountSketch) CopyFrom(other *CountSketch) {
 	for i, r := range c.rows {
 		switch row := r.(type) {
 		case *core.FixedSign:
@@ -237,7 +232,6 @@ func (c *CountSketch) CopyFrom(other *CountSketch) error {
 			panic(fmt.Sprintf("sketch: copy unsupported for %T", r))
 		}
 	}
-	return nil
 }
 
 // MergeFrom adds scale (±1) times other into c, producing s(A∪B) or s(A\B)

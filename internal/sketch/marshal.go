@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"salsa/internal/core"
+	"salsa/internal/hashing"
 )
 
 // Binary serialization for whole sketches: geometry, hash seeds, and the
@@ -130,6 +131,29 @@ func (c *CountSketch) CompatibleWith(other *CountSketch) error {
 		}
 	}
 	return nil
+}
+
+// SeededBy reports whether c hashes with the row seeds NewCMS derives from
+// seed; decoders use it to check a declared seed against the seeds a
+// payload carries.
+func (c *CMS) SeededBy(seed uint64) bool { return seededBy(seed, c.seeds, nil) }
+
+// SeededBy reports whether c hashes with the index and sign seeds
+// NewCountSketch derives from seed.
+func (c *CountSketch) SeededBy(seed uint64) bool { return seededBy(seed, c.idxSeeds, c.signSeeds) }
+
+// seededBy reports whether a followed by b is the start of the
+// hashing.Seeds sequence of master.
+func seededBy(master uint64, a, b []uint64) bool {
+	state := master
+	for _, seeds := range [2][]uint64{a, b} {
+		for _, s := range seeds {
+			if hashing.SplitMix64(&state) != s {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // rowCodec is the sized encoding every core row type provides.

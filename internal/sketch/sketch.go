@@ -369,15 +369,9 @@ func (c *CMS) MergeFrom(other *CMS) {
 }
 
 // CopyFrom makes c a word-for-word copy of other, which must pass
-// CompatibleWith: afterwards both marshal to the same bytes, and they
-// share no storage. When a pair of SALSA rows records merges in different
-// encodings it returns an error and leaves c unchanged.
-func (c *CMS) CopyFrom(other *CMS) error {
-	for i, r := range c.rows {
-		if s, ok := r.(*core.Salsa); ok && !s.SameEncoding(other.rows[i].(*core.Salsa)) {
-			return fmt.Errorf("sketch: row %d merge encoding mismatch", i)
-		}
-	}
+// CompatibleWith and record merges in the same encoding: afterwards both
+// marshal to the same bytes, and they share no storage.
+func (c *CMS) CopyFrom(other *CMS) {
 	for i, r := range c.rows {
 		switch row := r.(type) {
 		case *core.Fixed:
@@ -390,7 +384,6 @@ func (c *CMS) CopyFrom(other *CMS) error {
 			panic(fmt.Sprintf("sketch: copy unsupported for %T", r))
 		}
 	}
-	return nil
 }
 
 // resettableRow is implemented by every core row; Reset restores the

@@ -3,7 +3,9 @@ package salsa
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 
+	"salsa/internal/core"
 	"salsa/internal/sketch"
 )
 
@@ -57,6 +59,107 @@ func readOptions(data []byte) (Options, []byte, error) {
 	return o, data[optionsHeaderLen:], nil
 }
 
+// checkHeader rejects an options header that Build could not have written
+// for the sketch decoded after it: opt must pass the rules of kind, carry
+// the merge policy Build fills in, and name the sketch's depth and width
+// and the seed its row seeds derive from (seeded). checkRow then matches
+// each row. A header taken on trust would report Options its rows do not
+// have, and MergeInto, SubtractInto and CopyInto, which compare Options,
+// would hand such a sketch to row kernels that panic on it. Both checks
+// allocate only to report a mismatch, since ApplyPush decodes every push.
+func checkHeader(opt Options, kind sketchKind, depth, width int, seeded bool) error {
+	if err := opt.validateFor(kind); err != nil {
+		return err
+	}
+	switch {
+	case opt.Depth != depth:
+		return headerErrf("Depth %d, the payload has %d rows", opt.Depth, depth)
+	case opt.Width != width:
+		return headerErrf("Width %d, the rows are %d wide", opt.Width, width)
+	case opt.Merge == MergeDefault:
+		return headerErrf("no merge policy")
+	case !seeded:
+		return headerErrf("Seed %d, the row seeds derive from another", opt.Seed)
+	}
+	return nil
+}
+
+// checkRow rejects a header that disagrees with row i's backend: its mode,
+// counter size, merge policy (MergeDefault for rows that record none) and
+// merge encoding.
+func checkRow(opt Options, i int, mode Mode, bits uint, merge Merge, compact bool) error {
+	switch {
+	case opt.Mode != mode:
+		return headerErrf("%v, row %d is %v", opt.Mode, i, mode)
+	case opt.CounterBits != bits:
+		return headerErrf("CounterBits %d, row %d has %d", opt.CounterBits, i, bits)
+	case merge != MergeDefault && opt.Merge != merge:
+		return headerErrf("Merge(%d), row %d merges by Merge(%d)", int(opt.Merge), i, int(merge))
+	case opt.CompactEncoding != compact:
+		return headerErrf("CompactEncoding %v, row %d has %v", opt.CompactEncoding, i, compact)
+	}
+	return nil
+}
+
+func headerErrf(format string, args ...any) error {
+	return fmt.Errorf("%w: options header says %s", ErrBadPayload, fmt.Sprintf(format, args...))
+}
+
+// mergeOf is the Merge a row's merge policy came from.
+func mergeOf(p core.MergePolicy) Merge {
+	if p == core.MaxMerge {
+		return MergeMax
+	}
+	return MergeSum
+}
+
+// checkCountMinHeader is checkHeader and checkRow over a decoded CMS.
+func checkCountMinHeader(opt Options, sk *sketch.CMS) error {
+	kind := kindCountMin
+	if sk.Conservative() {
+		kind = kindConservative
+	}
+	if err := checkHeader(opt, kind, sk.Depth(), sk.Width(), sk.SeededBy(opt.Seed)); err != nil {
+		return err
+	}
+	for i, r := range sk.Rows() {
+		var err error
+		switch row := r.(type) {
+		case *core.Fixed:
+			err = checkRow(opt, i, ModeBaseline, row.CounterBits(), MergeDefault, false)
+		case *core.Salsa:
+			err = checkRow(opt, i, ModeSALSA, row.BaseBits(), mergeOf(row.Policy()), row.Compact())
+		case *core.Tango:
+			err = checkRow(opt, i, ModeTango, row.BaseBits(), mergeOf(row.Policy()), false)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCountSketchHeader is checkHeader and checkRow over a decoded Count
+// Sketch, whose signed rows always merge by sum.
+func checkCountSketchHeader(opt Options, sk *sketch.CountSketch) error {
+	if err := checkHeader(opt, kindCountSketch, sk.Depth(), sk.Width(), sk.SeededBy(opt.Seed)); err != nil {
+		return err
+	}
+	for i, r := range sk.Rows() {
+		var err error
+		switch row := r.(type) {
+		case *core.FixedSign:
+			err = checkRow(opt, i, ModeBaseline, row.CounterBits(), MergeSum, false)
+		case *core.SalsaSign:
+			err = checkRow(opt, i, ModeSALSA, row.BaseBits(), MergeSum, row.Compact())
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // binarySize returns the length of the sketch's MarshalBinary encoding.
 func (c *CountMin) binarySize() int { return optionsHeaderLen + c.sk.BinarySize() }
 
@@ -70,7 +173,8 @@ func (c *CountMin) MarshalBinary() ([]byte, error) {
 	return c.appendBinary(make([]byte, 0, c.binarySize()))
 }
 
-// UnmarshalCountMin decodes a CountMin (or ConservativeUpdate) sketch.
+// UnmarshalCountMin decodes a CountMin (or ConservativeUpdate) sketch. It
+// rejects an options header that disagrees with the rows after it.
 func UnmarshalCountMin(data []byte) (*CountMin, error) {
 	opt, rest, err := readOptions(data)
 	if err != nil {
@@ -78,6 +182,9 @@ func UnmarshalCountMin(data []byte) (*CountMin, error) {
 	}
 	sk, err := sketch.UnmarshalCMS(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCountMinHeader(opt, sk); err != nil {
 		return nil, err
 	}
 	return &CountMin{sk: sk, opt: opt, conservative: sk.Conservative()}, nil
@@ -96,7 +203,8 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 	return c.appendBinary(make([]byte, 0, c.binarySize()))
 }
 
-// UnmarshalCountSketch decodes a CountSketch.
+// UnmarshalCountSketch decodes a CountSketch. It rejects an options header
+// that disagrees with the rows after it.
 func UnmarshalCountSketch(data []byte) (*CountSketch, error) {
 	opt, rest, err := readOptions(data)
 	if err != nil {
@@ -104,6 +212,9 @@ func UnmarshalCountSketch(data []byte) (*CountSketch, error) {
 	}
 	sk, err := sketch.UnmarshalCountSketch(rest)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCountSketchHeader(opt, sk); err != nil {
 		return nil, err
 	}
 	return &CountSketch{sk: sk, opt: opt}, nil

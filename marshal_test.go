@@ -2,6 +2,7 @@ package salsa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sync"
 	"testing"
 
@@ -56,6 +57,75 @@ func TestConservativeSurvivesMarshal(t *testing.T) {
 	}
 	if !back.conservative {
 		t.Fatal("conservative mode lost")
+	}
+}
+
+// TestUnmarshalChecksOptionsHeader rewrites each word of the options header
+// of a SALSA, compact-encoding, Tango and Count Sketch payload to a value
+// Build could not have written for the rows after it, and requires
+// UnmarshalCountMin or UnmarshalCountSketch, and Unmarshal of the universal
+// envelope, to reject every rewrite. Among them: Mode 3 and Merge 3, which
+// name no mode or merge policy; a sum-merge Tango sketch relabeled SALSA,
+// which SubtractInto would hand to a Tango row; and compact rows labeled
+// simple, which CopyInto would copy into simple rows.
+func TestUnmarshalChecksOptionsHeader(t *testing.T) {
+	words := []string{"Depth", "Width", "Mode", "CounterBits", "Merge", "CompactEncoding", "Seed"}
+	for _, tc := range []struct {
+		name    string
+		spec    Spec
+		rewrite [7]uint64 // the value each header word is rewritten to
+	}{
+		{"salsa", CountMinOf(Options{Width: 256, Seed: 3}),
+			[7]uint64{5, 512, 3, 16, uint64(MergeSum), 1, 4}},
+		{"compact", CountMinOf(Options{Width: 256, Merge: MergeSum, CompactEncoding: true, Seed: 3}),
+			[7]uint64{3, 128, uint64(ModeBaseline), 4, 3, 0, 2}},
+		{"tango", CountMinOf(Options{Width: 256, Mode: ModeTango, Merge: MergeSum, Seed: 3}),
+			[7]uint64{5, 512, uint64(ModeSALSA), 16, uint64(MergeMax), 1, 4}},
+		{"countsketch", CountSketchOf(Options{Width: 256, Seed: 3}),
+			[7]uint64{4, 512, uint64(ModeBaseline), 16, uint64(MergeDefault), 1, 4}},
+	} {
+		sk := MustBuild(tc.spec)
+		sk.UpdateBatch(stream.Zipf(5000, 300, 1.0, 8), 3)
+		blob, err := sk.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := Marshal(sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The envelope is magic, version, tag and a length-prefixed block
+		// holding blob.
+		const envHeaderLen = 4 + 1 + 1 + 8
+		if !bytes.Equal(env[envHeaderLen:], blob) {
+			t.Fatalf("%s: the envelope does not carry MarshalBinary's bytes at %d", tc.name, envHeaderLen)
+		}
+		decode := func(blob []byte) error {
+			if _, ok := sk.(*CountSketch); ok {
+				_, err := UnmarshalCountSketch(blob)
+				return err
+			}
+			_, err := UnmarshalCountMin(blob)
+			return err
+		}
+		if err := decode(blob); err != nil {
+			t.Fatalf("%s: the unedited payload does not decode: %v", tc.name, err)
+		}
+		for w, name := range words {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				at := 4 + 8*w
+				bad := bytes.Clone(blob)
+				binary.LittleEndian.PutUint64(bad[at:], tc.rewrite[w])
+				if err := decode(bad); err == nil {
+					t.Errorf("a payload whose %s reads %d decoded", name, tc.rewrite[w])
+				}
+				badEnv := bytes.Clone(env)
+				binary.LittleEndian.PutUint64(badEnv[envHeaderLen+at:], tc.rewrite[w])
+				if _, err := Unmarshal(badEnv); err == nil {
+					t.Errorf("an envelope whose %s reads %d decoded", name, tc.rewrite[w])
+				}
+			})
+		}
 	}
 }
 
