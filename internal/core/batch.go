@@ -173,10 +173,7 @@ func (s *SalsaSign) AddSignedSlots(slots []uint32, signs []int8, v int64) {
 		w, sh := off>>6, off&63
 		if size == 64 {
 			nv := satAddSigned(decodeSM(words[w], 64), sv)
-			// satAddSigned only saturates on same-sign overflow: a sum
-			// landing exactly on MinInt64 (= -maxMag(64)-1) passes through,
-			// and encodeSM would fold it to negative zero. Clamp as store
-			// does.
+			// Clamp MinInt64 as SalsaSignUpdateEach does.
 			if nv < -maxMag(64) {
 				nv = -maxMag(64)
 			}
