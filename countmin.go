@@ -172,27 +172,25 @@ type ItemCount struct {
 	Count int64
 }
 
-// Top returns the tracked items in descending estimate order.
-func (m *Monitor) Top() []ItemCount {
-	entries := m.heap.Items()
-	out := make([]ItemCount, len(entries))
-	for i, e := range entries {
-		out[i] = ItemCount{Item: e.Item, Count: e.Count}
+// itemCounts converts ranked entries into an answer; nil stays nil.
+func itemCounts(es []topk.Entry) []ItemCount {
+	if es == nil {
+		return nil
+	}
+	out := make([]ItemCount, len(es))
+	for i, e := range es {
+		out[i] = ItemCount(e)
 	}
 	return out
 }
 
-// HeavyHitters returns the tracked items whose estimate is at least
-// phi times the volume processed so far.
+// Top returns the tracked items in descending estimate order.
+func (m *Monitor) Top() []ItemCount { return itemCounts(m.heap.Items()) }
+
+// HeavyHitters returns the tracked items whose estimate is at least phi
+// times the volume processed so far (topk.Above), in Top order.
 func (m *Monitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
-	threshold := phi * float64(volume)
-	var out []ItemCount
-	for _, e := range m.Top() {
-		if float64(e.Count) >= threshold {
-			out = append(out, e)
-		}
-	}
-	return out
+	return itemCounts(topk.Above(m.heap.Items(), phi*float64(volume)))
 }
 
 // epochMonitorBuf is a Monitor's private per-writer half: a CU sketch

@@ -122,14 +122,7 @@ func (t *TopK) MemoryBits() int { return t.cs.MemoryBits() }
 func (t *TopK) Sketch() *CountSketch { return t.cs }
 
 // Top returns the tracked items in descending estimate order.
-func (t *TopK) Top() []ItemCount {
-	entries := t.heap.Items()
-	out := make([]ItemCount, len(entries))
-	for i, e := range entries {
-		out[i] = ItemCount{Item: e.Item, Count: e.Count}
-	}
-	return out
-}
+func (t *TopK) Top() []ItemCount { return itemCounts(t.heap.Items()) }
 
 // ChangeDetector sketches two stream epochs with shared hashes and answers
 // frequency-difference queries from their subtraction (§V and Fig. 15c,d).

@@ -203,7 +203,7 @@ func (m *EpochMonitor) Top() []ItemCount {
 }
 
 // HeavyHitters returns the tracked items whose merged estimate is at
-// least phi times volume.
+// least phi times volume, as Monitor.HeavyHitters selects them.
 func (m *EpochMonitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
 	m.viewMu.Lock()
 	defer m.viewMu.Unlock()

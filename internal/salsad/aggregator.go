@@ -521,8 +521,8 @@ func querySketch(s salsa.Sketch, item uint64) int64 {
 }
 
 // Top evaluates the candidate pool against the merged sketch and returns
-// the k items with the largest estimates, in deterministic
-// (estimate desc, item asc) order.
+// the k items with the largest positive estimates (every one when k ≤ 0),
+// ranked by topk.Rank.
 func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 	a.mu.Lock()
 	cands := make([]uint64, 0, len(a.candidates))
@@ -534,28 +534,24 @@ func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := rankByEstimate(merged, cands)
-	// Ranked descending, so the non-positive estimates form the tail.
-	n := sort.Search(len(top), func(i int) bool { return top[i].Count <= 0 })
-	if k > 0 && n > k {
-		n = k
+	top := topk.Above(rankByEstimate(merged, cands), 1) // the positive estimates
+	if k > 0 {
+		top = topk.Cut(top, k)
 	}
-	return top[:n], nil
+	out := make([]salsa.ItemCount, len(top))
+	for i, e := range top {
+		out[i] = salsa.ItemCount(e)
+	}
+	return out, nil
 }
 
-// rankByEstimate evaluates items against s and returns them in
-// deterministic (estimate desc, item asc) order.
-func rankByEstimate(s salsa.Sketch, items []uint64) []salsa.ItemCount {
-	out := make([]salsa.ItemCount, len(items))
+// rankByEstimate evaluates items against s and ranks them (topk.Rank).
+func rankByEstimate(s salsa.Sketch, items []uint64) []topk.Entry {
+	out := make([]topk.Entry, len(items))
 	for i, it := range items {
-		out[i] = salsa.ItemCount{Item: it, Count: querySketch(s, it)}
+		out[i] = topk.Entry{Item: it, Count: querySketch(s, it)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Item < out[j].Item
-	})
+	topk.Rank(out)
 	return out
 }
 
@@ -653,8 +649,8 @@ func (a *Aggregator) appliedCount() (uint64, int) {
 
 // upstreamCut atomically captures everything a relay needs to freeze an
 // upstream frame: the merged table, the applied-frame counter it
-// reflects, the candidate pool (the MaxPushCandidates heaviest by merged
-// estimate, ties by ascending id), and this node's tier depth.
+// reflects, the candidate pool (its first MaxPushCandidates by merged
+// estimate, ranked by topk.Rank), and this node's tier depth.
 func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands []uint64, depth int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -666,10 +662,10 @@ func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands [
 	for it := range a.candidates {
 		pool = append(pool, it)
 	}
-	ranked := rankByEstimate(merged, pool)
-	cands = make([]uint64, min(len(ranked), MaxPushCandidates))
-	for i := range cands {
-		cands[i] = ranked[i].Item
+	ranked := topk.Cut(rankByEstimate(merged, pool), MaxPushCandidates)
+	cands = make([]uint64, len(ranked))
+	for i, e := range ranked {
+		cands[i] = e.Item
 	}
 	return merged, a.stats.Applied, cands, a.depthLocked(), nil
 }

@@ -21,8 +21,8 @@ type Entry struct {
 // lookup. The zero value is not usable; call New.
 //
 // Ordering is the total order on (Count, Item) that ranks higher counts
-// first and, among equal counts, smaller item ids first — the same ranking
-// Items returns. Eviction under count ties is therefore deterministic: the
+// first and, among equal counts, smaller item ids first — the ranking Rank
+// gives every heavy-hitter answer. Eviction under count ties is therefore deterministic: the
 // tracked set after any Offer sequence depends only on the multiset of
 // (item, estimate) pairs offered, not on arrival order, so concurrent-ingest
 // tests can assert exact heavy-hitter sets.
@@ -149,17 +149,38 @@ func Restore(k int, entries []Entry) (*Heap, error) {
 	return h, nil
 }
 
-// Items returns the tracked entries in descending estimate order.
+// Items returns the tracked entries ranked by Rank, the one place that
+// orders heavy-hitter answers.
 func (h *Heap) Items() []Entry {
 	out := make([]Entry, len(h.entries))
 	copy(out, h.entries)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Item < out[j].Item
-	})
+	Rank(out)
 	return out
+}
+
+// Rank sorts es in place into the order every heavy-hitter answer uses:
+// higher count first, equal counts by smaller item — the reverse of less.
+func Rank(es []Entry) {
+	sort.Slice(es, func(i, j int) bool { return less(es[j], es[i]) })
+}
+
+// Cut returns the first k entries of ranked es, or all of them when there
+// are at most k.
+func Cut(es []Entry, k int) []Entry {
+	return es[:min(len(es), k)]
+}
+
+// Above returns the prefix of ranked es whose counts are at least
+// threshold, or nil when none is. No count is at least a NaN threshold.
+func Above(es []Entry, threshold float64) []Entry {
+	n := 0
+	for n < len(es) && float64(es[n].Count) >= threshold {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	return es[:n]
 }
 
 func (h *Heap) fix(i int) {

@@ -1,7 +1,9 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -137,6 +139,33 @@ func TestHeapDeterministicTieBreak(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: Items()[%d] = %+v, want %+v (order-dependent eviction)", trial, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestRankCutAbove pins the answer helpers: Rank orders higher counts
+// first and equal counts by smaller item, Cut keeps at most k entries, and
+// Above keeps the prefix at or above the threshold, nil when none is.
+func TestRankCutAbove(t *testing.T) {
+	es := []Entry{{7, 2}, {3, 5}, {9, 5}, {1, -1}, {4, 2}, {2, 5}}
+	Rank(es)
+	want := []Entry{{2, 5}, {3, 5}, {9, 5}, {4, 2}, {7, 2}, {1, -1}}
+	if !slices.Equal(es, want) {
+		t.Fatalf("Rank = %v, want %v", es, want)
+	}
+	if got := Cut(es, 2); !slices.Equal(got, want[:2]) {
+		t.Fatalf("Cut(2) = %v", got)
+	}
+	if got := Cut(es, 10); len(got) != len(es) {
+		t.Fatalf("Cut(10) = %v", got)
+	}
+	for _, c := range []struct {
+		threshold float64
+		n         int
+	}{{5, 3}, {4.5, 3}, {2, 5}, {-1, 6}, {-2, 6}, {6, 0}, {math.NaN(), 0}} {
+		got := Above(es, c.threshold)
+		if !slices.Equal(got, want[:c.n]) || (c.n == 0) != (got == nil) {
+			t.Fatalf("Above(%v) = %#v, want %v", c.threshold, got, want[:c.n])
 		}
 	}
 }

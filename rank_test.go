@@ -1,6 +1,7 @@
 package salsa
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -267,6 +268,25 @@ func TestHeavyHitterAnswersRankEstimates(t *testing.T) {
 					checkAnswer(t, "HeavyHitters", tr.hh(phi), aboveRef(ranked, phi*float64(vol)))
 				}
 			})
+		}
+	}
+}
+
+// TestHeavyHittersNaNShare pins that a NaN share selects no heavy hitter,
+// for every tracker with a share threshold: no count is at least NaN.
+func TestHeavyHittersNaNShare(t *testing.T) {
+	for tname, build := range rankTrackers() {
+		tr := build()
+		if tr.hh == nil {
+			continue
+		}
+		for _, s := range rankStreams[2].steps {
+			for range s.count {
+				tr.update(s.item)
+			}
+		}
+		if got := tr.hh(math.NaN()); got != nil {
+			t.Errorf("%s: HeavyHitters(NaN) = %v, want nil", tname, got)
 		}
 	}
 }

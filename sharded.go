@@ -2,7 +2,8 @@ package salsa
 
 import (
 	"fmt"
-	"sort"
+
+	"salsa/internal/topk"
 )
 
 // Typed Sharded query wrappers. Sharded[S] itself is query-agnostic
@@ -109,29 +110,22 @@ func (s *ShardedMonitor) Query(item uint64) uint64 {
 }
 
 // candidates returns every tracked item across all shards (up to k·shards
-// of them), in Top order.
-func (s *ShardedMonitor) candidates() []ItemCount {
-	return shardCandidates(s.Sharded, (*Monitor).Top)
+// of them), ranked.
+func (s *ShardedMonitor) candidates() []topk.Entry {
+	return shardCandidates(s.Sharded, func(m *Monitor) []topk.Entry { return m.heap.Snapshot() })
 }
 
 // Top returns the k tracked items with the largest estimates across all
 // shards, in descending order; equal estimates order by item.
 func (s *ShardedMonitor) Top() []ItemCount {
-	return topK(s.candidates(), s.Shard(0).heap.Cap())
+	return itemCounts(topk.Cut(s.candidates(), s.Shard(0).heap.Cap()))
 }
 
 // HeavyHitters returns the tracked items whose estimate is at least phi
-// times volume, in descending order — drawn from the full k·shards
+// times volume (topk.Above), in Top order — drawn from the full k·shards
 // candidate set, so it can return more than k items.
 func (s *ShardedMonitor) HeavyHitters(phi float64, volume uint64) []ItemCount {
-	threshold := phi * float64(volume)
-	var out []ItemCount
-	for _, e := range s.candidates() {
-		if float64(e.Count) >= threshold {
-			out = append(out, e)
-		}
-	}
-	return out
+	return itemCounts(topk.Above(s.candidates(), phi*float64(volume)))
 }
 
 // ShardedWindowedCountMin is a concurrency-safe sliding-window CountMin
@@ -286,60 +280,39 @@ func (s *ShardedWindowedMonitor) WindowVolume() uint64 {
 }
 
 // candidates returns every shard's windowed candidate set (up to
-// k·B·shards items), in Top order.
-func (s *ShardedWindowedMonitor) candidates() []ItemCount {
+// k·B·shards items), ranked.
+func (s *ShardedWindowedMonitor) candidates() []topk.Entry {
 	return shardCandidates(s.Sharded, (*WindowedMonitor).candidates)
 }
 
 // Top returns the k candidates with the largest windowed estimates across
 // all shards, in descending order; equal estimates order by item.
 func (s *ShardedWindowedMonitor) Top() []ItemCount {
-	return topK(s.candidates(), s.Shard(0).k)
+	return itemCounts(topk.Cut(s.candidates(), s.Shard(0).k))
 }
 
 // shardCandidates gathers every shard's candidates under its lock and
-// sorts them by descending estimate, equal estimates by ascending item —
-// the order Monitor.Top and WindowedMonitor.Top use, so a k cut keeps the
-// same items whether or not the tracker is sharded.
-func shardCandidates[S Sketch](s *Sharded[S], of func(S) []ItemCount) []ItemCount {
-	var all []ItemCount
+// ranks them with topk.Rank, the rule Monitor.Top and WindowedMonitor.Top
+// answer by, so a k cut keeps the same items whether or not the tracker
+// is sharded.
+func shardCandidates[S Sketch](s *Sharded[S], of func(S) []topk.Entry) []topk.Entry {
+	var all []topk.Entry
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		all = append(all, of(sh.sk)...)
 		sh.mu.Unlock()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Item < all[j].Item
-	})
-	return all
-}
-
-// topK truncates Top-ordered candidates to the tracker capacity k.
-func topK(all []ItemCount, k int) []ItemCount {
-	if len(all) > k {
-		all = all[:k]
-	}
+	topk.Rank(all)
 	return all
 }
 
 // HeavyHitters returns every candidate whose windowed estimate is at
-// least phi times the summed live-window volume, in descending order —
-// drawn from the full cross-shard candidate set, so it can return more
-// than k items.
+// least phi times the summed live-window volume (topk.Above), in Top
+// order — drawn from the full cross-shard candidate set, so it can return
+// more than k items.
 func (s *ShardedWindowedMonitor) HeavyHitters(phi float64) []ItemCount {
-	threshold := phi * float64(s.WindowVolume())
-	var out []ItemCount
-	for _, e := range s.candidates() {
-		if float64(e.Count) < threshold {
-			break // candidates are sorted descending
-		}
-		out = append(out, e)
-	}
-	return out
+	return itemCounts(topk.Above(s.candidates(), phi*float64(s.WindowVolume())))
 }
 
 // tickShards rotates every shard's window under its lock.

@@ -71,15 +71,9 @@ func (u *UnivMon) HeapK() int { return u.k }
 // Options returns the per-level sketch Options with defaults applied.
 func (u *UnivMon) Options() Options { return u.opt }
 
-// HeavyHitters returns the tracked items with the largest estimates.
-func (u *UnivMon) HeavyHitters() []ItemCount {
-	entries := u.um.HeavyHitters()
-	out := make([]ItemCount, len(entries))
-	for i, e := range entries {
-		out[i] = ItemCount{Item: e.Item, Count: e.Count}
-	}
-	return out
-}
+// HeavyHitters returns the tracked items with the largest estimates, ranked
+// by topk.Rank.
+func (u *UnivMon) HeavyHitters() []ItemCount { return itemCounts(u.um.HeavyHitters()) }
 
 // MemoryBits returns the total footprint of the level sketches.
 func (u *UnivMon) MemoryBits() int { return u.um.SizeBits() }

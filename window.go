@@ -3,7 +3,6 @@ package salsa
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"salsa/internal/sketch"
 	"salsa/internal/topk"
@@ -334,54 +333,35 @@ func (m *WindowedMonitor) MemoryBits() int { return m.w.MemoryBits() }
 func (m *WindowedMonitor) Sketch() *WindowedCountMin { return m.w }
 
 // candidates returns the union of every live bucket's candidate set,
-// re-estimated against the merged window view, in descending estimate
-// order (up to k·B items).
-func (m *WindowedMonitor) candidates() []ItemCount {
+// re-estimated against the merged window view and ranked (up to k·B
+// items).
+func (m *WindowedMonitor) candidates() []topk.Entry {
 	view := m.w.ring.View()
 	seen := make(map[uint64]struct{}, m.k*len(m.heaps))
-	var out []ItemCount
+	var out []topk.Entry
 	for _, h := range m.heaps {
-		for _, e := range h.Items() {
+		for _, e := range h.Snapshot() {
 			if _, dup := seen[e.Item]; dup {
 				continue
 			}
 			seen[e.Item] = struct{}{}
-			out = append(out, ItemCount{Item: e.Item, Count: topk.CountOf(view.Query(e.Item))})
+			out = append(out, topk.Entry{Item: e.Item, Count: topk.CountOf(view.Query(e.Item))})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Item < out[j].Item
-	})
+	topk.Rank(out)
 	return out
 }
 
 // Top returns the k candidates with the largest windowed estimates, in
 // descending order.
-func (m *WindowedMonitor) Top() []ItemCount {
-	all := m.candidates()
-	if len(all) > m.k {
-		all = all[:m.k]
-	}
-	return all
-}
+func (m *WindowedMonitor) Top() []ItemCount { return itemCounts(topk.Cut(m.candidates(), m.k)) }
 
 // HeavyHitters returns every candidate whose windowed estimate is at least
-// phi times the live window volume, in descending order — drawn from the
-// full union of per-bucket candidate sets, so it can return more than k
-// items.
+// phi times the live window volume (topk.Above), in Top order — drawn from
+// the full union of per-bucket candidate sets, so it can return more than
+// k items.
 func (m *WindowedMonitor) HeavyHitters(phi float64) []ItemCount {
-	threshold := phi * float64(m.WindowVolume())
-	var out []ItemCount
-	for _, e := range m.candidates() {
-		if float64(e.Count) < threshold {
-			break // candidates are sorted descending
-		}
-		out = append(out, e)
-	}
-	return out
+	return itemCounts(topk.Above(m.candidates(), phi*float64(m.WindowVolume())))
 }
 
 // Compile-time checks that the windowed types back the Sharded layer.
