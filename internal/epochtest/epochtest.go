@@ -183,7 +183,9 @@ func NewSchedule(cfg ScheduleConfig) Schedule {
 		case r%12 == 1:
 			sched.Steps = append(sched.Steps, Step{Kind: StepAdvance})
 		default:
-			n := 1 + int(r>>32)%max(cfg.ChunkMax, 1)
+			// Both remainders are taken in uint64: converting r>>32 or
+			// r>>16 to a 32-bit int first could make it negative.
+			n := 1 + int((r>>32)%uint64(max(cfg.ChunkMax, 1)))
 			if pos+n > len(trace) {
 				n = len(trace) - pos
 			}
@@ -192,7 +194,7 @@ func NewSchedule(cfg ScheduleConfig) Schedule {
 			}
 			sched.Steps = append(sched.Steps, Step{
 				Kind:   StepIngest,
-				Writer: int(r>>16) % cfg.Writers,
+				Writer: int((r >> 16) % uint64(cfg.Writers)),
 				Items:  trace[pos : pos+n],
 			})
 			pos += n
