@@ -6,9 +6,9 @@ package sketch
 
 import (
 	"fmt"
-	"math"
 
 	"salsa/internal/core"
+	"salsa/internal/distinct"
 	"salsa/internal/hashing"
 )
 
@@ -434,12 +434,12 @@ type zeroFractioner interface {
 }
 
 // DistinctLinearCounting estimates the number of distinct items with the
-// Linear Counting estimator −w·ln(p) applied to each row's zero-counter
-// fraction, averaged over rows (§III, "Counting Distinct Items"). For SALSA
-// rows p is the paper's optimistic merged-counter estimate. It returns an
-// error when some row has no zero counters, in which case Linear Counting
-// is out of range (the paper's plots likewise start only at sufficient
-// memory).
+// Linear Counting estimator −w·ln(p) (distinct.LinearCounting) applied to
+// each row's zero-counter fraction, averaged over rows (§III, "Counting
+// Distinct Items"). For SALSA rows p is the paper's optimistic
+// merged-counter estimate. It returns distinct.ErrOutOfRange when some row
+// has no zero counters, in which case Linear Counting is out of range (the
+// paper's plots likewise start only at sufficient memory).
 func (c *CMS) DistinctLinearCounting() (float64, error) {
 	total := 0.0
 	for _, r := range c.rows {
@@ -447,11 +447,11 @@ func (c *CMS) DistinctLinearCounting() (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("sketch: row type %T cannot report zero fractions", r)
 		}
-		p := zf.ZeroFraction()
-		if p <= 0 {
-			return 0, fmt.Errorf("sketch: no zero counters; linear counting out of range")
+		est, err := distinct.LinearCounting(r.Width(), zf.ZeroFraction())
+		if err != nil {
+			return 0, err
 		}
-		total += -float64(r.Width()) * math.Log(p)
+		total += est
 	}
 	return total / float64(len(c.rows)), nil
 }

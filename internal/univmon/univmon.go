@@ -91,9 +91,6 @@ func (s *Sketch) LevelSketch(j int) *sketch.CountSketch { return s.levels[j].cs 
 // LevelHeap returns level j's heavy-hitter heap for serialization.
 func (s *Sketch) LevelHeap(j int) *topk.Heap { return s.levels[j].heap }
 
-// SampleSeed returns the substream-sampling seed for serialization.
-func (s *Sketch) SampleSeed() uint64 { return s.sampleSeed }
-
 // sampled reports whether x participates in level j: the j lowest bits of
 // its sampling hash must all be one, halving the substream per level.
 func (s *Sketch) sampled(x uint64, j int) bool {

@@ -155,9 +155,6 @@ func (r *Ring[S]) Rotations() uint64 { return r.rotations }
 // running total maintained by Wrote and Rotate, not an O(B) scan.
 func (r *Ring[S]) Volume() uint64 { return r.volume }
 
-// CurCount returns the number of items recorded in the current bucket.
-func (r *Ring[S]) CurCount() uint64 { return r.counts[r.cur] }
-
 // Sketches returns the number of bucket-sized sketches the ring owns at
 // steady state: B buckets, the back aggregate and the query view, plus the
 // B−2 front suffix aggregates once the first flip has allocated them.

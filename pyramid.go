@@ -25,17 +25,6 @@ func validatePyramidWidth(width int) error {
 	return nil
 }
 
-// pyramidEffectiveLayers returns how many layers a width-w pyramid
-// actually holds: the halving layer widths stop at one byte.
-func pyramidEffectiveLayers(width int) int {
-	layers := 0
-	for l, w := 0, width; l < pyramidLayers && w >= 1; l++ {
-		layers++
-		w /= 2
-	}
-	return layers
-}
-
 // Pyramid is the Pyramid Sketch (the paper's variable-counter-size
 // competitor, Fig. 9): a Count-Min layout whose counters overflow into
 // halving-width parent layers of shared hybrid counters — two flag bits
