@@ -81,47 +81,57 @@ func TestDurableAggregatorCrashZeroResync(t *testing.T) {
 	})
 }
 
-// TestDurableAggregatorCorruptNewestFallsBack corrupts the newest
-// snapshot: the restart must fall back to the older one, and the member
-// whose frame only the corrupt snapshot held re-establishes itself via
-// one resync — recovery bounded by the snapshot interval, not cluster
-// size.
+// TestDurableAggregatorCorruptNewestFallsBack damages the newest
+// snapshot, by a bit flip or by truncation to half its length: the restart
+// must fall back to the older one, and the member whose frame only the
+// damaged snapshot held re-establishes itself via one resync — recovery
+// bounded by the snapshot interval, not cluster size.
 func TestDurableAggregatorCorruptNewestFallsBack(t *testing.T) {
+	attacks := []struct {
+		name   string
+		damage func(dir string) (string, error)
+	}{
+		{"corrupt", CorruptLatestSnapshot},
+		{"truncate", TruncateLatestSnapshot},
+	}
 	forEachCMS(t, func(t *testing.T, spec salsa.Spec) {
-		seed := seeds[0]
-		c := newDurableFixture(t, spec, seed, 1)
-		ctx := context.Background()
-		dir := c.DataDir
+		for _, attack := range attacks {
+			t.Run(attack.name, func(t *testing.T) {
+				seed := seeds[0]
+				c := newDurableFixture(t, spec, seed, 1)
+				ctx := context.Background()
 
-		path, err := CorruptLatestSnapshot(dir)
-		if err != nil {
-			t.Fatal(err)
+				path, err := attack.damage(c.DataDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("corrupted %s (%s)", filepath.Base(path), attack.name)
+				if err := c.CrashAggregator(); err != nil {
+					t.Fatal(err)
+				}
+				// An older snapshot loaded: not a restore failure, but a
+				// stale frontier some member is ahead of.
+				if err := c.Agg.RestoreError(); err != nil {
+					t.Fatalf("fallback restore failed outright: %v", err)
+				}
+				for round := 0; round < 4; round++ {
+					for _, m := range c.Members {
+						m.Feed(100)
+					}
+					c.Pump(ctx)
+				}
+				if _, ok := c.Converge(ctx, 50); !ok {
+					t.Fatal("no convergence after fallback restore")
+				}
+				if n := c.Agg.Stats().Resyncs; n == 0 {
+					t.Fatal("stale fallback frontier never forced a resync — a gapped frame was absorbed silently")
+				} else if n > uint64(len(c.Members)) {
+					t.Fatalf("fallback cost %d resyncs for %d members; recovery is not bounded by the delta",
+						n, len(c.Members))
+				}
+				checkConverged(t, c, true)
+			})
 		}
-		t.Logf("corrupted %s", filepath.Base(path))
-		if err := c.CrashAggregator(); err != nil {
-			t.Fatal(err)
-		}
-		// An older snapshot loaded: not a restore failure, but a stale
-		// frontier some member is ahead of.
-		if err := c.Agg.RestoreError(); err != nil {
-			t.Fatalf("fallback restore failed outright: %v", err)
-		}
-		for round := 0; round < 4; round++ {
-			for _, m := range c.Members {
-				m.Feed(100)
-			}
-			c.Pump(ctx)
-		}
-		if _, ok := c.Converge(ctx, 50); !ok {
-			t.Fatal("no convergence after fallback restore")
-		}
-		if n := c.Agg.Stats().Resyncs; n == 0 {
-			t.Fatal("stale fallback frontier never forced a resync — a gapped frame was absorbed silently")
-		} else if n > uint64(len(c.Members)) {
-			t.Fatalf("fallback cost %d resyncs for %d members; recovery is not bounded by the delta",
-				n, len(c.Members))
-		}
-		checkConverged(t, c, true)
 	})
 }
 
