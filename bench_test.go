@@ -83,37 +83,40 @@ func benchQueries(b *testing.B, update func(x uint64), query func(x uint64)) {
 // — so fast-path regressions are visible without the figure benches' mixed
 // costs. The SingleQuery companion times the read side.
 func BenchmarkSingleUpdate(b *testing.B) {
-	for name, build := range map[string]func() interface{ Update(uint64, int64) }{
-		"CMS/salsa8": func() interface{ Update(uint64, int64) } {
+	type updater interface{ Update(uint64, int64) }
+	for _, c := range []struct {
+		name  string
+		build func() updater
+	}{
+		{"CMS/salsa8", func() updater {
 			return sketch.NewCMS(4, 1<<14, sketch.SalsaRow(8, core.MaxMerge, false), 1)
-		},
-		"CMS/baseline32": func() interface{ Update(uint64, int64) } { return sketch.NewCMS(4, 1<<12, sketch.FixedRow(32), 1) },
-		"CMS/tango8": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CMS/baseline32", func() updater { return sketch.NewCMS(4, 1<<12, sketch.FixedRow(32), 1) }},
+		{"CMS/tango8", func() updater {
 			return sketch.NewCMS(4, 1<<14, sketch.TangoRow(8, core.MaxMerge), 1)
-		},
-		"CUS/salsa8": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CUS/salsa8", func() updater {
 			return sketch.NewCUS(4, 1<<14, sketch.SalsaRow(8, core.MaxMerge, false), 1)
-		},
-		"CUS/baseline32": func() interface{ Update(uint64, int64) } { return sketch.NewCUS(4, 1<<12, sketch.FixedRow(32), 1) },
-		"CMS/salsa16": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CUS/baseline32", func() updater { return sketch.NewCUS(4, 1<<12, sketch.FixedRow(32), 1) }},
+		{"CMS/salsa16", func() updater {
 			return sketch.NewCMS(4, 1<<13, sketch.SalsaRow(16, core.MaxMerge, false), 1)
-		},
-		"CUS/tango8": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CUS/tango8", func() updater {
 			return sketch.NewCUS(4, 1<<14, sketch.TangoRow(8, core.MaxMerge), 1)
-		},
-		"CS/salsasign8": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CS/salsasign8", func() updater {
 			return sketch.NewCountSketch(5, 1<<14, sketch.SalsaSignRow(8, false), 1)
-		},
-		"CS/salsasign16": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CS/salsasign16", func() updater {
 			return sketch.NewCountSketch(5, 1<<13, sketch.SalsaSignRow(16, false), 1)
-		},
-		"CS/baselinesign": func() interface{ Update(uint64, int64) } {
+		}},
+		{"CS/baselinesign", func() updater {
 			return sketch.NewCountSketch(5, 1<<12, sketch.FixedSignRow(32), 1)
-		},
+		}},
 	} {
-		build := build
-		b.Run(name, func(b *testing.B) {
-			sk := build()
+		b.Run(c.name, func(b *testing.B) {
+			sk := c.build()
 			benchUpdates(b, func(x uint64) { sk.Update(x, 1) })
 		})
 	}
@@ -234,9 +237,8 @@ func BenchmarkFig04CounterScaling(b *testing.B) {
 
 // BenchmarkFig05MergePolicy times sum- vs max-merge SALSA CMS (Fig. 5).
 func BenchmarkFig05MergePolicy(b *testing.B) {
-	for name, policy := range map[string]core.MergePolicy{"Sum": core.SumMerge, "Max": core.MaxMerge} {
-		policy := policy
-		b.Run(name, func(b *testing.B) {
+	for _, policy := range []core.MergePolicy{core.SumMerge, core.MaxMerge} {
+		b.Run(map[core.MergePolicy]string{core.SumMerge: "Sum", core.MaxMerge: "Max"}[policy], func(b *testing.B) {
 			sk := sketch.NewCMS(4, 1<<14, sketch.SalsaRow(8, policy, false), 1)
 			benchUpdates(b, func(x uint64) { sk.Update(x, 1) })
 		})
@@ -345,14 +347,15 @@ func BenchmarkFig11CountSketch(b *testing.B) {
 
 // BenchmarkFig12UnivMon covers the universal sketch of Fig. 12.
 func BenchmarkFig12UnivMon(b *testing.B) {
-	cfgs := map[string]sketch.SignedRowSpec{
-		"Baseline": sketch.FixedSignRow(32),
-		"SALSA8":   sketch.SalsaSignRow(8, false),
-	}
-	for name, rows := range cfgs {
-		rows := rows
-		b.Run(name, func(b *testing.B) {
-			um := univmon.New(univmon.Config{Levels: 16, Depth: 5, Width: 1 << 10, HeapK: 100, Rows: rows, Seed: 1})
+	for _, c := range []struct {
+		name string
+		rows sketch.SignedRowSpec
+	}{
+		{"Baseline", sketch.FixedSignRow(32)},
+		{"SALSA8", sketch.SalsaSignRow(8, false)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			um := univmon.New(univmon.Config{Levels: 16, Depth: 5, Width: 1 << 10, HeapK: 100, Rows: c.rows, Seed: 1})
 			benchUpdates(b, um.Update)
 		})
 	}
@@ -396,17 +399,19 @@ func BenchmarkFig14Tasks(b *testing.B) {
 // BenchmarkFig15ChangeDetection times sketch subtraction (Fig. 15c,d).
 func BenchmarkFig15ChangeDetection(b *testing.B) {
 	data := benchStream()
-	for name, spec := range map[string]sketch.SignedRowSpec{
-		"Baseline": sketch.FixedSignRow(32),
-		"SALSA":    sketch.SalsaSignRow(8, false),
+	for _, c := range []struct {
+		name string
+		spec sketch.SignedRowSpec
+	}{
+		{"Baseline", sketch.FixedSignRow(32)},
+		{"SALSA", sketch.SalsaSignRow(8, false)},
 	} {
-		spec := spec
-		b.Run(name, func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sa := sketch.NewCountSketch(5, 1<<12, spec, 1)
-				sb := sketch.NewCountSketch(5, 1<<12, spec, 1)
+				sa := sketch.NewCountSketch(5, 1<<12, c.spec, 1)
+				sb := sketch.NewCountSketch(5, 1<<12, c.spec, 1)
 				for j, x := range data[:1<<16] {
 					if j%2 == 0 {
 						sa.Update(x, 1)
@@ -454,9 +459,8 @@ func BenchmarkFig16Estimators(b *testing.B) {
 // BenchmarkFig17Splitting times downsampling with and without counter
 // splitting (Fig. 17's ablation).
 func BenchmarkFig17Splitting(b *testing.B) {
-	for name, split := range map[string]bool{"Split": true, "NoSplit": false} {
-		split := split
-		b.Run(name, func(b *testing.B) {
+	for _, split := range []bool{true, false} {
+		b.Run(map[bool]string{true: "Split", false: "NoSplit"}[split], func(b *testing.B) {
 			arr := core.NewSalsa(1<<14, 8, core.MaxMerge, false)
 			data := benchStream()
 			for _, x := range data[:1<<16] {
@@ -475,9 +479,8 @@ func BenchmarkFig17Splitting(b *testing.B) {
 // BenchmarkAblationEncoding compares the simple one-bit encoding with the
 // Appendix A compact encoding (same semantics, 1 vs 0.594 bits/counter).
 func BenchmarkAblationEncoding(b *testing.B) {
-	for name, compact := range map[string]bool{"Simple": false, "Compact": true} {
-		compact := compact
-		b.Run(name, func(b *testing.B) {
+	for _, compact := range []bool{false, true} {
+		b.Run(map[bool]string{false: "Simple", true: "Compact"}[compact], func(b *testing.B) {
 			sk := sketch.NewCMS(4, 1<<14, sketch.SalsaRow(8, core.MaxMerge, compact), 1)
 			benchUpdates(b, func(x uint64) { sk.Update(x, 1) })
 		})
