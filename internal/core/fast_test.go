@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"salsa/internal/hashing"
 )
 
 // TestSalsaSignAddSignedFastEquivalence pins the inline batch update of
@@ -129,5 +131,148 @@ func TestArenaRows(t *testing.T) {
 	fs[0].Add(1, -9)
 	if fs[0].Value(1) != -9 || fs[1].Value(1) != 0 {
 		t.Fatal("fixed-sign arena rows are not independent")
+	}
+}
+
+// TestSalsaKernelsAtTopLevel drives simple-encoding rows of base sizes
+// other than 8 to their top merge level and holds every branchless kernel
+// to the general methods there: SalsaUpdateEach, SalsaQueryEach,
+// SalsaMinSlots, Salsa.AddSlots and SalsaConservative on unsigned rows of
+// base sizes 2, 4, 16 and 32, and SalsaSignUpdateEach on signed rows of
+// base sizes 2, 16 and 32. Every other block starts merged to the top
+// level, and weights up to 2^34 carry the rest there, so a probe that
+// stops a level short reads or writes half of a 64-bit counter.
+func TestSalsaKernelsAtTopLevel(t *testing.T) {
+	const width, depth, universe = 256, 3, 96
+	mask := uint64(width - 1)
+	seeds := []uint64{0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9, 0x94d049bb133111eb}
+	signSeeds := []uint64{7, 11, 13}
+	slotsOf := func(x uint64) []uint32 {
+		out := make([]uint32, depth)
+		for i := range out {
+			out[i] = uint32(hashing.Index(x, seeds[i], mask))
+		}
+		return out
+	}
+	for _, s := range []uint{2, 4, 16, 32} {
+		for _, policy := range []MergePolicy{SumMerge, MaxMerge} {
+			rng := rand.New(rand.NewSource(int64(s)))
+			build := func() []*Salsa {
+				rows := make([]*Salsa, depth)
+				for i := range rows {
+					rows[i] = NewSalsa(width, s, policy, false)
+					for b := 0; b < width; b += 2 << rows[i].maxLvl {
+						rows[i].raiseTo(b, rows[i].maxLvl)
+					}
+				}
+				return rows
+			}
+			fast, gen := build(), build()
+			probes := make([]Probe, depth)
+			out := make([]uint64, depth)
+			for step := 0; step < 400; step++ {
+				x, v := uint64(rng.Intn(universe)), 1+rng.Int63n(1<<34)
+				slots := slotsOf(x)
+				switch step % 3 {
+				case 0:
+					SalsaUpdateEach(fast, seeds, mask, x, v)
+					for i, r := range gen {
+						r.Add(int(slots[i]), v)
+					}
+				case 1:
+					for i, r := range fast {
+						r.AddSlots(slots[i:i+1], v)
+						gen[i].Add(int(slots[i]), v)
+					}
+				default:
+					est := ^uint64(0)
+					for i, r := range gen {
+						est = min(est, r.Value(int(slots[i])))
+					}
+					target, want := satAdd(est, uint64(v)), ^uint64(0)
+					for i, r := range gen {
+						r.SetAtLeast(int(slots[i]), target)
+						want = min(want, r.Value(int(slots[i])))
+					}
+					if got := SalsaConservative(fast, slots, uint64(v), probes); got != want {
+						t.Fatalf("s=%d %v step %d: SalsaConservative = %d, general %d", s, policy, step, got, want)
+					}
+				}
+				y := uint64(rng.Intn(universe))
+				ys, want := slotsOf(y), ^uint64(0)
+				for i, r := range gen {
+					want = min(want, r.Value(int(ys[i])))
+				}
+				if got := SalsaQueryEach(fast, seeds, mask, y); got != want {
+					t.Fatalf("s=%d %v step %d: SalsaQueryEach = %d, general %d", s, policy, step, got, want)
+				}
+				for i, r := range fast {
+					out[0] = ^uint64(0)
+					SalsaMinSlots(r, ys[i:i+1], out[:1])
+					if w := gen[i].Value(int(ys[i])); out[0] != w {
+						t.Fatalf("s=%d %v step %d: SalsaMinSlots row %d = %d, general %d", s, policy, step, i, out[0], w)
+					}
+				}
+			}
+			top := 0
+			for i, r := range fast {
+				for j := range r.words {
+					if r.words[j] != gen[i].words[j] {
+						t.Fatalf("s=%d %v: row %d words diverge at %d", s, policy, i, j)
+					}
+				}
+				for slot := 0; slot < width; slot++ {
+					if r.Level(slot) != gen[i].Level(slot) {
+						t.Fatalf("s=%d %v: row %d level(%d): %d != %d", s, policy, i, slot, r.Level(slot), gen[i].Level(slot))
+					}
+					if r.Level(slot) == r.maxLvl && r.Value(slot) > 1<<32 {
+						top++
+					}
+				}
+			}
+			if top == 0 {
+				t.Fatalf("s=%d %v: no top-level counter holds more than 32 bits", s, policy)
+			}
+		}
+	}
+	for _, s := range []uint{2, 16, 32} {
+		rng := rand.New(rand.NewSource(int64(s)))
+		build := func() []*SalsaSign {
+			rows := make([]*SalsaSign, depth)
+			for i := range rows {
+				rows[i] = NewSalsaSign(width, s, false)
+				for b := 0; b < width; b += 2 << rows[i].maxLvl {
+					rows[i].raiseTo(b, rows[i].maxLvl)
+				}
+			}
+			return rows
+		}
+		fast, gen := build(), build()
+		for step := 0; step < 400; step++ {
+			x, v := uint64(rng.Intn(universe)), rng.Int63n(1<<35)-1<<34
+			SalsaSignUpdateEach(fast, seeds, signSeeds, mask, x, v)
+			for i, r := range gen {
+				r.Add(int(hashing.Index(x, seeds[i], mask)), v*hashing.Sign(x, signSeeds[i]))
+			}
+		}
+		top := 0
+		for i, r := range fast {
+			for j := range r.words {
+				if r.words[j] != gen[i].words[j] {
+					t.Fatalf("signed s=%d: row %d words diverge at %d", s, i, j)
+				}
+			}
+			for slot := 0; slot < width; slot++ {
+				if r.Level(slot) != gen[i].Level(slot) {
+					t.Fatalf("signed s=%d: row %d level(%d): %d != %d", s, i, slot, r.Level(slot), gen[i].Level(slot))
+				}
+				if v := r.Value(slot); r.Level(slot) == r.maxLvl && (v > 1<<32 || v < -1<<32) {
+					top++
+				}
+			}
+		}
+		if top == 0 {
+			t.Fatalf("signed s=%d: no top-level counter holds more than 32 bits", s)
+		}
 	}
 }
