@@ -439,8 +439,9 @@ var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 // decode expands coded sections into an envelope of exactly rawLen bytes
 // whose run section is runsLen bytes long; the caller has bounded both.
-// The literals are read into the envelope's tail, then moved down to the
-// places the runs give them.
+// It walks the runs once, bounding each count by what is left of the
+// envelope: a zero run is skipped, since a fresh envelope is zero, and a
+// literal run is inflated straight into place.
 func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
 	f := &d.inf
 	f.reset(coded)
@@ -452,49 +453,42 @@ func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
 	if n, err := f.read(runs); err != nil || n < runsLen {
 		return nil, ErrBadFrame
 	}
-	nLits, ok := literalLen(runs, rawLen)
-	if !ok {
-		return nil, ErrBadFrame
-	}
 	env := make([]byte, rawLen)
-	tail := rawLen - nLits
-	if n, err := f.read(env[tail:]); err != nil || n < nLits {
+	pos := 0
+	for i := 0; ; {
+		z, j := uvarint(runs, i)
+		if j <= i || z > uint64(rawLen-pos) {
+			return nil, ErrBadFrame
+		}
+		pos += int(z)
+		if i = j; i == len(runs) {
+			break // the runs end with a zero count
+		}
+		r, j := uvarint(runs, i)
+		if j <= i || r > uint64(rawLen-pos) {
+			return nil, ErrBadFrame
+		}
+		lits := env[pos : pos+int(r)]
+		if n, err := f.read(lits); err != nil || n < len(lits) {
+			return nil, ErrBadFrame
+		}
+		pos += int(r)
+		i = j
+	}
+	// The runs must cover the envelope, the stream must end with the
+	// literals, and the frame with the stream.
+	if pos != rawLen {
 		return nil, ErrBadFrame
 	}
-	// The stream must end with the literals, and the frame with the stream.
 	if n, err := f.read(d.one[:]); n != 0 || err != nil || f.unread() != 0 {
 		return nil, ErrBadFrame
 	}
-	expand(env, runs, tail)
 	return env, nil
-}
-
-// literalLen checks that runs covers exactly n bytes, ending with a zero
-// count, and returns how many of them are literals.
-func literalLen(runs []byte, n int) (int, bool) {
-	left, lits := uint64(n), 0
-	for i := 0; ; {
-		z, j := uvarint(runs, i)
-		if j <= i || z > left {
-			return 0, false
-		}
-		left -= z
-		if i = j; i == len(runs) {
-			return lits, left == 0
-		}
-		r, j := uvarint(runs, i)
-		if j <= i || r > left {
-			return 0, false
-		}
-		left -= r
-		lits += int(r)
-		i = j
-	}
 }
 
 // uvarint reads the uvarint at runs[i:] and returns it with the index
 // after it, or with i when there is none. It accepts what binary.Uvarint
-// accepts, and is small enough to inline into the loops over the runs.
+// accepts, and is small enough to inline into the loop over the runs.
 func uvarint(runs []byte, i int) (uint64, int) {
 	var v uint64
 	for j, s := i, uint(0); j < len(runs) && s < 64; j, s = j+1, s+7 {
@@ -508,31 +502,6 @@ func uvarint(runs []byte, i int) (uint64, int) {
 		v |= uint64(c&0x7f) << s
 	}
 	return 0, i
-}
-
-// expand moves the literals in env[tail:] down to the places a checked run
-// section gives them and zeroes what they leave behind; env below tail is
-// still zero. A literal run lands after the counted zeros before it and
-// the literals before it, and is read from after all the counted zeros
-// and the same literals, so no move goes up or overwrites a literal still
-// to be moved.
-func expand(env, runs []byte, tail int) {
-	pos, src := 0, tail
-	for i := 0; ; {
-		z, j := uvarint(runs, i)
-		if end := pos + int(z); end > tail {
-			clear(env[max(pos, tail):end])
-		}
-		pos += int(z)
-		if i = j; i == len(runs) {
-			return
-		}
-		r, j := uvarint(runs, i)
-		copy(env[pos:], env[src:src+int(r)])
-		pos += int(r)
-		src += int(r)
-		i = j
-	}
 }
 
 // DecodePush parses and validates a push frame. Every length is checked
