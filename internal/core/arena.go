@@ -59,23 +59,23 @@ func (a *arena) take(n int) []uint64 {
 // NewFixedRows returns d Fixed rows of identical geometry backed by one
 // contiguous cache-line-aligned arena.
 func NewFixedRows(d, width int, bits uint) []*Fixed {
-	per := alignUp(counterWords(width, bits))
-	a := newArena(d * per)
-	rows := make([]*Fixed, d)
-	for i := range rows {
-		rows[i] = newFixedIn(width, bits, a.take(counterWords(width, bits)))
-	}
-	return rows
+	return fixedRows(d, width, bits, 1, newFixed)
 }
 
 // NewFixedSignRows returns d FixedSign rows backed by one contiguous
 // cache-line-aligned arena.
 func NewFixedSignRows(d, width int, bits uint) []*FixedSign {
-	per := alignUp(counterWords(width, bits))
-	a := newArena(d * per)
-	rows := make([]*FixedSign, d)
+	return fixedRows(d, width, bits, 2, newFixedSign)
+}
+
+// fixedRows carves d rows of baseline storage out of one arena and wraps
+// each as a row type.
+func fixedRows[R any](d, width int, bits, minBits uint, row func(fixedArray) R) []R {
+	cw := counterWords(width, bits)
+	a := newArena(d * alignUp(cw))
+	rows := make([]R, d)
 	for i := range rows {
-		rows[i] = newFixedSignIn(width, bits, a.take(counterWords(width, bits)))
+		rows[i] = row(newFixedArray(width, bits, minBits, a.take(cw)))
 	}
 	return rows
 }
@@ -85,42 +85,38 @@ func NewFixedSignRows(d, width int, bits uint) []*FixedSign {
 // encoding merge-bit words. The compact encoding keeps its own layout
 // storage, so only the counter words share the arena.
 func NewSalsaRows(d, width int, s uint, policy MergePolicy, compact bool) []*Salsa {
-	cw := counterWords(width, s)
-	bw := 0
-	if !compact {
-		bw = bitvec.WordsFor(width)
-	}
-	a := newArena(d * (alignUp(cw) + alignUp(bw)))
-	rows := make([]*Salsa, d)
-	for i := range rows {
-		words := a.take(cw)
-		var layWords []uint64
-		if !compact {
-			layWords = a.take(bw)
-		}
-		rows[i] = newSalsaIn(width, s, policy, compact, words, layWords)
-	}
-	return rows
+	return salsaRows(d, width, s, 1, compact, func(a salsaArray) *Salsa {
+		return &Salsa{salsaArray: a, policy: policy}
+	})
 }
 
 // NewSalsaSignRows returns d SalsaSign rows backed by one contiguous
 // cache-line-aligned arena (counter words then merge-bit words per row, as
 // in NewSalsaRows).
 func NewSalsaSignRows(d, width int, s uint, compact bool) []*SalsaSign {
+	return salsaRows(d, width, s, 2, compact, func(a salsaArray) *SalsaSign {
+		return &SalsaSign{a}
+	})
+}
+
+// salsaRows carves d rows of SALSA storage out of one arena, each row's
+// counter words followed by its simple-encoding merge-bit words, and wraps
+// each as a row type.
+func salsaRows[R any](d, width int, s, minS uint, compact bool, row func(salsaArray) R) []R {
 	cw := counterWords(width, s)
 	bw := 0
 	if !compact {
 		bw = bitvec.WordsFor(width)
 	}
 	a := newArena(d * (alignUp(cw) + alignUp(bw)))
-	rows := make([]*SalsaSign, d)
+	rows := make([]R, d)
 	for i := range rows {
 		words := a.take(cw)
 		var layWords []uint64
 		if !compact {
 			layWords = a.take(bw)
 		}
-		rows[i] = newSalsaSignIn(width, s, compact, words, layWords)
+		rows[i] = row(newSalsaArray(width, s, minS, compact, words, layWords))
 	}
 	return rows
 }

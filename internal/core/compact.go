@@ -24,16 +24,16 @@ type compactLayout struct {
 	nGroups  int
 }
 
+// compactGroupLog returns g = max(5, maxLvl): a group holds 32 base
+// counters, or one whole top-level counter when that spans more.
+func compactGroupLog(maxLvl uint) uint { return max(5, maxLvl) }
+
 func newCompactLayout(width int, maxLvl uint) *compactLayout {
-	groupLog := uint(5)
-	if maxLvl > groupLog {
-		groupLog = maxLvl
+	groupLog := compactGroupLog(maxLvl)
+	if _, ok := salsaGeometry(width, 64>>maxLvl, 1, true); !ok {
+		panic(fmt.Sprintf("core: compact encoding needs width to be a multiple of %d, got %d", 1<<groupLog, width))
 	}
-	groupSize := 1 << groupLog
-	if width%groupSize != 0 {
-		panic(fmt.Sprintf("core: compact encoding needs width to be a multiple of %d, got %d", groupSize, width))
-	}
-	nGroups := width / groupSize
+	nGroups := width >> groupLog
 	totalBits := uint(nGroups) * groupEncodingBits[groupLog]
 	return &compactLayout{
 		words:    make([]uint64, (totalBits+63)/64),

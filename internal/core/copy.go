@@ -8,16 +8,17 @@ package core
 // would allocate and decode a new one.
 
 // CopyFrom makes f a copy of other; both must share geometry.
-func (f *Fixed) CopyFrom(other *Fixed) {
-	if !f.SameGeometry(other) {
-		panic("core: fixed geometry mismatch")
-	}
-	copy(f.words, other.words)
-}
+func (f *Fixed) CopyFrom(other *Fixed) { f.copyFrom(&other.fixedArray, f.SameGeometry(other)) }
 
 // CopyFrom makes f a copy of other; both must share geometry.
 func (f *FixedSign) CopyFrom(other *FixedSign) {
-	if !f.SameGeometry(other) {
+	f.copyFrom(&other.fixedArray, f.SameGeometry(other))
+}
+
+// copyFrom copies other's words into f; same is the row type's verdict on
+// the two geometries.
+func (f *fixedArray) copyFrom(other *fixedArray, same bool) {
+	if !same {
 		panic("core: fixed geometry mismatch")
 	}
 	copy(f.words, other.words)
@@ -25,19 +26,19 @@ func (f *FixedSign) CopyFrom(other *FixedSign) {
 
 // CopyFrom makes c a copy of other, merge layout and merge count
 // included; both must share geometry and merge encoding.
-func (c *Salsa) CopyFrom(other *Salsa) {
-	if !c.SameGeometry(other) || c.Compact() != other.Compact() {
-		panic("core: SALSA geometry/encoding mismatch")
-	}
-	copy(c.words, other.words)
-	copy(layoutWords(c.lay), layoutWords(other.lay))
-	c.merges = other.merges
-}
+func (c *Salsa) CopyFrom(other *Salsa) { c.copyFrom(&other.salsaArray, c.SameGeometry(other)) }
 
 // CopyFrom makes c a copy of other, merge layout and merge count
 // included; both must share geometry and merge encoding.
 func (c *SalsaSign) CopyFrom(other *SalsaSign) {
-	if !c.SameGeometry(other) || c.Compact() != other.Compact() {
+	c.copyFrom(&other.salsaArray, c.SameGeometry(other))
+}
+
+// copyFrom copies other's counter words, layout and merge count into c;
+// same is the row type's verdict on the two geometries, and both must
+// share the merge encoding.
+func (c *salsaArray) copyFrom(other *salsaArray, same bool) {
+	if !same || c.Compact() != other.Compact() {
 		panic("core: SALSA geometry/encoding mismatch")
 	}
 	copy(c.words, other.words)

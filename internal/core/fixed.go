@@ -1,50 +1,19 @@
 package core
 
-import "fmt"
-
 // Fixed is a packed array of w unsigned counters, each exactly b bits wide
 // with b a power of two in {1, 2, 4, 8, 16, 32, 64}. Counters saturate at
 // 2^b−1 instead of wrapping, matching the small-counter baseline in the
 // paper ("the counter is only incremented if it does not overflow").
 type Fixed struct {
-	bits  uint
-	width int
-	maxV  uint64
-	words []uint64
+	fixedArray
+	maxV uint64
 }
 
 // NewFixed returns a Fixed array of width counters of bits bits each.
-func NewFixed(width int, bits uint) *Fixed { return newFixedIn(width, bits, nil) }
+func NewFixed(width int, bits uint) *Fixed { return newFixed(newFixedArray(width, bits, 1, nil)) }
 
-// newFixedIn is NewFixed over caller-provided backing words (nil allocates);
-// the arena row constructors use it to pack all rows of a sketch into one
-// contiguous allocation.
-func newFixedIn(width int, bits uint, words []uint64) *Fixed {
-	if !validBits(bits, 64) {
-		panic(fmt.Sprintf("core: invalid fixed counter size %d", bits))
-	}
-	if width <= 0 {
-		panic("core: non-positive width")
-	}
-	if words == nil {
-		words = make([]uint64, counterWords(width, bits))
-	}
-	return &Fixed{
-		bits:  bits,
-		width: width,
-		maxV:  maxValue(bits),
-		words: words,
-	}
-}
-
-// Width returns the number of counters.
-func (f *Fixed) Width() int { return f.width }
-
-// CounterBits returns the per-counter width in bits.
-func (f *Fixed) CounterBits() uint { return f.bits }
-
-// SizeBits returns the total memory footprint in bits.
-func (f *Fixed) SizeBits() int { return f.width * int(f.bits) }
+// newFixed wraps storage as a Fixed array.
+func newFixed(a fixedArray) *Fixed { return &Fixed{fixedArray: a, maxV: maxValue(a.bits)} }
 
 // Value returns the value of counter i.
 //
@@ -86,14 +55,6 @@ func (f *Fixed) SetAtLeast(i int, v uint64) {
 	}
 	if v > f.Value(i) {
 		writeAligned(f.words, uint(i)*f.bits, f.bits, v)
-	}
-}
-
-// Reset zeroes every counter, restoring the freshly-constructed state; the
-// backing memory is reused (the sliding-window bucket-rotation primitive).
-func (f *Fixed) Reset() {
-	for i := range f.words {
-		f.words[i] = 0
 	}
 }
 
@@ -185,44 +146,20 @@ func (f *Fixed) subtractFromGeneric(other *Fixed) {
 // two's complement, saturating at ±(2^(b−1)−1). It is the baseline row for
 // the Count Sketch.
 type FixedSign struct {
-	bits  uint
-	width int
-	maxV  int64
-	words []uint64
+	fixedArray
+	maxV int64
 }
 
 // NewFixedSign returns a FixedSign array of width counters of bits bits each
 // (bits a power of two in {2, ..., 64}).
-func NewFixedSign(width int, bits uint) *FixedSign { return newFixedSignIn(width, bits, nil) }
-
-// newFixedSignIn is NewFixedSign over caller-provided backing words (nil
-// allocates).
-func newFixedSignIn(width int, bits uint, words []uint64) *FixedSign {
-	if !validBits(bits, 64) || bits < 2 {
-		panic(fmt.Sprintf("core: invalid signed counter size %d", bits))
-	}
-	if width <= 0 {
-		panic("core: non-positive width")
-	}
-	if words == nil {
-		words = make([]uint64, counterWords(width, bits))
-	}
-	return &FixedSign{
-		bits:  bits,
-		width: width,
-		maxV:  int64(maxValue(bits) >> 1),
-		words: words,
-	}
+func NewFixedSign(width int, bits uint) *FixedSign {
+	return newFixedSign(newFixedArray(width, bits, 2, nil))
 }
 
-// Width returns the number of counters.
-func (f *FixedSign) Width() int { return f.width }
-
-// CounterBits returns the per-counter width in bits, sign bit included.
-func (f *FixedSign) CounterBits() uint { return f.bits }
-
-// SizeBits returns the total memory footprint in bits.
-func (f *FixedSign) SizeBits() int { return f.width * int(f.bits) }
+// newFixedSign wraps storage as a FixedSign array.
+func newFixedSign(a fixedArray) *FixedSign {
+	return &FixedSign{fixedArray: a, maxV: int64(maxValue(a.bits) >> 1)}
+}
 
 // Value returns the value of counter i.
 //
@@ -243,14 +180,6 @@ func (f *FixedSign) Add(i int, v int64) {
 		nv = -f.maxV
 	}
 	writeAligned(f.words, uint(i)*f.bits, f.bits, uint64(nv)&maxValue(f.bits))
-}
-
-// Reset zeroes every counter, restoring the freshly-constructed state; the
-// backing memory is reused.
-func (f *FixedSign) Reset() {
-	for i := range f.words {
-		f.words[i] = 0
-	}
 }
 
 // SameGeometry reports whether other can merge with f: decoders use it to

@@ -110,13 +110,36 @@ func fillWords(dst []uint64, block []byte) {
 }
 
 // BinarySize returns the length of the array's MarshalBinary encoding.
-func (f *Fixed) BinarySize() int { return headerLen + wordsSize(f.words) }
+func (f *fixedArray) BinarySize() int { return headerLen + wordsSize(f.words) }
+
+// appendBinary appends a kind payload of the storage to buf: the header,
+// then the counter words.
+func (f *fixedArray) appendBinary(buf []byte, kind byte) []byte {
+	buf = appendHeader(buf, kind, f.bits, 0, false, f.width)
+	return appendWords(buf, f.words)
+}
+
+// decodeFixedArray decodes a kind payload into new storage; the policy and
+// compact header bytes are ignored.
+func decodeFixedArray(data []byte, kind byte, minBits uint) (fixedArray, error) {
+	bits, _, _, width, rest, err := readHeader(data, kind)
+	if err != nil {
+		return fixedArray{}, err
+	}
+	counters, _, err := readWordBlock(rest)
+	if err != nil {
+		return fixedArray{}, err
+	}
+	if bits < minBits || wordsForGeometry(width, bits) != len(counters)/8 {
+		return fixedArray{}, ErrBadPayload
+	}
+	f := newFixedArray(width, bits, minBits, nil)
+	fillWords(f.words, counters)
+	return f, nil
+}
 
 // AppendBinary appends the array's MarshalBinary encoding to buf.
-func (f *Fixed) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendHeader(buf, kindFixed, f.bits, 0, false, f.width)
-	return appendWords(buf, f.words), nil
-}
+func (f *Fixed) AppendBinary(buf []byte) ([]byte, error) { return f.appendBinary(buf, kindFixed), nil }
 
 // MarshalBinary encodes the array.
 func (f *Fixed) MarshalBinary() ([]byte, error) {
@@ -125,29 +148,16 @@ func (f *Fixed) MarshalBinary() ([]byte, error) {
 
 // UnmarshalFixed decodes a Fixed array.
 func UnmarshalFixed(data []byte) (*Fixed, error) {
-	bits, _, _, width, rest, err := readHeader(data, kindFixed)
+	a, err := decodeFixedArray(data, kindFixed, 1)
 	if err != nil {
 		return nil, err
 	}
-	counters, _, err := readWordBlock(rest)
-	if err != nil {
-		return nil, err
-	}
-	if wordsForGeometry(width, bits) != len(counters)/8 {
-		return nil, ErrBadPayload
-	}
-	f := NewFixed(width, bits)
-	fillWords(f.words, counters)
-	return f, nil
+	return newFixed(a), nil
 }
-
-// BinarySize returns the length of the array's MarshalBinary encoding.
-func (f *FixedSign) BinarySize() int { return headerLen + wordsSize(f.words) }
 
 // AppendBinary appends the array's MarshalBinary encoding to buf.
 func (f *FixedSign) AppendBinary(buf []byte) ([]byte, error) {
-	buf = appendHeader(buf, kindFixedSign, f.bits, 0, false, f.width)
-	return appendWords(buf, f.words), nil
+	return f.appendBinary(buf, kindFixedSign), nil
 }
 
 // MarshalBinary encodes the array.
@@ -157,20 +167,11 @@ func (f *FixedSign) MarshalBinary() ([]byte, error) {
 
 // UnmarshalFixedSign decodes a FixedSign array.
 func UnmarshalFixedSign(data []byte) (*FixedSign, error) {
-	bits, _, _, width, rest, err := readHeader(data, kindFixedSign)
+	a, err := decodeFixedArray(data, kindFixedSign, 2)
 	if err != nil {
 		return nil, err
 	}
-	counters, _, err := readWordBlock(rest)
-	if err != nil {
-		return nil, err
-	}
-	if bits < 2 || wordsForGeometry(width, bits) != len(counters)/8 {
-		return nil, ErrBadPayload
-	}
-	f := NewFixedSign(width, bits)
-	fillWords(f.words, counters)
-	return f, nil
+	return newFixedSign(a), nil
 }
 
 // layoutWords exposes the layout backing words for serialization.
@@ -185,16 +186,55 @@ func layoutWords(l layout) []uint64 {
 }
 
 // BinarySize returns the length of the array's MarshalBinary encoding.
-func (c *Salsa) BinarySize() int {
+func (c *salsaArray) BinarySize() int {
 	return headerLen + wordsSize(c.words) + wordsSize(layoutWords(c.lay))
+}
+
+// appendBinary appends a kind payload of the storage to buf: the header
+// with the given policy byte, the counter words, then the layout words.
+func (c *salsaArray) appendBinary(buf []byte, kind, policy byte) []byte {
+	buf = appendHeader(buf, kind, c.s, policy, c.Compact(), c.width)
+	buf = appendWords(buf, c.words)
+	return appendWords(buf, layoutWords(c.lay))
+}
+
+// decodeSalsaArray decodes a kind payload into new storage. The geometry
+// must pass salsaGeometry, the word counts must match it, and simple-
+// encoding merge bits that describe no layout are rejected with
+// ErrBadPayload. It returns the header's policy byte for the caller's
+// policy rule.
+func decodeSalsaArray(data []byte, kind byte, minS uint) (salsaArray, byte, error) {
+	s, policy, compact, width, rest, err := readHeader(data, kind)
+	if err != nil {
+		return salsaArray{}, 0, err
+	}
+	counters, rest, err := readWordBlock(rest)
+	if err != nil {
+		return salsaArray{}, 0, err
+	}
+	lay, _, err := readWordBlock(rest)
+	if err != nil {
+		return salsaArray{}, 0, err
+	}
+	if _, ok := salsaGeometry(width, s, minS, compact); !ok || wordsForGeometry(width, s) != len(counters)/8 {
+		return salsaArray{}, 0, ErrBadPayload
+	}
+	c := newSalsaArray(width, s, minS, compact, nil, nil)
+	layWords := layoutWords(c.lay)
+	if len(lay)/8 != len(layWords) {
+		return salsaArray{}, 0, ErrBadPayload
+	}
+	fillWords(c.words, counters)
+	fillWords(layWords, lay)
+	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
+		return salsaArray{}, 0, ErrBadPayload
+	}
+	return c, policy, nil
 }
 
 // AppendBinary appends the array's MarshalBinary encoding to buf.
 func (c *Salsa) AppendBinary(buf []byte) ([]byte, error) {
-	_, compact := c.lay.(*compactLayout)
-	buf = appendHeader(buf, kindSalsa, c.s, byte(c.policy), compact, c.width)
-	buf = appendWords(buf, c.words)
-	return appendWords(buf, layoutWords(c.lay)), nil
+	return c.appendBinary(buf, kindSalsa, byte(c.policy)), nil
 }
 
 // MarshalBinary encodes the array including its merge layout.
@@ -205,33 +245,34 @@ func (c *Salsa) MarshalBinary() ([]byte, error) {
 // UnmarshalSalsa decodes a Salsa array. Simple-encoding merge bits that
 // describe no layout are rejected with ErrBadPayload.
 func UnmarshalSalsa(data []byte) (*Salsa, error) {
-	s, policy, compact, width, rest, err := readHeader(data, kindSalsa)
+	a, policy, err := decodeSalsaArray(data, kindSalsa, 1)
 	if err != nil {
 		return nil, err
 	}
-	counters, rest, err := readWordBlock(rest)
+	if policy > byte(MaxMerge) {
+		return nil, ErrBadPayload
+	}
+	return &Salsa{salsaArray: a, policy: MergePolicy(policy)}, nil
+}
+
+// AppendBinary appends the array's MarshalBinary encoding to buf.
+func (c *SalsaSign) AppendBinary(buf []byte) ([]byte, error) {
+	return c.appendBinary(buf, kindSalsaSign, 0), nil
+}
+
+// MarshalBinary encodes the array including its merge layout.
+func (c *SalsaSign) MarshalBinary() ([]byte, error) {
+	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
+}
+
+// UnmarshalSalsaSign decodes a SalsaSign array, rejecting merge bits as
+// UnmarshalSalsa does; the policy byte is ignored.
+func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
+	a, _, err := decodeSalsaArray(data, kindSalsaSign, 2)
 	if err != nil {
 		return nil, err
 	}
-	lay, _, err := readWordBlock(rest)
-	if err != nil {
-		return nil, err
-	}
-	if s > 32 || wordsForGeometry(width, s) != len(counters)/8 ||
-		policy > byte(MaxMerge) || !salsaWidthOK(width, s, compact) {
-		return nil, ErrBadPayload
-	}
-	c := NewSalsa(width, s, MergePolicy(policy), compact)
-	layWords := layoutWords(c.lay)
-	if len(lay)/8 != len(layWords) {
-		return nil, ErrBadPayload
-	}
-	fillWords(c.words, counters)
-	fillWords(layWords, lay)
-	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
-		return nil, ErrBadPayload
-	}
-	return c, nil
+	return &SalsaSign{a}, nil
 }
 
 // BinarySize returns the length of the array's MarshalBinary encoding.
@@ -284,75 +325,4 @@ func UnmarshalTango(data []byte) (*Tango, error) {
 	fillWords(t.link.Words(), links)
 	t.merges = merges
 	return t, nil
-}
-
-// salsaWidthOK mirrors the constructor's width validation without the
-// panic, for decoding untrusted payloads.
-func salsaWidthOK(width int, s uint, compact bool) bool {
-	maxLvl := 0
-	for b := s; b < 64; b <<= 1 {
-		maxLvl++
-	}
-	if width <= 0 || width%(1<<maxLvl) != 0 {
-		return false
-	}
-	if compact {
-		groupLog := 5
-		if maxLvl > groupLog {
-			groupLog = maxLvl
-		}
-		if width%(1<<groupLog) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// BinarySize returns the length of the array's MarshalBinary encoding.
-func (c *SalsaSign) BinarySize() int {
-	return headerLen + wordsSize(c.words) + wordsSize(layoutWords(c.lay))
-}
-
-// AppendBinary appends the array's MarshalBinary encoding to buf.
-func (c *SalsaSign) AppendBinary(buf []byte) ([]byte, error) {
-	_, compact := c.lay.(*compactLayout)
-	buf = appendHeader(buf, kindSalsaSign, c.s, 0, compact, c.width)
-	buf = appendWords(buf, c.words)
-	return appendWords(buf, layoutWords(c.lay)), nil
-}
-
-// MarshalBinary encodes the array including its merge layout.
-func (c *SalsaSign) MarshalBinary() ([]byte, error) {
-	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
-}
-
-// UnmarshalSalsaSign decodes a SalsaSign array, rejecting merge bits as
-// UnmarshalSalsa does.
-func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
-	s, _, compact, width, rest, err := readHeader(data, kindSalsaSign)
-	if err != nil {
-		return nil, err
-	}
-	counters, rest, err := readWordBlock(rest)
-	if err != nil {
-		return nil, err
-	}
-	lay, _, err := readWordBlock(rest)
-	if err != nil {
-		return nil, err
-	}
-	if s < 2 || s > 32 || wordsForGeometry(width, s) != len(counters)/8 || !salsaWidthOK(width, s, compact) {
-		return nil, ErrBadPayload
-	}
-	c := NewSalsaSign(width, s, compact)
-	layWords := layoutWords(c.lay)
-	if len(lay)/8 != len(layWords) {
-		return nil, ErrBadPayload
-	}
-	fillWords(c.words, counters)
-	fillWords(layWords, lay)
-	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
-		return nil, ErrBadPayload
-	}
-	return c, nil
 }

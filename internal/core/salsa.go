@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MergePolicy selects how the value of a merged counter is derived from the
 // counters it absorbs (§V of the paper).
@@ -39,16 +36,8 @@ func (p MergePolicy) String() string {
 // and the value of an item is the value of the (possibly merged) counter
 // containing its slot.
 type Salsa struct {
-	s      uint
-	width  int
-	maxLvl uint
+	salsaArray
 	policy MergePolicy
-	lay    layout
-	// blWords is the simple encoding's merge-bit words, kept for a
-	// devirtualized level() fast path; nil under the compact encoding.
-	blWords []uint64
-	words   []uint64
-	merges  uint64
 }
 
 // NewSalsa returns a SALSA array of width base counters of s bits each
@@ -57,99 +46,11 @@ type Salsa struct {
 // place of the simple one-bit-per-counter encoding; width must then be a
 // multiple of 32 (64 for s = 1).
 func NewSalsa(width int, s uint, policy MergePolicy, compact bool) *Salsa {
-	return newSalsaIn(width, s, policy, compact, nil, nil)
+	return &Salsa{salsaArray: newSalsaArray(width, s, 1, compact, nil, nil), policy: policy}
 }
-
-// newSalsaIn is NewSalsa over caller-provided backing storage: words holds
-// the counters and layWords the simple encoding's merge bits (both nil
-// allocates; layWords is ignored under the compact encoding, whose layout
-// owns its storage).
-func newSalsaIn(width int, s uint, policy MergePolicy, compact bool, words, layWords []uint64) *Salsa {
-	if !validBits(s, 32) {
-		panic(fmt.Sprintf("core: invalid SALSA base counter size %d", s))
-	}
-	maxLvl := uint(bits.TrailingZeros(64 / s))
-	if width <= 0 || width%(1<<maxLvl) != 0 {
-		panic(fmt.Sprintf("core: SALSA width %d must be a positive multiple of %d", width, 1<<maxLvl))
-	}
-	var lay layout
-	var blWords []uint64
-	if compact {
-		lay = newCompactLayout(width, maxLvl)
-	} else {
-		var bl *bitLayout
-		if layWords == nil {
-			bl = newBitLayout(width, maxLvl)
-		} else {
-			bl = newBitLayoutIn(width, maxLvl, layWords)
-		}
-		lay = bl
-		blWords = bl.bits.Words()
-	}
-	if words == nil {
-		words = make([]uint64, counterWords(width, s))
-	}
-	return &Salsa{
-		s:       s,
-		width:   width,
-		maxLvl:  maxLvl,
-		policy:  policy,
-		lay:     lay,
-		blWords: blWords,
-		words:   words,
-	}
-}
-
-// Width returns the number of base counter slots.
-func (c *Salsa) Width() int { return c.width }
-
-// BaseBits returns s, the initial per-counter size in bits.
-func (c *Salsa) BaseBits() uint { return c.s }
 
 // Policy returns the merge policy.
 func (c *Salsa) Policy() MergePolicy { return c.policy }
-
-// Compact reports whether merges are recorded in the compact encoding.
-func (c *Salsa) Compact() bool { return c.blWords == nil }
-
-// SizeBits returns the memory footprint in bits, including the merge
-// encoding overhead.
-func (c *Salsa) SizeBits() int { return c.width*int(c.s) + c.lay.overheadBits() }
-
-// Merges returns the number of merge operations performed so far. It is
-// not serialized and depends on the path that built the layout: a raise on
-// the per-counter path counts once however many blocks it joins, while a
-// word MergeFrom or SubtractFrom widens to a union layout counts every
-// block joined.
-func (c *Salsa) Merges() uint64 { return c.merges }
-
-// Level returns the merge level of the counter containing base slot i
-// (0 = unmerged s-bit counter, ℓ = s·2^ℓ-bit counter).
-func (c *Salsa) Level(i int) uint { return c.level(i) }
-
-// level avoids the layout interface dispatch on the update/query hot path
-// for the simple encoding, probing the merge-bit word directly with the
-// early-out firstLevel (rowset.go says why the general methods keep it).
-//
-//salsa:hotpath
-func (c *Salsa) level(i int) uint {
-	words := c.blWords
-	if words == nil {
-		return c.lay.level(i)
-	}
-	return firstLevel(words[i>>6], uint(i), c.maxLvl)
-}
-
-// Reset zeroes every counter and un-merges the layout, restoring the
-// freshly-constructed state; the backing memory is reused (the
-// sliding-window bucket-rotation primitive).
-func (c *Salsa) Reset() {
-	for i := range c.words {
-		c.words[i] = 0
-	}
-	c.lay.reset()
-	c.merges = 0
-}
 
 // CounterRange returns the base-slot range [start, start+count) of the
 // counter containing slot i.

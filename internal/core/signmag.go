@@ -1,10 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"math/bits"
-)
-
 // SalsaSign is a SALSA counter array of signed counters for the Count
 // Sketch. Counters are stored in sign-magnitude representation (most
 // significant bit = sign) rather than two's complement so that the overflow
@@ -13,98 +8,13 @@ import (
 // would exceed 2^(s·2^ℓ−1)−1, and merges with sum semantics; max-merge is
 // not meaningful for signed counters.
 type SalsaSign struct {
-	s      uint
-	width  int
-	maxLvl uint
-	lay    layout
-	// blWords is the simple encoding's merge-bit words, kept for a
-	// devirtualized level() fast path; nil under the compact encoding.
-	blWords []uint64
-	words   []uint64
-	merges  uint64
+	salsaArray
 }
 
 // NewSalsaSign returns a signed SALSA array of width base counters of s bits
 // each (s a power of two in {2, ..., 32}; one bit is the sign).
 func NewSalsaSign(width int, s uint, compact bool) *SalsaSign {
-	return newSalsaSignIn(width, s, compact, nil, nil)
-}
-
-// newSalsaSignIn is NewSalsaSign over caller-provided backing storage: words
-// holds the counters and layWords the simple encoding's merge bits (both nil
-// allocates; layWords is ignored under the compact encoding).
-func newSalsaSignIn(width int, s uint, compact bool, words, layWords []uint64) *SalsaSign {
-	if !validBits(s, 32) || s < 2 {
-		panic(fmt.Sprintf("core: invalid signed SALSA base counter size %d", s))
-	}
-	maxLvl := uint(bits.TrailingZeros(64 / s))
-	if width <= 0 || width%(1<<maxLvl) != 0 {
-		panic(fmt.Sprintf("core: SALSA width %d must be a positive multiple of %d", width, 1<<maxLvl))
-	}
-	var lay layout
-	var blWords []uint64
-	if compact {
-		lay = newCompactLayout(width, maxLvl)
-	} else {
-		var bl *bitLayout
-		if layWords == nil {
-			bl = newBitLayout(width, maxLvl)
-		} else {
-			bl = newBitLayoutIn(width, maxLvl, layWords)
-		}
-		lay = bl
-		blWords = bl.bits.Words()
-	}
-	if words == nil {
-		words = make([]uint64, counterWords(width, s))
-	}
-	return &SalsaSign{
-		s:       s,
-		width:   width,
-		maxLvl:  maxLvl,
-		lay:     lay,
-		blWords: blWords,
-		words:   words,
-	}
-}
-
-// level is (*Salsa).level for the signed array.
-//
-//salsa:hotpath
-func (c *SalsaSign) level(i int) uint {
-	words := c.blWords
-	if words == nil {
-		return c.lay.level(i)
-	}
-	return firstLevel(words[i>>6], uint(i), c.maxLvl)
-}
-
-// Width returns the number of base counter slots.
-func (c *SalsaSign) Width() int { return c.width }
-
-// BaseBits returns s, the initial per-counter size in bits.
-func (c *SalsaSign) BaseBits() uint { return c.s }
-
-// Compact reports whether merges are recorded in the compact encoding.
-func (c *SalsaSign) Compact() bool { return c.blWords == nil }
-
-// SizeBits returns the memory footprint in bits including encoding overhead.
-func (c *SalsaSign) SizeBits() int { return c.width*int(c.s) + c.lay.overheadBits() }
-
-// Merges returns the number of merge operations performed so far.
-func (c *SalsaSign) Merges() uint64 { return c.merges }
-
-// Level returns the merge level of the counter containing base slot i.
-func (c *SalsaSign) Level(i int) uint { return c.lay.level(i) }
-
-// Reset zeroes every counter and un-merges the layout, restoring the
-// freshly-constructed state; the backing memory is reused.
-func (c *SalsaSign) Reset() {
-	for i := range c.words {
-		c.words[i] = 0
-	}
-	c.lay.reset()
-	c.merges = 0
+	return &SalsaSign{newSalsaArray(width, s, 2, compact, nil, nil)}
 }
 
 // maxMag returns the largest representable magnitude at the given size.

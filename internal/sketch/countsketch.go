@@ -97,35 +97,9 @@ func newCountSketch(rows []SignedRow, idxSeeds, signSeeds []uint64, mask uint64)
 		mask:      mask,
 		medBuf:    make([]int64, len(rows)),
 	}
-	c.classifyRows()
+	c.fixed = rowsOf[*core.FixedSign](rows)
+	c.salsa = rowsOf[*core.SalsaSign](rows)
 	return c
-}
-
-// classifyRows populates the monomorphic row view when every row shares one
-// concrete core type.
-func (c *CountSketch) classifyRows() {
-	switch c.rows[0].(type) {
-	case *core.FixedSign:
-		rows := make([]*core.FixedSign, 0, len(c.rows))
-		for _, r := range c.rows {
-			f, ok := r.(*core.FixedSign)
-			if !ok {
-				return
-			}
-			rows = append(rows, f)
-		}
-		c.fixed = rows
-	case *core.SalsaSign:
-		rows := make([]*core.SalsaSign, 0, len(c.rows))
-		for _, r := range c.rows {
-			s, ok := r.(*core.SalsaSign)
-			if !ok {
-				return
-			}
-			rows = append(rows, s)
-		}
-		c.salsa = rows
-	}
 }
 
 // disableFast drops the monomorphic row view, forcing the generic interface

@@ -96,46 +96,29 @@ func newCMS(rows []Row, seed uint64, conservative bool) *CMS {
 	if conservative {
 		c.probes = make([]core.Probe, len(rows))
 	}
-	c.classifyRows()
+	c.fixed = rowsOf[*core.Fixed](rows)
+	c.salsa = rowsOf[*core.Salsa](rows)
+	c.tango = rowsOf[*core.Tango](rows)
 	return c
 }
 
-// classifyRows populates the monomorphic row view when every row shares one
-// concrete core type. Mixed-type sketches (possible only through Unmarshal
-// of hand-built payloads) keep all three views nil and use the generic path.
-func (c *CMS) classifyRows() {
-	switch c.rows[0].(type) {
-	case *core.Fixed:
-		rows := make([]*core.Fixed, 0, len(c.rows))
-		for _, r := range c.rows {
-			f, ok := r.(*core.Fixed)
-			if !ok {
-				return
-			}
-			rows = append(rows, f)
-		}
-		c.fixed = rows
-	case *core.Salsa:
-		rows := make([]*core.Salsa, 0, len(c.rows))
-		for _, r := range c.rows {
-			s, ok := r.(*core.Salsa)
-			if !ok {
-				return
-			}
-			rows = append(rows, s)
-		}
-		c.salsa = rows
-	case *core.Tango:
-		rows := make([]*core.Tango, 0, len(c.rows))
-		for _, r := range c.rows {
-			t, ok := r.(*core.Tango)
-			if !ok {
-				return
-			}
-			rows = append(rows, t)
-		}
-		c.tango = rows
+// rowsOf returns rows as a []T, the monomorphic view of a sketch whose
+// rows are all one concrete core type T, and nil when any row is not a T.
+// Mixed-type sketches (possible only through Unmarshal of hand-built
+// payloads) keep every view nil and use the generic interface path.
+func rowsOf[T, R any](rows []R) []T {
+	if _, ok := any(rows[0]).(T); !ok {
+		return nil // the views a sketch does not use cost no allocation
 	}
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		t, ok := any(r).(T)
+		if !ok {
+			return nil
+		}
+		out[i] = t
+	}
+	return out
 }
 
 // disableFast drops the monomorphic row view, forcing every operation
