@@ -534,7 +534,7 @@ func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 	if err != nil {
 		return nil, err
 	}
-	top := topk.Above(rankByEstimate(merged, cands), 1) // the positive estimates
+	top := rankPositive(merged, cands)
 	if k > 0 {
 		top = topk.Cut(top, k)
 	}
@@ -545,14 +545,17 @@ func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 	return out, nil
 }
 
-// rankByEstimate evaluates items against s and ranks them (topk.Rank).
-func rankByEstimate(s salsa.Sketch, items []uint64) []topk.Entry {
+// rankPositive evaluates items against s and returns those with a
+// positive estimate, ranked by topk.Rank: the answers Top gives, and the
+// only candidates worth a relay's upstream frame, since Top discards the
+// others at every tier.
+func rankPositive(s salsa.Sketch, items []uint64) []topk.Entry {
 	out := make([]topk.Entry, len(items))
 	for i, it := range items {
 		out[i] = topk.Entry{Item: it, Count: querySketch(s, it)}
 	}
 	topk.Rank(out)
-	return out
+	return topk.Above(out, 1)
 }
 
 // Agents returns the membership table in sorted id order; Alive reflects
@@ -649,8 +652,8 @@ func (a *Aggregator) appliedCount() (uint64, int) {
 
 // upstreamCut atomically captures everything a relay needs to freeze an
 // upstream frame: the merged table, the applied-frame counter it
-// reflects, the candidate pool (its first MaxPushCandidates by merged
-// estimate, ranked by topk.Rank), and this node's tier depth.
+// reflects, the candidate pool (the first MaxPushCandidates of the items
+// Top would answer, ranked by rankPositive), and this node's tier depth.
 func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands []uint64, depth int, err error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -662,7 +665,7 @@ func (a *Aggregator) upstreamCut() (merged salsa.Sketch, applied uint64, cands [
 	for it := range a.candidates {
 		pool = append(pool, it)
 	}
-	ranked := topk.Cut(rankByEstimate(merged, pool), MaxPushCandidates)
+	ranked := topk.Cut(rankPositive(merged, pool), MaxPushCandidates)
 	cands = make([]uint64, len(ranked))
 	for i, e := range ranked {
 		cands[i] = e.Item

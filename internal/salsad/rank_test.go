@@ -73,8 +73,9 @@ func (c *captureTransport) Push(ctx context.Context, p *Push) (*Ack, error) {
 // TestTopAndRelayCutRankPoolEstimates holds Aggregator.Top and a relay's
 // forwarded candidates to a reference ranking of the pool's merged
 // estimates: Top keeps the positive estimates and cuts them at k; the relay
-// forwards the MaxPushCandidates first of the whole ranking, negative
-// estimates included.
+// forwards the same positive estimates (fewer than MaxPushCandidates here,
+// so the cap would have let non-positive ones through), and the root pool
+// holds exactly those.
 func TestTopAndRelayCutRankPoolEstimates(t *testing.T) {
 	empty := newTestAggregator(t, AggregatorConfig{Spec: rankSpec()})
 	if top, err := empty.Top(10); err != nil || top == nil || len(top) != 0 {
@@ -135,12 +136,12 @@ func TestTopAndRelayCutRankPoolEstimates(t *testing.T) {
 	if err := r.PushOnce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]uint64, MaxPushCandidates)
+	want := make([]uint64, positive)
 	for i := range want {
 		want[i] = ranked[i].Item
 	}
 	if !slices.Equal(up.cands, want) {
-		t.Fatalf("the relay forwarded %d candidates, not the %d first of its ranking", len(up.cands), len(want))
+		t.Fatalf("the relay forwarded %d candidates, not the %d with positive estimates", len(up.cands), len(want))
 	}
 	pool := make([]uint64, 0, len(root.candidates))
 	for x := range root.candidates {
