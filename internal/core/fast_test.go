@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"salsa/internal/hashing"
 )
@@ -131,6 +132,49 @@ func TestArenaRows(t *testing.T) {
 	fs[0].Add(1, -9)
 	if fs[0].Value(1) != -9 || fs[1].Value(1) != 0 {
 		t.Fatal("fixed-sign arena rows are not independent")
+	}
+
+	// Layout: each row's counter words start on a 64-byte line, a row's
+	// merge or link words start alignUp(counter words) after its counters,
+	// and row i+1 starts where row i's aligned segments end.
+	compact := NewSalsaRows(3, 96, 8, SumMerge, true)
+	segs := map[string][][2][]uint64{} // per row: counter words, merge or link words
+	for _, r := range rows {
+		segs["salsa"] = append(segs["salsa"], [2][]uint64{r.words, r.blWords})
+	}
+	for _, r := range compact {
+		segs["salsa-compact"] = append(segs["salsa-compact"], [2][]uint64{r.words, nil})
+	}
+	for _, r := range signed {
+		segs["salsa-sign"] = append(segs["salsa-sign"], [2][]uint64{r.words, r.blWords})
+	}
+	for _, r := range tango {
+		segs["tango"] = append(segs["tango"], [2][]uint64{r.words, r.link.Words()})
+	}
+	for _, r := range fixed {
+		segs["fixed"] = append(segs["fixed"], [2][]uint64{r.words, nil})
+	}
+	for _, r := range fs {
+		segs["fixed-sign"] = append(segs["fixed-sign"], [2][]uint64{r.words, nil})
+	}
+	addr := func(w []uint64) uintptr { return uintptr(unsafe.Pointer(&w[0])) }
+	for name, rs := range segs {
+		cw := alignUp(len(rs[0][0]))
+		stride := cw
+		if rs[0][1] != nil {
+			stride += alignUp(len(rs[0][1]))
+		}
+		for i, r := range rs {
+			if addr(r[0])%64 != 0 {
+				t.Errorf("%s row %d: counter words start off a 64-byte line", name, i)
+			}
+			if r[1] != nil && addr(r[1]) != addr(r[0])+uintptr(8*cw) {
+				t.Errorf("%s row %d: merge words do not follow the counter words", name, i)
+			}
+			if i > 0 && addr(r[0]) != addr(rs[i-1][0])+uintptr(8*stride) {
+				t.Errorf("%s row %d does not follow row %d in the arena", name, i, i-1)
+			}
+		}
 	}
 }
 

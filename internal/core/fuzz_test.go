@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding"
 	"testing"
 )
 
@@ -139,18 +140,61 @@ func FuzzMergeKernels(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshal feeds arbitrary bytes to every decoder; none may panic.
+// FuzzUnmarshal feeds arbitrary bytes to every decoder. None may panic,
+// and whatever one accepts must re-marshal idempotently: its encoding
+// decodes again and encodes to the same bytes. The seeds hold one
+// canonical payload per decoder, the signed SALSA one in both merge
+// encodings.
 func FuzzUnmarshal(f *testing.F) {
+	fixed := NewFixed(64, 8)
+	fixed.Add(3, 300)
+	fixedSign := NewFixedSign(64, 8)
+	fixedSign.Add(3, -100)
 	c := NewSalsa(64, 8, SumMerge, false)
 	c.Add(3, 300)
-	good, _ := c.MarshalBinary()
-	f.Add(good)
+	sign := NewSalsaSign(64, 8, false)
+	sign.Add(5, -300)
+	signCompact := NewSalsaSign(64, 8, true)
+	signCompact.Add(5, 300)
+	tango := NewTango(64, 8, MaxMerge)
+	tango.Add(3, 300)
+	for _, m := range []encoding.BinaryMarshaler{fixed, fixedSign, c, sign, signCompact, tango} {
+		good, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(good)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0xa0, 0x15, 0x5a})
+	decoders := []struct {
+		name   string
+		decode func([]byte) (encoding.BinaryMarshaler, error)
+	}{
+		{"Fixed", func(b []byte) (encoding.BinaryMarshaler, error) { return UnmarshalFixed(b) }},
+		{"FixedSign", func(b []byte) (encoding.BinaryMarshaler, error) { return UnmarshalFixedSign(b) }},
+		{"Salsa", func(b []byte) (encoding.BinaryMarshaler, error) { return UnmarshalSalsa(b) }},
+		{"SalsaSign", func(b []byte) (encoding.BinaryMarshaler, error) { return UnmarshalSalsaSign(b) }},
+		{"Tango", func(b []byte) (encoding.BinaryMarshaler, error) { return UnmarshalTango(b) }},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = UnmarshalSalsa(data)
-		_, _ = UnmarshalSalsaSign(data)
-		_, _ = UnmarshalFixed(data)
-		_, _ = UnmarshalFixedSign(data)
+		for _, d := range decoders {
+			a, err := d.decode(data)
+			if err != nil {
+				continue
+			}
+			once, err := a.MarshalBinary()
+			if err != nil {
+				t.Fatalf("%s: marshal of an accepted payload: %v", d.name, err)
+			}
+			b, err := d.decode(once)
+			if err != nil {
+				t.Fatalf("%s: its own encoding does not decode: %v", d.name, err)
+			}
+			twice, err := b.MarshalBinary()
+			if err != nil || !bytes.Equal(once, twice) {
+				t.Fatalf("%s: re-marshal differs (err %v)", d.name, err)
+			}
+		}
 	})
 }
