@@ -123,6 +123,32 @@ func encodeLevels(levels []uint, base int, n uint) uint64 {
 	return left*layoutCounts[n-1] + right
 }
 
+// valid reports whether every group's number X is below a_g and decodes
+// to counters of at most maxLvl, as the numbers merges write do. A decoder
+// checks it before trusting payload words: level() reads any number, and
+// a counter above maxLvl is one no merge kernel can widen.
+func (l *compactLayout) valid() bool {
+	for g := range l.nGroups {
+		if x := l.groupX(g); x >= layoutCounts[l.groupLog] || !withinLevel(x, l.groupLog, l.maxLvl) {
+			return false
+		}
+	}
+	return true
+}
+
+// withinLevel reports whether the 2^n-slot block whose layout number is
+// x < aₙ holds no counter above level maxLvl, walking level()'s decode.
+func withinLevel(x uint64, n, maxLvl uint) bool {
+	if n <= maxLvl {
+		return true
+	}
+	if x == layoutCounts[n]-1 {
+		return false
+	}
+	half := layoutCounts[n-1]
+	return withinLevel(x/half, n-1, maxLvl) && withinLevel(x%half, n-1, maxLvl)
+}
+
 func (l *compactLayout) overheadBits() int {
 	return l.nGroups * int(groupEncodingBits[l.groupLog])
 }

@@ -199,10 +199,11 @@ func (c *salsaArray) appendBinary(buf []byte, kind, policy byte) []byte {
 }
 
 // decodeSalsaArray decodes a kind payload into new storage. The geometry
-// must pass salsaGeometry, the word counts must match it, and simple-
-// encoding merge bits that describe no layout are rejected with
-// ErrBadPayload. It returns the header's policy byte for the caller's
-// policy rule.
+// must pass salsaGeometry, the word counts must match it, and a layout
+// that no merges could make is rejected with ErrBadPayload: simple-
+// encoding merge bits that describe no layout, and a compact group whose
+// number is not below a_g or decodes to a counter above the maximum level.
+// It returns the header's policy byte for the caller's policy rule.
 func decodeSalsaArray(data []byte, kind byte, minS uint) (salsaArray, byte, error) {
 	s, policy, compact, width, rest, err := readHeader(data, kind)
 	if err != nil {
@@ -229,6 +230,9 @@ func decodeSalsaArray(data []byte, kind byte, minS uint) (salsaArray, byte, erro
 	if c.blWords != nil && !validMergeBits(c.blWords, width, s) {
 		return salsaArray{}, 0, ErrBadPayload
 	}
+	if cl, ok := c.lay.(*compactLayout); ok && !cl.valid() {
+		return salsaArray{}, 0, ErrBadPayload
+	}
 	return c, policy, nil
 }
 
@@ -242,8 +246,8 @@ func (c *Salsa) MarshalBinary() ([]byte, error) {
 	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
-// UnmarshalSalsa decodes a Salsa array. Simple-encoding merge bits that
-// describe no layout are rejected with ErrBadPayload.
+// UnmarshalSalsa decodes a Salsa array. A layout no merges could make,
+// simple or compact, is rejected with ErrBadPayload.
 func UnmarshalSalsa(data []byte) (*Salsa, error) {
 	a, policy, err := decodeSalsaArray(data, kindSalsa, 1)
 	if err != nil {
@@ -265,7 +269,7 @@ func (c *SalsaSign) MarshalBinary() ([]byte, error) {
 	return c.AppendBinary(make([]byte, 0, c.BinarySize()))
 }
 
-// UnmarshalSalsaSign decodes a SalsaSign array, rejecting merge bits as
+// UnmarshalSalsaSign decodes a SalsaSign array, rejecting layouts as
 // UnmarshalSalsa does; the policy byte is ignored.
 func UnmarshalSalsaSign(data []byte) (*SalsaSign, error) {
 	a, _, err := decodeSalsaArray(data, kindSalsaSign, 2)

@@ -26,13 +26,22 @@ func rowPayload(kind byte, bits uint, policy, compact byte, width, nc, nl int) [
 	return buf
 }
 
+// withLayoutWord returns a copy of a payload from rowPayload whose last
+// word, its only layout word, is x.
+func withLayoutWord(p []byte, x uint64) []byte {
+	p = slices.Clone(p)
+	binary.LittleEndian.PutUint64(p[len(p)-8:], x)
+	return p
+}
+
 // TestUnmarshalGeometryTable pins what each of the four row decoders
 // accepts and rejects: the header kind, truncated word blocks, word counts
-// against the width, each type's counter-size and policy rules, and the
-// SALSA width rules of both merge encodings. "bad" rejections must be
-// ErrBadPayload; "err" ones may be any error. The acceptances include the
-// header fields some decoders ignore (the policy byte of SalsaSign, Fixed
-// and FixedSign, the compact byte of the Fixed rows).
+// against the width, each type's counter-size and policy rules, the SALSA
+// width rules of both merge encodings, and compact group numbers no merges
+// could write. "bad" rejections must be ErrBadPayload; "err" ones may be
+// any error. The acceptances include the header fields some decoders
+// ignore (the policy byte of SalsaSign, Fixed and FixedSign, the compact
+// byte of the Fixed rows).
 func TestUnmarshalGeometryTable(t *testing.T) {
 	decode := map[byte]func([]byte) error{
 		1: func(b []byte) error { _, err := UnmarshalFixed(b); return err },
@@ -46,6 +55,12 @@ func TestUnmarshalGeometryTable(t *testing.T) {
 		return rowPayload(kind, bits, policy, 0, width, nc, -1)
 	}
 	simple8 := salsa(3, 8, 0, 0, 64, 8, 1)
+	// An 8-bit compact row of width 64 has maxLvl 3 and two groups of 32
+	// counters, numbered in 19 bits each. Numbers: a₅−1 is one level-5
+	// counter, (a₄−1)·a₄ a level-4 left half, and (a₃−1)·a₃·a₄ a level-3
+	// first quarter.
+	compact8 := func(kind byte, x uint64) []byte { return withLayoutWord(salsa(kind, 8, 0, 1, 64, 8, 1), x) }
+	const level5, level4, level3 = 458330 - 1, 676 * 677, 25 * 26 * 677
 	cases := []struct {
 		name string
 		kind byte // the decoder under test
@@ -93,6 +108,14 @@ func TestUnmarshalGeometryTable(t *testing.T) {
 		{"32-bit of width 1", 3, salsa(3, 32, 0, 0, 1, 1, 1), "bad"},
 		{"compact width not a multiple of 32", 3, salsa(3, 8, 0, 1, 48, 6, 1), "bad"},
 		{"1-bit compact of 32", 3, salsa(3, 1, 0, 1, 32, 1, 1), "bad"},
+		{"compact level-3 counter", 3, compact8(3, level3), "ok"},
+		{"compact level-3 counter in group 1", 3, compact8(3, level3<<19), "ok"},
+		{"compact level-4 counter", 3, compact8(3, level4), "bad"},
+		{"compact level-5 counter", 3, compact8(3, level5), "bad"},
+		{"compact level-5 counter in group 1", 3, compact8(3, level5<<19), "bad"},
+		{"compact group number a₅", 3, compact8(3, level5+1), "bad"},
+		{"1-bit compact level-6 counter", 3, withLayoutWord(salsa(3, 1, 0, 1, 64, 1, 1), 210066388901-1), "ok"},
+		{"1-bit compact group number a₆", 3, withLayoutWord(salsa(3, 1, 0, 1, 64, 1, 1), 210066388901), "bad"},
 		{"zero width", 3, salsa(3, 8, 0, 0, 0, 0, 0), "bad"},
 		{"counter words short", 3, salsa(3, 8, 0, 0, 64, 7, 1), "bad"},
 		{"layout words over", 3, salsa(3, 8, 0, 0, 64, 8, 2), "bad"},
@@ -112,6 +135,11 @@ func TestUnmarshalGeometryTable(t *testing.T) {
 		{"s 64", 4, salsa(4, 64, 0, 0, 64, 64, 1), "bad"},
 		{"width not a multiple of 2^maxLvl", 4, salsa(4, 8, 0, 0, 12, 2, 1), "bad"},
 		{"compact width not a multiple of 32", 4, salsa(4, 8, 0, 1, 48, 6, 1), "bad"},
+		{"compact level-3 counter", 4, compact8(4, level3), "ok"},
+		{"compact level-4 counter", 4, compact8(4, level4), "bad"},
+		{"compact level-5 counter", 4, compact8(4, level5), "bad"},
+		{"compact group number a₅", 4, compact8(4, level5+1), "bad"},
+		{"2-bit compact level-5 counter", 4, withLayoutWord(salsa(4, 2, 0, 1, 64, 2, 1), level5), "ok"},
 		{"counter words over", 4, salsa(4, 8, 0, 0, 64, 9, 1), "bad"},
 		{"layout words over", 4, salsa(4, 8, 0, 0, 64, 8, 2), "bad"},
 		{"truncated counters", 4, salsa(4, 8, 0, 0, 64, 8, 1)[:40], "err"},
@@ -131,6 +159,20 @@ func TestUnmarshalGeometryTable(t *testing.T) {
 		}
 		if !ok {
 			t.Errorf("%s %s: err = %v, want %s", names[tc.kind], tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestTangoRowsAllocateAsSalsaRows holds NewTangoRows to the allocations
+// of NewSalsaRows at the same shape: one arena, the row slice and each
+// row's structures, and no link vector built only to be replaced by the
+// arena's.
+func TestTangoRowsAllocateAsSalsaRows(t *testing.T) {
+	for _, d := range []int{1, 4} {
+		tango := testing.AllocsPerRun(20, func() { NewTangoRows(d, 1024, 8, SumMerge) })
+		salsa := testing.AllocsPerRun(20, func() { NewSalsaRows(d, 1024, 8, SumMerge, false) })
+		if tango > salsa {
+			t.Errorf("d=%d: NewTangoRows allocates %v times, NewSalsaRows %v", d, tango, salsa)
 		}
 	}
 }

@@ -38,9 +38,11 @@ func newTangoIn(width int, s uint, policy MergePolicy, words, linkWords []uint64
 	if width <= 0 || width&(width-1) != 0 {
 		panic(fmt.Sprintf("core: Tango width %d must be a power of two", width))
 	}
-	link := bitvec.New(width) // bit width-1 unused
+	var link *bitvec.Vector // bit width-1 unused
 	if linkWords != nil {
 		link = bitvec.NewIn(width, linkWords)
+	} else {
+		link = bitvec.New(width)
 	}
 	if words == nil {
 		words = make([]uint64, counterWords(width, s))

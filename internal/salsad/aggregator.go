@@ -524,13 +524,7 @@ func querySketch(s salsa.Sketch, item uint64) int64 {
 // the k items with the largest positive estimates (every one when k ≤ 0),
 // ranked by topk.Rank.
 func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
-	a.mu.Lock()
-	cands := make([]uint64, 0, len(a.candidates))
-	for it := range a.candidates {
-		cands = append(cands, it)
-	}
-	merged, err := a.mergedLocked()
-	a.mu.Unlock()
+	cands, merged, err := a.candidatesAndMerged()
 	if err != nil {
 		return nil, err
 	}
@@ -543,6 +537,19 @@ func (a *Aggregator) Top(k int) ([]salsa.ItemCount, error) {
 		out[i] = salsa.ItemCount(e)
 	}
 	return out, nil
+}
+
+// candidatesAndMerged returns the candidate pool and the merged sketch,
+// both private copies, so Top ranks them without the lock.
+func (a *Aggregator) candidatesAndMerged() ([]uint64, salsa.Sketch, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	cands := make([]uint64, 0, len(a.candidates))
+	for it := range a.candidates {
+		cands = append(cands, it)
+	}
+	merged, err := a.mergedLocked()
+	return cands, merged, err
 }
 
 // rankPositive evaluates items against s and returns those with a

@@ -419,6 +419,49 @@ func TestApplyPushRejectsIncompatibleFullFrame(t *testing.T) {
 	}
 }
 
+// TestApplyPushRejectsImpossibleCompactLayout pushes, as a FlagFull frame,
+// a compact-encoding envelope whose first group number is rewritten to
+// a₅−1: one level-5 counter in a row of 8-bit counters, whose highest
+// level is 3, which no merge kernel can widen. ApplyPush must reject it,
+// and Query and Top must keep answering from the contribution before it.
+func TestApplyPushRejectsImpossibleCompactLayout(t *testing.T) {
+	opt := salsa.Options{Width: 1 << 10, Merge: salsa.MergeSum, Seed: 11, CompactEncoding: true}
+	a := newTestAggregator(t, AggregatorConfig{Spec: salsa.CountMinOf(opt)})
+	s := salsa.MustBuild(salsa.CountMinOf(opt))
+	s.Update(5, 2)
+	env := marshalState(t, s)
+	push(t, a, &Push{Agent: "e1", Gen: 1, Seq: 1, Candidates: []uint64{5}, Envelope: env})
+
+	// The first row payload: its 16-byte header (magic 0x5a15a001, kind,
+	// bits, policy, compact byte, width), its counter words and then its
+	// layout words, each block after a word count.
+	row := bytes.Index(env, []byte{0x01, 0xa0, 0x15, 0x5a})
+	if row < 0 || env[row+7] != 1 {
+		t.Fatal("no compact row payload in the envelope")
+	}
+	counters := int(binary.LittleEndian.Uint64(env[row+16:]))
+	layout := row + 16 + 8 + 8*counters + 8
+	bad := slices.Clone(env)
+	word := binary.LittleEndian.Uint64(bad[layout:])
+	binary.LittleEndian.PutUint64(bad[layout:], word&^(1<<19-1)|(458330-1))
+	if _, err := salsa.Unmarshal(bad); err == nil {
+		t.Fatal("the rewritten envelope decodes")
+	}
+	if _, err := a.ApplyPush(&Push{Agent: "e1", Gen: 1, Seq: 2, Flags: FlagFull, Envelope: bad}); err == nil {
+		t.Fatal("ApplyPush acknowledged a level-5 counter in an 8-bit compact row")
+	}
+	if st := a.Stats(); st.Rejected != 1 || st.Applied != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if got := queryOne(t, a, 5); got != 2 {
+		t.Fatalf("item 5 = %d after the rejected frame, want 2", got)
+	}
+	top, err := a.Top(1)
+	if err != nil || len(top) != 1 || top[0].Item != 5 || top[0].Count != 2 {
+		t.Fatalf("Top(1) after the rejected frame = %v, %v", top, err)
+	}
+}
+
 func TestAggregatorTopCandidates(t *testing.T) {
 	a := newTestAggregator(t, AggregatorConfig{MaxCandidates: 2})
 	env := envelopeFor(t, 5, 5, 5, 6, 6, 7)
