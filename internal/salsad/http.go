@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -120,17 +121,16 @@ func handlePush(a *Aggregator, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := DecodePush(data, a.MaxEnvelopeBytes())
-	if err != nil {
-		var tle *TooLargeError
-		if errors.As(err, &tle) {
-			httpError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, err)
-		return
+	// The envelope is decoded into a pooled buffer: ApplyPush copies what
+	// it keeps, so the buffer goes back, cleared, once it returns.
+	buf := envelopes.Get().(*[]byte)
+	p, err := decodePush(data, a.MaxEnvelopeBytes(), buf)
+	var ack *Ack
+	if err == nil {
+		ack, err = a.ApplyPush(p)
 	}
-	ack, err := a.ApplyPush(p)
+	clear(*buf)
+	envelopes.Put(buf)
 	if err != nil {
 		var tle *TooLargeError
 		if errors.As(err, &tle) {
@@ -152,6 +152,10 @@ func handlePush(a *Aggregator, w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, status, ack)
 }
+
+// envelopes holds the push handler's envelope buffers, each zero up to its
+// capacity between pushes, as decodePush needs.
+var envelopes = sync.Pool{New: func() any { return new([]byte) }}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

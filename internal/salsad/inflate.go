@@ -5,9 +5,9 @@ import (
 	"math/bits"
 )
 
-// The decode side of the envelope codec. The encoder codes each section
-// with compress/flate at HuffmanOnly, which writes only stored blocks and
-// dynamic-Huffman blocks of literals, so the decoder needs only the
+// The decode side of the envelope codec. The writer in deflate.go codes
+// each section as compress/flate at HuffmanOnly does, in stored blocks and
+// dynamic-Huffman blocks of literals only, so the decoder needs only the
 // literal half of RFC 1951: it reads stored, fixed-Huffman and
 // dynamic-Huffman blocks whose symbols are bytes and end-of-block codes.
 // A length/distance symbol (a back-reference) is malformed here: the

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"salsa"
+	"salsa/internal/stream"
 )
 
 func testSpec() salsa.Spec {
@@ -976,6 +979,55 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if gen != 2 || cursor != 500 {
 		t.Fatalf("resume = (gen %d, cursor %d), want (2, 500)", gen, cursor)
+	}
+}
+
+// TestHTTPConcurrentPushes runs several agents' pushes through Handler at
+// once, so their envelopes are decoded into pooled buffers that pass from
+// push to push. Each agent's contribution must equal its own state byte
+// for byte, so no push saw bytes another left in a buffer.
+func TestHTTPConcurrentPushes(t *testing.T) {
+	agg := newTestAggregator(t, AggregatorConfig{Spec: faninSpec()})
+	srv := httptest.NewServer(Handler(agg))
+	defer srv.Close()
+	const agents, frames = 4, 6
+	items := stream.Univ2.Generate(agents*frames*512, 5)
+	ags := make([]*Agent, agents)
+	for k := range ags {
+		ags[k] = newTestAgent(t, AgentConfig{ID: fmt.Sprintf("edge-%d", k), Spec: faninSpec(), Transport: &HTTPTransport{Base: srv.URL}})
+	}
+	var wg sync.WaitGroup
+	for k, ag := range ags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range frames {
+				// Each agent's items differ, and so do its frames' lengths.
+				for _, it := range items[(k*frames+f)*512:][:128*(f%4+1)] {
+					ag.Ingest(it + uint64(k))
+				}
+				if err := ag.PushOnce(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ag := range ags {
+		core, err := salsa.DeltaCore(ag.Sketch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg.mu.Lock()
+		contrib := agg.agents[ag.cfg.ID].contrib
+		agg.mu.Unlock()
+		if !bytes.Equal(marshalState(t, contrib), marshalState(t, core)) {
+			t.Errorf("%s: contribution differs from the agent's state", ag.cfg.ID)
+		}
+	}
+	if st := agg.Stats(); st.Applied != agents*frames || st.Rejected != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 

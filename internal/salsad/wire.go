@@ -37,8 +37,6 @@
 package salsad
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -102,9 +100,9 @@ func maxSectionsLen(n int) int { return n + n/128 + 3 }
 // maxSectionsLen holds only while minZeroRun ≥ 2.
 const _ uint = minZeroRun - 2
 
-// maxCodedLen bounds the coded sections of an n-byte envelope. The flate
-// writer codes each section in blocks of at most maxBlockBytes, and a
-// block it codes is never longer than the same bytes stored: 5 bytes of
+// maxCodedLen bounds the coded sections of an n-byte envelope. The writer
+// in deflate.go codes each section in blocks of at most maxBlockBytes, and
+// a block it codes is never longer than the same bytes stored: 5 bytes of
 // header plus up to 2 bits of alignment. Counting the flush marker between
 // the sections and the empty final block, that is at most s/maxBlockBytes+4
 // blocks for s section bytes, each at most 6 bytes over its contents.
@@ -242,10 +240,7 @@ func (p *Push) encode() ([]byte, error) {
 	if len(p.Envelope) > 0 {
 		e := encoders.Get().(*encoder)
 		defer encoders.Put(e)
-		var err error
-		if coded, runsLen, err = e.encode(p.Envelope); err != nil {
-			return nil, err
-		}
+		coded, runsLen = e.encode(p.Envelope)
 	}
 	buf := make([]byte, 0, p.headerLen()+len(coded))
 	buf = binary.LittleEndian.AppendUint32(buf, frameMagic)
@@ -276,11 +271,12 @@ func (p *Push) encode() ([]byte, error) {
 //	          bytes, then z₁ zero bytes, and so on to the envelope's end
 //	literals  the bytes outside the zero runs, in order
 //
-// flate at HuffmanOnly codes each section in blocks of its own, so each
-// gets its own Huffman table and run lengths do not compete with counter
-// bytes for short codes; the inflater in inflate.go decodes them. The
-// frame declares the envelope's length and the run section's; the
-// literals' length follows from the runs.
+// The writer in deflate.go codes each section in Huffman blocks of its
+// own, so each gets its own table and run lengths do not compete with
+// counter bytes for short codes; it writes what compress/flate writes at
+// HuffmanOnly, and the inflater in inflate.go decodes it. The frame
+// declares the envelope's length and the run section's; the literals'
+// length follows from the runs.
 //
 // Zeros at either end of the envelope always form a run; between literals
 // only a run of at least minZeroRun zeros does, and shorter ones travel as
@@ -291,51 +287,29 @@ func (p *Push) encode() ([]byte, error) {
 // them would make those frames slower to decode for about the same coded
 // size.
 
-// encoder codes envelopes with a HuffmanOnly flate writer, and keeps the
-// section buffers and split's bitmaps for reuse. A reset writer carries
-// nothing over from its last stream, since it builds a table per block, so
-// it writes exactly the bytes a new one would.
+// encoder codes envelopes, and keeps the writer's tables, the section
+// buffers and split's bitmaps for reuse. The writer starts each stream
+// afresh, so a pooled encoder writes exactly what a new one would.
 type encoder struct {
-	fw            *flate.Writer
-	out           bytes.Buffer
+	w             huffWriter
 	runs, lits    []byte
 	nonzero, ends []uint64
 }
 
-var encoders = sync.Pool{New: func() any {
-	e := new(encoder)
-	e.fw, _ = flate.NewWriter(&e.out, flate.HuffmanOnly) // errors only on an invalid level
-	return e
-}}
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // encode returns the coded sections of env and the length of its run
 // section. The coded bytes are held in e until it is used again.
-func (e *encoder) encode(env []byte) (coded []byte, runsLen int, err error) {
+func (e *encoder) encode(env []byte) (coded []byte, runsLen int) {
 	e.split(env)
-	coded, err = e.code(e.runs, e.lits)
-	return coded, len(e.runs), err
+	return e.w.code(e.runs, e.lits), len(e.runs)
 }
 
-// code codes runs and then lits in one HuffmanOnly stream, each section in
-// blocks of its own. The coded bytes are held in e until it is used again.
+// code codes runs and then lits in one stream, each section in blocks of
+// its own. The coded bytes are held in e until it is used again. The
+// writer has no way to fail, so the error is always nil.
 func (e *encoder) code(runs, lits []byte) ([]byte, error) {
-	e.out.Reset()
-	e.fw.Reset(&e.out)
-	if _, err := e.fw.Write(runs); err != nil {
-		return nil, err
-	}
-	// Flush ends the run section's last block, so the literals start a
-	// block of their own.
-	if err := e.fw.Flush(); err != nil {
-		return nil, err
-	}
-	if _, err := e.fw.Write(lits); err != nil {
-		return nil, err
-	}
-	if err := e.fw.Close(); err != nil {
-		return nil, err
-	}
-	return e.out.Bytes(), nil
+	return e.w.code(runs, lits), nil
 }
 
 // split sets e.runs to env's run section and e.lits to its literals. One
@@ -343,50 +317,83 @@ func (e *encoder) code(runs, lits []byte) ([]byte, error) {
 // literal run: those followed by at least minZeroRun−1 more zeros, and
 // those in the zeros that end env. A zero run ends at the next nonzero
 // byte and a literal run at the next marked zero, so each is a scan for
-// the next set bit.
+// the next set bit. Both sections are presized to their bounds, so a count
+// below 128 is one byte stored, and a literal run of at most 8 bytes one
+// 8-byte load and store.
 func (e *encoder) split(env []byte) {
 	e.nonzero = markNonzero(env, e.nonzero)
 	e.ends = markRunEnds(e.nonzero, e.ends)
-	runs, lits := e.runs[:0], e.lits[:0]
+	runs := slices.Grow(e.runs[:0], maxRunsLen(len(env)))[:maxRunsLen(len(env))]
+	lits := slices.Grow(e.lits[:0], len(env)+8)[:len(env)+8]
+	nr, nl := 0, 0
 	for i := 0; ; {
 		j := nextSet(e.nonzero, i, len(env))
-		runs = binary.AppendUvarint(runs, uint64(j-i))
+		nr = putCount(runs, nr, j-i)
 		if j == len(env) {
 			break
 		}
 		i = nextSet(e.ends, j, len(env))
-		runs = binary.AppendUvarint(runs, uint64(i-j))
-		lits = append(lits, env[j:i]...)
+		nr = putCount(runs, nr, i-j)
+		if i-j <= 8 && j+8 <= len(env) {
+			binary.LittleEndian.PutUint64(lits[nl:], binary.LittleEndian.Uint64(env[j:]))
+		} else {
+			copy(lits[nl:], env[j:i])
+		}
+		nl += i - j
 	}
-	e.runs, e.lits = runs, lits
+	e.runs, e.lits = runs[:nr], lits[:nl]
+}
+
+// putCount writes the count v as a uvarint at runs[n:] and returns the
+// index after it.
+func putCount(runs []byte, n, v int) int {
+	if v < 0x80 {
+		runs[n] = byte(v)
+		return n + 1
+	}
+	return n + binary.PutUvarint(runs[n:], uint64(v))
 }
 
 // markNonzero returns a bitmap, reusing nz, whose bit i is set when env[i]
-// is not zero. It reads env eight bytes at a time: the high bit of each
-// byte of (w&0x7f…7f + 0x7f…7f) | w is set when that byte of w is not
-// zero, and multiplying those bits, shifted down to each byte's lowest,
-// by 0x0102…80 gathers them into the top byte, lowest byte first.
+// is not zero. It reads env eight bytes at a time, and marks a 64-byte
+// chunk whose eight words OR to zero, as most of a sparse delta's are,
+// without looking at its bytes.
 func markNonzero(env []byte, nz []uint64) []uint64 {
-	const lo7, hi, gather = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080, 0x0102040810204080
 	nz = slices.Grow(nz[:0], (len(env)+63)/64)[:(len(env)+63)/64]
-	for k := range nz {
-		chunk := env[k*64 : min(k*64+64, len(env))]
+	full := len(env) / 64
+	for k := range full {
+		c := (*[64]byte)(env[k*64:])
+		w0, w1 := binary.LittleEndian.Uint64(c[0:]), binary.LittleEndian.Uint64(c[8:])
+		w2, w3 := binary.LittleEndian.Uint64(c[16:]), binary.LittleEndian.Uint64(c[24:])
+		w4, w5 := binary.LittleEndian.Uint64(c[32:]), binary.LittleEndian.Uint64(c[40:])
+		w6, w7 := binary.LittleEndian.Uint64(c[48:]), binary.LittleEndian.Uint64(c[56:])
+		if w0|w1|w2|w3|w4|w5|w6|w7 == 0 {
+			nz[k] = 0
+			continue
+		}
+		nz[k] = nonzeroBytes(w0) | nonzeroBytes(w1)<<8 | nonzeroBytes(w2)<<16 | nonzeroBytes(w3)<<24 |
+			nonzeroBytes(w4)<<32 | nonzeroBytes(w5)<<40 | nonzeroBytes(w6)<<48 | nonzeroBytes(w7)<<56
+	}
+	if full < len(nz) {
 		var m uint64
-		if len(chunk) == 64 {
-			for c := 0; c < 64; c += 8 {
-				w := binary.LittleEndian.Uint64(chunk[c:])
-				m |= (((w&lo7 + lo7) | w) & hi >> 7 * gather >> 56) << c
-			}
-		} else {
-			for c, v := range chunk {
-				if v != 0 {
-					m |= 1 << c
-				}
+		for c, v := range env[full*64:] {
+			if v != 0 {
+				m |= 1 << c
 			}
 		}
-		nz[k] = m
+		nz[full] = m
 	}
 	return nz
+}
+
+// nonzeroBytes returns a byte whose bit j is set when byte j of w is not
+// zero. The high bit of each byte of (w&0x7f…7f + 0x7f…7f) | w is set when
+// that byte of w is not zero, and multiplying those bits, shifted down to
+// each byte's lowest, by 0x0102…80 gathers them into the top byte, lowest
+// byte first.
+func nonzeroBytes(w uint64) uint64 {
+	const lo7, hi, gather = 0x7f7f7f7f7f7f7f7f, 0x8080808080808080, 0x0102040810204080
+	return ((w&lo7 + lo7) | w) & hi >> 7 * gather >> 56
 }
 
 // markRunEnds returns a bitmap, reusing ends, whose bit i is set when the
@@ -426,69 +433,87 @@ func nextSet(bm []uint64, i, n int) int {
 	return n
 }
 
-// decoder decodes coded sections with an inflater and a run buffer kept
-// for reuse. Each decode starts the inflater afresh, so nothing of a
-// stream a decode error abandoned part-way reaches the next.
+// decoder decodes coded sections with an inflater and buffers for the run
+// section, its counts and the literals, all kept for reuse. Each decode
+// starts the inflater afresh, so nothing of a stream a decode error
+// abandoned part-way reaches the next.
 type decoder struct {
-	inf  inflater
-	runs []byte
-	one  [1]byte
+	inf        inflater
+	runs, lits []byte
+	counts     []uint32
+	one        [1]byte
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
-// decode expands coded sections into an envelope of exactly rawLen bytes
-// whose run section is runsLen bytes long; the caller has bounded both.
-// It walks the runs once, bounding each count by what is left of the
-// envelope: a zero run is skipped, since a fresh envelope is zero, and a
-// literal run is inflated straight into place.
-func (d *decoder) decode(coded []byte, rawLen, runsLen int) ([]byte, error) {
+// decode expands coded sections, whose run section is runsLen bytes long,
+// into env, whose bytes are all zero; the caller has bounded both lengths.
+// It inflates the runs and reads their counts, each bounded by what is
+// left of env: a zero run, then a literal run and a zero run in turn to
+// env's end. It inflates all the literals with one read and checks that
+// the stream ends with them. Only then does it move the literals into
+// place: a zero run is skipped, since env is zero, a literal run under 8
+// bytes is one 8-byte store whose bytes past the run are zero, and a
+// longer one is a copy. A rejected frame leaves env zero.
+func (d *decoder) decode(coded, env []byte, runsLen int) error {
 	f := &d.inf
 	f.reset(coded)
 	defer f.reset(nil) // the pool must not keep the caller's frame alive
 	if cap(d.runs) < runsLen {
 		d.runs = make([]byte, runsLen)
+		d.counts = make([]uint32, 0, runsLen)
 	}
 	runs := d.runs[:runsLen]
 	if n, err := f.read(runs); err != nil || n < runsLen {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
-	env := make([]byte, rawLen)
-	pos := 0
-	for i := 0; ; {
-		z, j := uvarint(runs, i)
-		if j <= i || z > uint64(rawLen-pos) {
-			return nil, ErrBadFrame
+	counts := d.counts[:0]
+	pos, nlits := 0, 0
+	for i := 0; i < len(runs); {
+		c, j := uvarint(runs, i)
+		if j <= i || c > uint64(len(env)-pos) {
+			return ErrBadFrame
 		}
-		pos += int(z)
-		if i = j; i == len(runs) {
-			break // the runs end with a zero count
+		if len(counts)%2 == 1 {
+			nlits += int(c)
 		}
-		r, j := uvarint(runs, i)
-		if j <= i || r > uint64(rawLen-pos) {
-			return nil, ErrBadFrame
-		}
-		lits := env[pos : pos+int(r)]
-		if n, err := f.read(lits); err != nil || n < len(lits) {
-			return nil, ErrBadFrame
-		}
-		pos += int(r)
+		counts = append(counts, uint32(c))
+		pos += int(c)
 		i = j
 	}
-	// The runs must cover the envelope, the stream must end with the
-	// literals, and the frame with the stream.
-	if pos != rawLen {
-		return nil, ErrBadFrame
+	// The runs must end with a zero count and cover the envelope, the
+	// stream must end with the literals, and the frame with the stream.
+	if len(counts)%2 == 0 || pos != len(env) {
+		return ErrBadFrame
+	}
+	if cap(d.lits) < nlits+8 {
+		d.lits = make([]byte, nlits+8)
+	}
+	lits := d.lits[:cap(d.lits)]
+	if n, err := f.read(lits[:nlits]); err != nil || n < nlits {
+		return ErrBadFrame
 	}
 	if n, err := f.read(d.one[:]); n != 0 || err != nil || f.unread() != 0 {
-		return nil, ErrBadFrame
+		return ErrBadFrame
 	}
-	return env, nil
+	pos, l := 0, 0
+	for k := 1; k < len(counts); k += 2 {
+		pos += int(counts[k-1])
+		n := int(counts[k])
+		if n < 8 && pos+8 <= len(env) {
+			binary.LittleEndian.PutUint64(env[pos:], binary.LittleEndian.Uint64(lits[l:])&(1<<(8*n)-1))
+		} else {
+			copy(env[pos:pos+n], lits[l:])
+		}
+		pos += n
+		l += n
+	}
+	return nil
 }
 
 // uvarint reads the uvarint at runs[i:] and returns it with the index
 // after it, or with i when there is none. It accepts what binary.Uvarint
-// accepts, and is small enough to inline into the loop over the runs.
+// accepts, and is small enough to inline into the loops over the runs.
 func uvarint(runs []byte, i int) (uint64, int) {
 	var v uint64
 	for j, s := i, uint(0); j < len(runs) && s < 64; j, s = j+1, s+7 {
@@ -510,8 +535,17 @@ func uvarint(runs []byte, i int) (uint64, int) {
 // decoding a byte, so a hostile or corrupt push cannot balloon memory.
 // The runs must cover exactly the declared envelope, the literals must end
 // the coded stream, and the stream must end the frame. Decoding reuses
-// pooled inflaters and run buffers.
+// pooled inflaters and section buffers; the returned envelope is the
+// caller's.
 func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
+	return decodePush(data, maxEnvelope, nil)
+}
+
+// decodePush is DecodePush, decoding the envelope into *buf when buf is
+// not nil: *buf, grown when it is too short, must be zero up to its
+// capacity, and is set to the envelope, which the returned Push shares.
+// Clearing *buf restores what the next decode into it needs.
+func decodePush(data []byte, maxEnvelope int, buf *[]byte) (*Push, error) {
 	if maxEnvelope <= 0 {
 		maxEnvelope = DefaultMaxEnvelopeBytes
 	}
@@ -574,8 +608,18 @@ func DecodePush(data []byte, maxEnvelope int) (*Push, error) {
 	if p.Heartbeat() || runsLen > maxRunsLen(rawLen) || codedLen > maxCodedLen(rawLen) {
 		return nil, ErrBadFrame
 	}
+	var env []byte
+	if buf == nil {
+		env = make([]byte, rawLen)
+	} else {
+		if cap(*buf) < rawLen {
+			*buf = make([]byte, rawLen)
+		}
+		env = (*buf)[:rawLen]
+		*buf = env
+	}
 	d := decoders.Get().(*decoder)
-	env, err := d.decode(coded, rawLen, runsLen)
+	err := d.decode(coded, env, runsLen)
 	decoders.Put(d)
 	if err != nil {
 		return nil, err

@@ -351,8 +351,10 @@ func TestMaxFrameBytesCoversWorstCase(t *testing.T) {
 }
 
 // FuzzEnvelopeCodec checks that any byte string round-trips through a push
-// frame exactly, and that its coded length stays within maxCodedLen, the
-// bound MaxFrameBytes is sized from.
+// frame exactly, that its coded sections are those a new compress/flate
+// writer at HuffmanOnly writes for splitBytes' sections, and that its
+// coded length stays within maxCodedLen, the bound MaxFrameBytes is sized
+// from.
 func FuzzEnvelopeCodec(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 3})
@@ -370,6 +372,9 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		if n := len(enc) - p.headerLen(); n > maxCodedLen(len(env)) {
 			t.Fatalf("%d-byte envelope coded to %d bytes, over the bound %d", len(env), n, maxCodedLen(len(env)))
 		}
+		if runs, lits := splitBytes(env); !bytes.Equal(enc[p.headerLen():], huffmanSections(t, runs, lits)) {
+			t.Fatal("coded sections differ from compress/flate's")
+		}
 		q, err := DecodePush(enc, len(env))
 		if err != nil {
 			t.Fatal(err)
@@ -378,6 +383,51 @@ func FuzzEnvelopeCodec(f *testing.F) {
 			t.Fatal("envelope does not round-trip")
 		}
 	})
+}
+
+// TestDecodePushIntoReusedBuffer decodes a large frame and then a smaller
+// one into one buffer, cleared after each as the push handler clears it,
+// and requires DecodePush's envelope both times, from the same storage.
+// A frame rejected after its runs are read leaves the buffer zero.
+func TestDecodePushIntoReusedBuffer(t *testing.T) {
+	large := deltaEnvelope(t, stream.Univ2, 1<<18, 65_536, 1024)
+	small := envelopeFor(t, 1, 2, 2, 3, 3, 3)
+	if len(small) >= len(large) {
+		t.Fatalf("envelopes of %d and %d bytes", len(large), len(small))
+	}
+	buf := new([]byte)
+	var first *byte
+	for _, env := range [][]byte{large, small} {
+		enc, err := (&Push{Agent: "a", Gen: 1, Seq: 1, Envelope: env}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodePush(enc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := decodePush(enc, 0, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Envelope, want.Envelope) || !bytes.Equal(p.Envelope, env) {
+			t.Fatalf("%d-byte envelope: decoding into the buffer differs from DecodePush", len(env))
+		}
+		if first == nil {
+			first = &(*buf)[0]
+		} else if &(*buf)[0] != first {
+			t.Fatal("the smaller envelope was not decoded into the buffer")
+		}
+		clear(*buf)
+	}
+	// The runs tile the envelope but the literals end one byte short.
+	enc := frameOf(t, 5, 3, huffmanSections(t, []byte{1, 3, 1}, []byte{9, 9}))
+	if _, err := decodePush(enc, 0, buf); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("short literals: %v", err)
+	}
+	if slices.ContainsFunc((*buf)[:cap(*buf)], func(b byte) bool { return b != 0 }) {
+		t.Fatal("a rejected frame left bytes in the buffer")
+	}
 }
 
 // deltaEnvelope is the envelope an agent cuts after a prefill of items
