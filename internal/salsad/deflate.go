@@ -26,10 +26,9 @@ import (
 // distance code after them, and the code-length code's trailing unused
 // symbols are trimmed as flate trims them.
 
-const (
-	maxLitBits  = 15 // the longest literal code compress/flate builds
-	maxClenBits = 7  // the longest code-length code it builds
-)
+// maxClenBits bounds the code-length code compress/flate builds; its
+// literal codes go to deflate's limit, maxCodeLen.
+const maxClenBits = 7
 
 // clenExtraBits are the extra bits after each code-length symbol: 16
 // repeats the last length 3–6 times, 17 a zero 3–10 times and 18 a zero
@@ -84,7 +83,7 @@ func (w *huffWriter) block(in []byte) {
 	// most 31 bits of the last block wait in b.
 	w.out = slices.Grow(w.out, len(in)+32)
 	w.histogram(in)
-	w.lengths(w.freq[:], w.lens[:endOfBlock+1], maxLitBits)
+	w.lengths(w.freq[:], w.lens[:endOfBlock+1], maxCodeLen)
 	w.lens[endOfBlock+1] = 1
 	ops := w.clenOps()
 	w.lengths(w.cfreq[:], w.clens[:], maxClenBits)
@@ -284,7 +283,7 @@ func (w *huffWriter) lengths(freq []uint32, lens []uint8, maxBits int32) {
 // tree, each a leaf (the next count) or a pair of the nodes of level l−1,
 // whichever weighs less, a pair on a tie; leafCounts[l][j] counts the
 // leaves left of the level-j ancestor of level l's last node.
-func bitCounts(list []int32, maxBits int32) (bitCount [maxLitBits + 1]int32) {
+func bitCounts(list []int32, maxBits int32) (bitCount [maxCodeLen + 1]int32) {
 	type levelInfo struct {
 		lastFreq     int32 // the last node's weight
 		nextCharFreq int32 // the next leaf's
@@ -293,8 +292,8 @@ func bitCounts(list []int32, maxBits int32) (bitCount [maxLitBits + 1]int32) {
 	}
 	n := int32(len(list) - 1)
 	maxBits = min(maxBits, n-1)
-	var levels [maxLitBits + 1]levelInfo
-	var leafCounts [maxLitBits + 1][maxLitBits + 1]int32
+	var levels [maxCodeLen + 1]levelInfo
+	var leafCounts [maxCodeLen + 1][maxCodeLen + 1]int32
 	for level := int32(1); level <= maxBits; level++ {
 		levels[level] = levelInfo{lastFreq: list[1], nextCharFreq: list[2], nextPairFreq: list[0] + list[1]}
 		leafCounts[level][level] = 2
@@ -347,12 +346,12 @@ func bitCounts(list []int32, maxBits int32) (bitCount [maxLitBits + 1]int32) {
 // lengths lens (RFC 1951 §3.2.2), bit-reversed for the stream, with its
 // length in bits 16 and up.
 func canonical(lens []uint8, codes []uint32) {
-	var count, next [maxLitBits + 1]uint16
+	var count, next [maxCodeLen + 1]uint16
 	for _, l := range lens {
 		count[l]++
 	}
 	count[0] = 0
-	for l, code := 1, uint16(0); l <= maxLitBits; l++ {
+	for l, code := 1, uint16(0); l <= maxCodeLen; l++ {
 		code = (code + count[l-1]) << 1
 		next[l] = code
 	}
