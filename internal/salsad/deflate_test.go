@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// code codes runs and then lits as Encode codes an envelope's sections,
+// in the shape of the flate writer it replaced, which could fail;
+// FuzzInflateMatchesFlate calls it.
+func (e *encoder) code(runs, lits []byte) ([]byte, error) {
+	return e.w.code(runs, lits), nil
+}
+
 // FuzzWriterMatchesFlate holds the writer to compress/flate on any two
 // sections: the stream it writes must be the one a new flate writer at
 // HuffmanOnly writes for Write(runs), Flush, Write(lits), Close. The seeds

@@ -305,13 +305,6 @@ func (e *encoder) encode(env []byte) (coded []byte, runsLen int) {
 	return e.w.code(e.runs, e.lits), len(e.runs)
 }
 
-// code codes runs and then lits in one stream, each section in blocks of
-// its own. The coded bytes are held in e until it is used again. The
-// writer has no way to fail, so the error is always nil.
-func (e *encoder) code(runs, lits []byte) ([]byte, error) {
-	return e.w.code(runs, lits), nil
-}
-
 // split sets e.runs to env's run section and e.lits to its literals. One
 // bitmap marks env's nonzero bytes and another the zeros that end a
 // literal run: those followed by at least minZeroRun−1 more zeros, and
