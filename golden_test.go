@@ -32,6 +32,10 @@ var goldenEnvelopes = []struct {
 	{"epoch-countmin", EpochShardedBy(CountMinOf(Options{Width: 1 << 9, Merge: MergeSum, Seed: 21}), 2)},
 	{"epoch-monitor", EpochShardedBy(MonitorOf(Options{Width: 1 << 9, Merge: MergeSum, Seed: 21}, 32), 2)},
 	{"epoch-windowed-distinct", EpochShardedBy(Windowed(DistinctOf(Options{Width: 1 << 9, Merge: MergeSum, Seed: 21}), 4, 0), 2)},
+	// The two windowed rings (tags 5 and 6) on their own, pinned before
+	// their decoders were folded into one.
+	{"windowed-countmin", Windowed(CountMinOf(Options{Width: 1 << 9, Merge: MergeSum, Seed: 21}), 4, 5000)},
+	{"windowed-countsketch", Windowed(CountSketchOf(Options{Width: 1 << 9, Seed: 21}), 4, 5000)},
 }
 
 // goldenSketch builds a golden case and feeds it a seeded Zipf stream at
