@@ -17,16 +17,6 @@ import (
 // and stack-allocatable.
 const batchChunk = 256
 
-// slotAdder is the fast batch path of a Row; every core row implements it.
-type slotAdder interface {
-	AddSlots(slots []uint32, v int64)
-}
-
-// signedSlotAdder is the fast batch path of a SignedRow.
-type signedSlotAdder interface {
-	AddSignedSlots(slots []uint32, signs []int8, v int64)
-}
-
 // UpdateBatch processes the stream updates ⟨items[j], v⟩ for every j, in
 // order. It is equivalent to calling Update(items[j], v) for each item and
 // leaves the sketch in the identical state, only faster. In conservative
@@ -56,13 +46,7 @@ func (c *CMS) UpdateBatch(items []uint64, v int64) {
 		}
 		for i, r := range c.rows {
 			hashing.IndexVec(chunk, c.seeds[i], c.mask, slots)
-			if sa, ok := r.(slotAdder); ok {
-				sa.AddSlots(slots[:len(chunk)], v)
-			} else {
-				for _, s := range slots[:len(chunk)] {
-					r.Add(int(s), v)
-				}
-			}
+			r.AddSlots(slots[:len(chunk)], v)
 		}
 		items = items[len(chunk):]
 	}
@@ -152,13 +136,7 @@ func (c *CountSketch) UpdateBatch(items []uint64, v int64) {
 		for i, r := range c.rows {
 			hashing.IndexVec(chunk, c.idxSeeds[i], c.mask, slots)
 			hashing.SignVec(chunk, c.signSeeds[i], signs)
-			if sa, ok := r.(signedSlotAdder); ok {
-				sa.AddSignedSlots(slots[:len(chunk)], signs[:len(chunk)], v)
-			} else {
-				for j := range chunk {
-					r.Add(int(slots[j]), int64(signs[j])*v)
-				}
-			}
+			r.AddSignedSlots(slots[:len(chunk)], signs[:len(chunk)], v)
 		}
 		items = items[len(chunk):]
 	}

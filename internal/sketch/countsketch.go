@@ -17,112 +17,56 @@ import (
 // internal/core; the interface rows remain the source of truth for merge
 // and marshal.
 type CountSketch struct {
-	rows         []SignedRow
-	fixed        []*core.FixedSign // one of these two is non-nil for
-	salsa        []*core.SalsaSign // homogeneous sketches
+	sketchCore[SignedRow]
+	fixed []*core.FixedSign // one of these two is non-nil for
+	salsa []*core.SalsaSign // homogeneous sketches
+	// idxSeeds and signSeeds are the two halves of the core's seeds: per
+	// row the index seed and the sign seed.
 	idxSeeds     []uint64
 	signSeeds    []uint64
-	mask         uint64
 	medBuf       []int64
 	batchScratch []int64  // d×batchChunk signed readings for QueryBatch
 	chunkSlots   []uint32 // per-chunk slot/sign buffers for UpdateBatch
 	chunkSigns   []int8
 }
 
-// SignedRowSpec constructs the rows of a Count Sketch; New builds one
-// standalone row, NewRows all d rows backed by one contiguous cache-line-
-// aligned arena (the default used by NewCountSketch).
-type SignedRowSpec struct {
-	New     func(width int) SignedRow
-	NewRows func(d, width int) []SignedRow
-}
+// SignedRowSpec builds the d rows of a Count Sketch in one contiguous
+// cache-line-aligned arena.
+type SignedRowSpec func(d, width int) []SignedRow
 
 // FixedSignRow returns a SignedRowSpec for baseline two's-complement rows.
 func FixedSignRow(bits uint) SignedRowSpec {
-	return SignedRowSpec{
-		New: func(width int) SignedRow { return core.NewFixedSign(width, bits) },
-		NewRows: func(d, width int) []SignedRow {
-			return asSignedRows(core.NewFixedSignRows(d, width, bits))
-		},
-	}
+	return func(d, width int) []SignedRow { return widen[SignedRow](core.NewFixedSignRows(d, width, bits)) }
 }
 
 // SalsaSignRow returns a SignedRowSpec for SALSA sign-magnitude rows.
 func SalsaSignRow(s uint, compact bool) SignedRowSpec {
-	return SignedRowSpec{
-		New: func(width int) SignedRow { return core.NewSalsaSign(width, s, compact) },
-		NewRows: func(d, width int) []SignedRow {
-			return asSignedRows(core.NewSalsaSignRows(d, width, s, compact))
-		},
-	}
-}
-
-// asSignedRows widens a concrete row slice to []SignedRow.
-func asSignedRows[R SignedRow](rows []R) []SignedRow {
-	out := make([]SignedRow, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
+	return func(d, width int) []SignedRow { return widen[SignedRow](core.NewSalsaSignRows(d, width, s, compact)) }
 }
 
 // NewCountSketch returns a d×width Count Sketch built from spec rows.
 func NewCountSketch(d, width int, spec SignedRowSpec, seed uint64) *CountSketch {
-	if d == 0 {
-		panic("sketch: no rows")
-	}
-	if width&(width-1) != 0 {
-		panic(fmt.Sprintf("sketch: width %d must be a power of two", width))
-	}
-	var rows []SignedRow
-	if spec.NewRows != nil {
-		rows = spec.NewRows(d, width)
-	} else {
-		rows = make([]SignedRow, d)
-		for i := range rows {
-			rows[i] = spec.New(width)
-		}
-	}
-	seeds := hashing.Seeds(seed, 2*d)
-	return newCountSketch(rows, seeds[:d], seeds[d:], uint64(width-1))
+	return newCountSketch(mustSketchCore(spec(d, width), hashing.Seeds(seed, 2*d)))
 }
 
-// newCountSketch wires pre-built rows; Unmarshal shares it so decoded
-// sketches get the monomorphic fast paths too.
-func newCountSketch(rows []SignedRow, idxSeeds, signSeeds []uint64, mask uint64) *CountSketch {
+// newCountSketch wires a sketch core into a Count Sketch; Unmarshal shares
+// it so decoded sketches get the monomorphic fast paths too.
+func newCountSketch(s sketchCore[SignedRow]) *CountSketch {
+	d := len(s.rows)
 	c := &CountSketch{
-		rows:      rows,
-		idxSeeds:  idxSeeds,
-		signSeeds: signSeeds,
-		mask:      mask,
-		medBuf:    make([]int64, len(rows)),
+		sketchCore: s,
+		idxSeeds:   s.seeds[:d:d],
+		signSeeds:  s.seeds[d:],
+		medBuf:     make([]int64, d),
 	}
-	c.fixed = rowsOf[*core.FixedSign](rows)
-	c.salsa = rowsOf[*core.SalsaSign](rows)
+	c.fixed = rowsOf[*core.FixedSign](s.rows)
+	c.salsa = rowsOf[*core.SalsaSign](s.rows)
 	return c
 }
 
 // disableFast drops the monomorphic row view, forcing the generic interface
 // path; test-only (the fast/general equivalence tests).
 func (c *CountSketch) disableFast() { c.fixed, c.salsa = nil, nil }
-
-// Depth returns the number of rows d.
-func (c *CountSketch) Depth() int { return len(c.rows) }
-
-// Rows exposes the underlying rows (read-mostly; used by tests).
-func (c *CountSketch) Rows() []SignedRow { return c.rows }
-
-// Width returns the row width w.
-func (c *CountSketch) Width() int { return int(c.mask) + 1 }
-
-// SizeBits returns the total memory footprint in bits.
-func (c *CountSketch) SizeBits() int {
-	total := 0
-	for _, r := range c.rows {
-		total += r.SizeBits()
-	}
-	return total
-}
 
 // Update processes the stream update ⟨x, v⟩ (v of either sign). Homogeneous
 // sketches run the whole d-row update in one monomorphic row-set call
@@ -185,15 +129,6 @@ func median(buf []int64) int64 {
 	return (buf[n/2-1] + buf[n/2]) / 2
 }
 
-// Reset restores every row to its freshly-constructed state, reusing the
-// backing memory. Hash seeds are unchanged, so a reset sketch keeps merging
-// with its seed-sharing peers.
-func (c *CountSketch) Reset() {
-	for _, r := range c.rows {
-		r.(resettableRow).Reset()
-	}
-}
-
 // CopyFrom is the Count Sketch counterpart of (*CMS).CopyFrom.
 func (c *CountSketch) CopyFrom(other *CountSketch) {
 	for i, r := range c.rows {
@@ -212,14 +147,7 @@ func (c *CountSketch) CopyFrom(other *CountSketch) {
 // (§V): Count Sketch is linear, so change detection between epochs is a
 // subtraction of sketches sharing seeds.
 func (c *CountSketch) MergeFrom(other *CountSketch, scale int64) {
-	if len(c.rows) != len(other.rows) || c.mask != other.mask {
-		panic("sketch: geometry mismatch")
-	}
-	for i := range c.idxSeeds {
-		if c.idxSeeds[i] != other.idxSeeds[i] || c.signSeeds[i] != other.signSeeds[i] {
-			panic("sketch: sketches must share hash seeds")
-		}
-	}
+	c.mustMerge(&other.sketchCore)
 	for i, r := range c.rows {
 		switch row := r.(type) {
 		case *core.FixedSign:

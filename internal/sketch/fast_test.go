@@ -337,9 +337,19 @@ func TestUnmarshalKeepsFastPath(t *testing.T) {
 // individually-allocated rows (same marshal bytes after the same stream).
 func TestArenaRowsShareGeometry(t *testing.T) {
 	data := stream.Zipf(30000, 1500, 1.0, 77)
+	// loose builds each row on its own with a core constructor.
+	loose := func(row func(width int) Row) RowSpec {
+		return func(d, width int) []Row {
+			rows := make([]Row, d)
+			for i := range rows {
+				rows[i] = row(width)
+			}
+			return rows
+		}
+	}
 	for name, pair := range map[string][2]RowSpec{
-		"fixed": {FixedRow(32), {New: FixedRow(32).New}},
-		"salsa": {SalsaRow(8, core.MaxMerge, false), {New: SalsaRow(8, core.MaxMerge, false).New}},
+		"fixed": {FixedRow(32), loose(func(w int) Row { return core.NewFixed(w, 32) })},
+		"salsa": {SalsaRow(8, core.MaxMerge, false), loose(func(w int) Row { return core.NewSalsa(w, 8, core.MaxMerge, false) })},
 	} {
 		arena := NewCMS(4, 1<<10, pair[0], 7)
 		loose := NewCMS(4, 1<<10, pair[1], 7)

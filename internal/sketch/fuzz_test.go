@@ -90,7 +90,7 @@ func FuzzConservativeKernel(f *testing.F) {
 // rowSetBackend is one sketch configuration FuzzRowSetKernels can pick.
 type rowSetBackend struct {
 	name         string
-	cms          RowSpec // nil New: a Count Sketch over cs
+	cms          RowSpec // nil: a Count Sketch over cs
 	cs           SignedRowSpec
 	conservative bool
 	negative     bool // the rows accept negative weights
@@ -191,7 +191,7 @@ func FuzzRowSetKernels(f *testing.F) {
 		d := 1 + int(depth%9)
 		var fast, generic rowSetSketch
 		var check func()
-		if b.cms.New != nil {
+		if b.cms != nil {
 			build := func() *CMS {
 				if b.conservative {
 					return NewCUS(d, 64, b.cms, 5)

@@ -6,12 +6,16 @@ import (
 	"fmt"
 
 	"salsa/internal/core"
-	"salsa/internal/hashing"
 )
 
 // Binary serialization for whole sketches: geometry, hash seeds, and the
 // rows' own payloads. Because the seeds travel with the sketch, a decoded
 // sketch can be merged or subtracted with the original's peers.
+//
+// A payload is magic(4) | kind(1) | flag(1) | depth(8) | seeds | rows,
+// where the seeds are the core's seed words and each row is its kind byte
+// and a length-prefixed block holding the row's own encoding. The core
+// frames it; each family supplies its kind byte, flag and row-kind table.
 
 const (
 	sketchMagic   = uint32(0x5a15a100)
@@ -34,23 +38,6 @@ var ErrBadSketchPayload = errors.New("sketch: not a sketch payload")
 // comes close, and it keeps hostile payloads from forcing allocations.
 const maxMarshalDepth = 1024
 
-// validRowWidths reports whether all widths are equal and a power of two.
-func validRowWidths(widths []int) bool {
-	if len(widths) == 0 {
-		return false
-	}
-	w := widths[0]
-	if w <= 0 || w&(w-1) != 0 {
-		return false
-	}
-	for _, v := range widths[1:] {
-		if v != w {
-			return false
-		}
-	}
-	return true
-}
-
 func readBlock(data []byte) (block, rest []byte, err error) {
 	if len(data) < 8 {
 		return nil, nil, ErrBadSketchPayload
@@ -63,153 +50,144 @@ func readBlock(data []byte) (block, rest []byte, err error) {
 	return data[:n], data[n:], nil
 }
 
+// BinarySize returns the length of the sketch's MarshalBinary encoding.
+func (s *sketchCore[R]) BinarySize() int {
+	n := sketchHeaderLen + 8*len(s.seeds)
+	for _, r := range s.rows {
+		n += 1 + 8 + r.BinarySize()
+	}
+	return n
+}
+
+// appendPayload appends the payload with the family's kind and flag bytes,
+// tagging each row with its rowKind and encoding it in place.
+func (s *sketchCore[R]) appendPayload(buf []byte, kind, flag byte, rowKind func(R) byte) ([]byte, error) {
+	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
+	buf = append(buf, kind, flag)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.rows)))
+	for _, v := range s.seeds {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	for _, r := range s.rows {
+		k := rowKind(r)
+		if k == 0 {
+			return nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
+		}
+		buf = append(buf, k)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.BinarySize()))
+		var err error
+		if buf, err = r.AppendBinary(buf); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// decodePayload decodes a payload of the family's kind, with seedsPerRow
+// seed words per row and each row decoded by decodeRow from its kind byte,
+// and returns the core and the flag byte.
+func decodePayload[R row](data []byte, kind byte, seedsPerRow uint64, decodeRow func(kind byte, block []byte) (R, error)) (s sketchCore[R], flag byte, err error) {
+	if len(data) < sketchHeaderLen || binary.LittleEndian.Uint32(data) != sketchMagic || data[4] != kind {
+		return s, 0, ErrBadSketchPayload
+	}
+	flag, d := data[5], binary.LittleEndian.Uint64(data[6:])
+	data = data[sketchHeaderLen:]
+	if d == 0 || d > maxMarshalDepth || uint64(len(data)) < 8*seedsPerRow*d {
+		return s, 0, ErrBadSketchPayload
+	}
+	seeds := make([]uint64, seedsPerRow*d)
+	for i := range seeds {
+		seeds[i] = binary.LittleEndian.Uint64(data[8*i:])
+	}
+	data = data[8*len(seeds):]
+	rows := make([]R, d)
+	for i := range rows {
+		if len(data) < 1 {
+			return s, 0, ErrBadSketchPayload
+		}
+		block, rest, err := readBlock(data[1:])
+		if err != nil {
+			return s, 0, err
+		}
+		if rows[i], err = decodeRow(data[0], block); err != nil {
+			return s, 0, err
+		}
+		data = rest
+	}
+	s, ok := newSketchCore(rows, seeds)
+	if !ok {
+		return s, 0, ErrBadSketchPayload
+	}
+	return s, flag, nil
+}
+
+// The CMS row-kind table, both ways.
+
+func cmsRowKind(r Row) byte {
+	switch r.(type) {
+	case *core.Fixed:
+		return rowKindFixed
+	case *core.Salsa:
+		return rowKindSalsa
+	case *core.Tango:
+		return rowKindTango
+	}
+	return 0
+}
+
+func decodeCMSRow(kind byte, block []byte) (Row, error) {
+	switch kind {
+	case rowKindFixed:
+		return core.UnmarshalFixed(block)
+	case rowKindSalsa:
+		return core.UnmarshalSalsa(block)
+	case rowKindTango:
+		return core.UnmarshalTango(block)
+	}
+	return nil, fmt.Errorf("sketch: unknown row kind %d", kind)
+}
+
+// The Count Sketch row-kind table, both ways.
+
+func csRowKind(r SignedRow) byte {
+	switch r.(type) {
+	case *core.FixedSign:
+		return csKindFixed
+	case *core.SalsaSign:
+		return csKindSalsa
+	}
+	return 0
+}
+
+func decodeCSRow(kind byte, block []byte) (SignedRow, error) {
+	switch kind {
+	case csKindFixed:
+		return core.UnmarshalFixedSign(block)
+	case csKindSalsa:
+		return core.UnmarshalSalsaSign(block)
+	}
+	return nil, fmt.Errorf("sketch: unknown row kind %d", kind)
+}
+
 // CompatibleWith reports (as an error) whether other can merge with c:
 // identical depth, width, hash seeds, update rule, and merge-compatible
 // concrete row types. Decoders use it to validate that sketches which will
 // be merged — window buckets against their ring's configuration — cannot
 // make MergeFrom panic on a hostile payload.
 func (c *CMS) CompatibleWith(other *CMS) error {
-	if len(c.rows) != len(other.rows) {
-		return fmt.Errorf("sketch: depth %d vs %d", len(c.rows), len(other.rows))
-	}
-	if c.mask != other.mask {
-		return fmt.Errorf("sketch: width %d vs %d", c.mask+1, other.mask+1)
-	}
 	if c.conservative != other.conservative {
 		return errors.New("sketch: conservative flag mismatch")
 	}
-	for i := range c.seeds {
-		if c.seeds[i] != other.seeds[i] {
-			return fmt.Errorf("sketch: row %d seed mismatch", i)
-		}
-	}
-	for i, r := range c.rows {
-		ok := false
-		switch row := r.(type) {
-		case *core.Fixed:
-			o, isT := other.rows[i].(*core.Fixed)
-			ok = isT && row.SameGeometry(o)
-		case *core.Salsa:
-			o, isT := other.rows[i].(*core.Salsa)
-			ok = isT && row.SameGeometry(o)
-		case *core.Tango:
-			o, isT := other.rows[i].(*core.Tango)
-			ok = isT && row.SameGeometry(o)
-		}
-		if !ok {
-			return fmt.Errorf("sketch: row %d type/geometry mismatch (%T vs %T)", i, r, other.rows[i])
-		}
-	}
-	return nil
+	return c.compatible(&other.sketchCore, func(a, b Row) bool {
+		return sameRow[*core.Fixed](a, b) || sameRow[*core.Salsa](a, b) || sameRow[*core.Tango](a, b)
+	})
 }
 
 // CompatibleWith is the Count Sketch counterpart of (*CMS).CompatibleWith.
 func (c *CountSketch) CompatibleWith(other *CountSketch) error {
-	if len(c.rows) != len(other.rows) {
-		return fmt.Errorf("sketch: depth %d vs %d", len(c.rows), len(other.rows))
-	}
-	if c.mask != other.mask {
-		return fmt.Errorf("sketch: width %d vs %d", c.mask+1, other.mask+1)
-	}
-	for i := range c.idxSeeds {
-		if c.idxSeeds[i] != other.idxSeeds[i] || c.signSeeds[i] != other.signSeeds[i] {
-			return fmt.Errorf("sketch: row %d seed mismatch", i)
-		}
-	}
-	for i, r := range c.rows {
-		ok := false
-		switch row := r.(type) {
-		case *core.FixedSign:
-			o, isT := other.rows[i].(*core.FixedSign)
-			ok = isT && row.SameGeometry(o)
-		case *core.SalsaSign:
-			o, isT := other.rows[i].(*core.SalsaSign)
-			ok = isT && row.SameGeometry(o)
-		}
-		if !ok {
-			return fmt.Errorf("sketch: row %d type/geometry mismatch (%T vs %T)", i, r, other.rows[i])
-		}
-	}
-	return nil
-}
-
-// SeededBy reports whether c hashes with the row seeds NewCMS derives from
-// seed; decoders use it to check a declared seed against the seeds a
-// payload carries.
-func (c *CMS) SeededBy(seed uint64) bool { return seededBy(seed, c.seeds, nil) }
-
-// SeededBy reports whether c hashes with the index and sign seeds
-// NewCountSketch derives from seed.
-func (c *CountSketch) SeededBy(seed uint64) bool { return seededBy(seed, c.idxSeeds, c.signSeeds) }
-
-// seededBy reports whether a followed by b is the start of the
-// hashing.Seeds sequence of master.
-func seededBy(master uint64, a, b []uint64) bool {
-	state := master
-	for _, seeds := range [2][]uint64{a, b} {
-		for _, s := range seeds {
-			if hashing.SplitMix64(&state) != s {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// rowCodec is the sized encoding every core row type provides.
-type rowCodec interface {
-	BinarySize() int
-	AppendBinary(buf []byte) ([]byte, error)
-}
-
-// cmsRow returns the wire kind and the codec of a CMS row.
-func cmsRow(r Row) (byte, rowCodec, error) {
-	switch row := r.(type) {
-	case *core.Fixed:
-		return rowKindFixed, row, nil
-	case *core.Salsa:
-		return rowKindSalsa, row, nil
-	case *core.Tango:
-		return rowKindTango, row, nil
-	}
-	return 0, nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
-}
-
-// csRow returns the wire kind and the codec of a Count Sketch row.
-func csRow(r SignedRow) (byte, rowCodec, error) {
-	switch row := r.(type) {
-	case *core.FixedSign:
-		return csKindFixed, row, nil
-	case *core.SalsaSign:
-		return csKindSalsa, row, nil
-	}
-	return 0, nil, fmt.Errorf("sketch: cannot marshal row type %T", r)
-}
-
-// appendRow appends a row as its kind byte and a length-prefixed block,
-// encoding the row in place.
-func appendRow(buf []byte, kind byte, row rowCodec) ([]byte, error) {
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(row.BinarySize()))
-	return row.AppendBinary(buf)
-}
-
-func appendSeeds(buf []byte, seeds []uint64) []byte {
-	for _, s := range seeds {
-		buf = binary.LittleEndian.AppendUint64(buf, s)
-	}
-	return buf
-}
-
-// BinarySize returns the length of the sketch's MarshalBinary encoding.
-func (c *CMS) BinarySize() int {
-	n := sketchHeaderLen + 8*len(c.seeds)
-	for _, r := range c.rows {
-		if _, row, err := cmsRow(r); err == nil {
-			n += 1 + 8 + row.BinarySize()
-		}
-	}
-	return n
+	return c.compatible(&other.sketchCore, func(a, b SignedRow) bool {
+		return sameRow[*core.FixedSign](a, b) || sameRow[*core.SalsaSign](a, b)
+	})
 }
 
 // AppendBinary appends the sketch's MarshalBinary encoding to buf.
@@ -218,20 +196,7 @@ func (c *CMS) AppendBinary(buf []byte) ([]byte, error) {
 	if c.conservative {
 		conservative = 1
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = append(buf, kindCMSHeader, conservative)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
-	buf = appendSeeds(buf, c.seeds)
-	for _, r := range c.rows {
-		kind, row, err := cmsRow(r)
-		if err != nil {
-			return nil, err
-		}
-		if buf, err = appendRow(buf, kind, row); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return c.appendPayload(buf, kindCMSHeader, conservative, cmsRowKind)
 }
 
 // MarshalBinary encodes the sketch, rows included.
@@ -241,87 +206,16 @@ func (c *CMS) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCMS decodes a CMS (or CUS) produced by MarshalBinary.
 func UnmarshalCMS(data []byte) (*CMS, error) {
-	if len(data) < 4+1+1+8 {
-		return nil, ErrBadSketchPayload
+	s, flag, err := decodePayload(data, kindCMSHeader, 1, decodeCMSRow)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic || data[4] != kindCMSHeader {
-		return nil, ErrBadSketchPayload
-	}
-	conservative := data[5] == 1
-	d := int(binary.LittleEndian.Uint64(data[6:]))
-	data = data[14:]
-	if d <= 0 || d > maxMarshalDepth || len(data) < d*8 {
-		return nil, ErrBadSketchPayload
-	}
-	seeds := data[:d*8]
-	data = data[d*8:]
-	rows := make([]Row, d)
-	for i := 0; i < d; i++ {
-		if len(data) < 1 {
-			return nil, ErrBadSketchPayload
-		}
-		kind := data[0]
-		block, rest, err := readBlock(data[1:])
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		switch kind {
-		case rowKindFixed:
-			rows[i], err = core.UnmarshalFixed(block)
-		case rowKindSalsa:
-			rows[i], err = core.UnmarshalSalsa(block)
-		case rowKindTango:
-			rows[i], err = core.UnmarshalTango(block)
-		default:
-			return nil, fmt.Errorf("sketch: unknown row kind %d", kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	widths := make([]int, d)
-	for i, r := range rows {
-		widths[i] = r.Width()
-	}
-	if !validRowWidths(widths) {
-		return nil, ErrBadSketchPayload
-	}
-	c := newCMS(rows, 0, conservative)
-	for i := range c.seeds {
-		c.seeds[i] = binary.LittleEndian.Uint64(seeds[i*8:])
-	}
-	return c, nil
-}
-
-// BinarySize returns the length of the sketch's MarshalBinary encoding.
-func (c *CountSketch) BinarySize() int {
-	n := sketchHeaderLen + 8*(len(c.idxSeeds)+len(c.signSeeds))
-	for _, r := range c.rows {
-		if _, row, err := csRow(r); err == nil {
-			n += 1 + 8 + row.BinarySize()
-		}
-	}
-	return n
+	return newCMS(s, flag == 1), nil
 }
 
 // AppendBinary appends the sketch's MarshalBinary encoding to buf.
 func (c *CountSketch) AppendBinary(buf []byte) ([]byte, error) {
-	buf = binary.LittleEndian.AppendUint32(buf, sketchMagic)
-	buf = append(buf, kindCSHeader, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(c.rows)))
-	buf = appendSeeds(buf, c.idxSeeds)
-	buf = appendSeeds(buf, c.signSeeds)
-	for _, r := range c.rows {
-		kind, row, err := csRow(r)
-		if err != nil {
-			return nil, err
-		}
-		if buf, err = appendRow(buf, kind, row); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return c.appendPayload(buf, kindCSHeader, 0, csRowKind)
 }
 
 // MarshalBinary encodes the Count Sketch, rows included.
@@ -331,58 +225,9 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCountSketch decodes a Count Sketch produced by MarshalBinary.
 func UnmarshalCountSketch(data []byte) (*CountSketch, error) {
-	if len(data) < 4+2+8 {
-		return nil, ErrBadSketchPayload
+	s, _, err := decodePayload(data, kindCSHeader, 2, decodeCSRow)
+	if err != nil {
+		return nil, err
 	}
-	if binary.LittleEndian.Uint32(data) != sketchMagic || data[4] != kindCSHeader {
-		return nil, ErrBadSketchPayload
-	}
-	d := int(binary.LittleEndian.Uint64(data[6:]))
-	data = data[14:]
-	if d <= 0 || d > maxMarshalDepth || len(data) < 2*d*8 {
-		return nil, ErrBadSketchPayload
-	}
-	idxSeeds := make([]uint64, d)
-	signSeeds := make([]uint64, d)
-	for i := range idxSeeds {
-		idxSeeds[i] = binary.LittleEndian.Uint64(data[i*8:])
-	}
-	data = data[d*8:]
-	for i := range signSeeds {
-		signSeeds[i] = binary.LittleEndian.Uint64(data[i*8:])
-	}
-	data = data[d*8:]
-	rows := make([]SignedRow, d)
-	var width int
-	for i := 0; i < d; i++ {
-		if len(data) < 1 {
-			return nil, ErrBadSketchPayload
-		}
-		kind := data[0]
-		block, rest, err := readBlock(data[1:])
-		if err != nil {
-			return nil, err
-		}
-		data = rest
-		switch kind {
-		case csKindFixed:
-			rows[i], err = core.UnmarshalFixedSign(block)
-		case csKindSalsa:
-			rows[i], err = core.UnmarshalSalsaSign(block)
-		default:
-			return nil, fmt.Errorf("sketch: unknown row kind %d", kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		width = rows[i].Width()
-	}
-	widths := make([]int, d)
-	for i, r := range rows {
-		widths[i] = r.Width()
-	}
-	if !validRowWidths(widths) {
-		return nil, ErrBadSketchPayload
-	}
-	return newCountSketch(rows, idxSeeds, signSeeds, uint64(width-1)), nil
+	return newCountSketch(s), nil
 }

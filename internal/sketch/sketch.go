@@ -15,25 +15,27 @@ import (
 // Row is a row of non-negative counters, as used by CMS and CUS.
 // core.Fixed, core.Salsa and core.Tango implement it.
 type Row interface {
+	row
 	// Add adds v to the counter addressed by slot (negative v subtracts).
 	Add(slot int, v int64)
+	// AddSlots adds v to the counters addressed by slots, in order: the
+	// batch path.
+	AddSlots(slots []uint32, v int64)
 	// SetAtLeast raises the counter addressed by slot to at least v.
 	SetAtLeast(slot int, v uint64)
 	// Value returns the value of the counter addressed by slot.
 	Value(slot int) uint64
-	// Width returns the number of addressable slots.
-	Width() int
-	// SizeBits returns the memory footprint in bits.
-	SizeBits() int
 }
 
 // SignedRow is a row of signed counters, as used by the Count Sketch.
 // core.FixedSign and core.SalsaSign implement it.
 type SignedRow interface {
+	row
 	Add(slot int, v int64)
+	// AddSignedSlots adds signs[j]·v to the counter addressed by slots[j],
+	// in order: the batch path.
+	AddSignedSlots(slots []uint32, signs []int8, v int64)
 	Value(slot int) int64
-	Width() int
-	SizeBits() int
 }
 
 // Compile-time interface checks.
@@ -56,12 +58,10 @@ var (
 // interface rows remain the source of truth for merge, marshal, and the
 // estimator integrations.
 type CMS struct {
-	rows         []Row
+	sketchCore[Row]
 	fixed        []*core.Fixed // exactly one of these three is non-nil for
 	salsa        []*core.Salsa // homogeneous sketches; all nil falls back to
 	tango        []*core.Tango // the generic interface path
-	seeds        []uint64
-	mask         uint64
 	conservative bool
 	slots        []uint32     // d pre-hashed slots: single-item ops hash once
 	probes       []core.Probe // d probe records of the SALSA conservative update; nil otherwise
@@ -72,33 +72,19 @@ type CMS struct {
 	slotScratch [][]uint32 // per-row slot buffers for conservative batches
 }
 
-// newCMS wires d pre-built rows with hash seeds derived from seed.
-func newCMS(rows []Row, seed uint64, conservative bool) *CMS {
-	if len(rows) == 0 {
-		panic("sketch: no rows")
-	}
-	w := rows[0].Width()
-	if w&(w-1) != 0 {
-		panic(fmt.Sprintf("sketch: width %d must be a power of two", w))
-	}
-	for _, r := range rows {
-		if r.Width() != w {
-			panic("sketch: rows must share one width")
-		}
-	}
+// newCMS wires a sketch core into a CMS.
+func newCMS(s sketchCore[Row], conservative bool) *CMS {
 	c := &CMS{
-		rows:         rows,
-		seeds:        hashing.Seeds(seed, len(rows)),
-		mask:         uint64(w - 1),
+		sketchCore:   s,
 		conservative: conservative,
-		slots:        make([]uint32, len(rows)),
+		slots:        make([]uint32, len(s.rows)),
 	}
 	if conservative {
-		c.probes = make([]core.Probe, len(rows))
+		c.probes = make([]core.Probe, len(s.rows))
 	}
-	c.fixed = rowsOf[*core.Fixed](rows)
-	c.salsa = rowsOf[*core.Salsa](rows)
-	c.tango = rowsOf[*core.Tango](rows)
+	c.fixed = rowsOf[*core.Fixed](s.rows)
+	c.salsa = rowsOf[*core.Salsa](s.rows)
+	c.tango = rowsOf[*core.Tango](s.rows)
 	return c
 }
 
@@ -126,100 +112,40 @@ func rowsOf[T, R any](rows []R) []T {
 // bit-for-bit equivalence tests.
 func (c *CMS) disableFast() { c.fixed, c.salsa, c.tango = nil, nil, nil }
 
-// RowSpec constructs the rows of a sketch; it is how callers choose between
-// baseline, SALSA, and Tango rows. New builds one standalone row; NewRows
-// builds all d rows of a sketch backed by one contiguous cache-line-aligned
-// arena (the default used by NewCMS/NewCUS — the merged allocation removes
-// per-row pointer chasing from every probe).
-type RowSpec struct {
-	New     func(width int) Row
-	NewRows func(d, width int) []Row
-}
+// RowSpec builds the d rows of a sketch; it is how callers choose between
+// baseline, SALSA, and Tango rows. The rows share one contiguous
+// cache-line-aligned arena: the merged allocation removes per-row pointer
+// chasing from every probe.
+type RowSpec func(d, width int) []Row
 
 // FixedRow returns a RowSpec for baseline rows with bits-bit counters.
 func FixedRow(bits uint) RowSpec {
-	return RowSpec{
-		New: func(width int) Row { return core.NewFixed(width, bits) },
-		NewRows: func(d, width int) []Row {
-			return asRows(core.NewFixedRows(d, width, bits))
-		},
-	}
+	return func(d, width int) []Row { return widen[Row](core.NewFixedRows(d, width, bits)) }
 }
 
 // SalsaRow returns a RowSpec for SALSA rows with s-bit base counters.
 func SalsaRow(s uint, policy core.MergePolicy, compact bool) RowSpec {
-	return RowSpec{
-		New: func(width int) Row { return core.NewSalsa(width, s, policy, compact) },
-		NewRows: func(d, width int) []Row {
-			return asRows(core.NewSalsaRows(d, width, s, policy, compact))
-		},
-	}
+	return func(d, width int) []Row { return widen[Row](core.NewSalsaRows(d, width, s, policy, compact)) }
 }
 
 // TangoRow returns a RowSpec for Tango rows with s-bit base counters.
 func TangoRow(s uint, policy core.MergePolicy) RowSpec {
-	return RowSpec{
-		New: func(width int) Row { return core.NewTango(width, s, policy) },
-		NewRows: func(d, width int) []Row {
-			return asRows(core.NewTangoRows(d, width, s, policy))
-		},
-	}
-}
-
-// asRows widens a concrete row slice to []Row.
-func asRows[R Row](rows []R) []Row {
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
-
-// buildRows realizes d spec rows, preferring the contiguous arena.
-func (spec RowSpec) buildRows(d, width int) []Row {
-	if spec.NewRows != nil {
-		return spec.NewRows(d, width)
-	}
-	rows := make([]Row, d)
-	for i := range rows {
-		rows[i] = spec.New(width)
-	}
-	return rows
+	return func(d, width int) []Row { return widen[Row](core.NewTangoRows(d, width, s, policy)) }
 }
 
 // NewCMS returns a d×width Count-Min Sketch built from spec rows.
 func NewCMS(d, width int, spec RowSpec, seed uint64) *CMS {
-	return newCMS(spec.buildRows(d, width), seed, false)
+	return newCMS(mustSketchCore(spec(d, width), hashing.Seeds(seed, d)), false)
 }
 
 // NewCUS returns a d×width Conservative Update Sketch built from spec rows.
 // Per Theorem V.3, SALSA rows should use core.MaxMerge.
 func NewCUS(d, width int, spec RowSpec, seed uint64) *CMS {
-	return newCMS(spec.buildRows(d, width), seed, true)
+	return newCMS(mustSketchCore(spec(d, width), hashing.Seeds(seed, d)), true)
 }
-
-// Depth returns the number of rows d.
-func (c *CMS) Depth() int { return len(c.rows) }
 
 // Conservative reports whether updates use the conservative (CUS) rule.
 func (c *CMS) Conservative() bool { return c.conservative }
-
-// Width returns the row width w.
-func (c *CMS) Width() int { return int(c.mask) + 1 }
-
-// SizeBits returns the total memory footprint in bits, including any merge
-// encoding overhead of the rows.
-func (c *CMS) SizeBits() int {
-	total := 0
-	for _, r := range c.rows {
-		total += r.SizeBits()
-	}
-	return total
-}
-
-// Rows exposes the underlying rows (read-mostly; used by the estimator
-// integrations and tests).
-func (c *CMS) Rows() []Row { return c.rows }
 
 // Update processes the stream update ⟨x, v⟩. In conservative mode v must be
 // non-negative (the Cash Register model).
@@ -336,7 +262,7 @@ func (c *CMS) UpdateEstimate(x uint64, v int64) uint64 {
 // MergeFrom adds other into c counter-wise, producing s(A∪B). Both sketches
 // must have identical geometry, row types, and seed.
 func (c *CMS) MergeFrom(other *CMS) {
-	c.checkCompatible(other)
+	c.mustMerge(&other.sketchCore)
 	for i, r := range c.rows {
 		switch row := r.(type) {
 		case *core.Fixed:
@@ -369,24 +295,10 @@ func (c *CMS) CopyFrom(other *CMS) {
 	}
 }
 
-// resettableRow is implemented by every core row; Reset restores the
-// pristine state while reusing the backing memory.
-type resettableRow interface{ Reset() }
-
-// Reset restores every row to its freshly-constructed state, reusing the
-// backing memory. Hash seeds are unchanged, so a reset sketch keeps merging
-// with its seed-sharing peers — the sliding-window bucket-rotation
-// primitive.
-func (c *CMS) Reset() {
-	for _, r := range c.rows {
-		r.(resettableRow).Reset()
-	}
-}
-
 // SubtractFrom subtracts other from c counter-wise, producing s(A\B); valid
 // for Strict Turnstile CMS when the subtrahend is contained in c.
 func (c *CMS) SubtractFrom(other *CMS) {
-	c.checkCompatible(other)
+	c.mustMerge(&other.sketchCore)
 	for i, r := range c.rows {
 		switch row := r.(type) {
 		case *core.Fixed:
@@ -395,17 +307,6 @@ func (c *CMS) SubtractFrom(other *CMS) {
 			row.SubtractFrom(other.rows[i].(*core.Salsa))
 		default:
 			panic(fmt.Sprintf("sketch: subtract unsupported for %T", r))
-		}
-	}
-}
-
-func (c *CMS) checkCompatible(other *CMS) {
-	if len(c.rows) != len(other.rows) || c.mask != other.mask {
-		panic("sketch: geometry mismatch")
-	}
-	for i := range c.seeds {
-		if c.seeds[i] != other.seeds[i] {
-			panic("sketch: sketches must share hash seeds")
 		}
 	}
 }
