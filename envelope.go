@@ -490,6 +490,9 @@ func readRingHeader(data []byte) (ringHeader, []byte, error) {
 	if len(rest) < 1+4*8 {
 		return h, nil, ErrBadPayload
 	}
+	if rest[0] > 1 {
+		return h, nil, ErrBadPayload
+	}
 	h.opt = opt
 	h.conservative = rest[0] == 1
 	rest = rest[1:]

@@ -1,6 +1,9 @@
 package salsa
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // envelopeTagSeeds maps every universal-envelope tag to the name of a
 // universalTopologies entry whose Marshal output carries that tag — the
@@ -115,6 +118,10 @@ func FuzzUnmarshalCountMin(f *testing.F) {
 		if cm.MemoryBits() > 64*len(data)+1024 {
 			t.Fatalf("decoded sketch claims %d bits from a %d-byte payload", cm.MemoryBits(), len(data))
 		}
+		// Only bytes Marshal writes decode, so they re-marshal to themselves.
+		if again, err := cm.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("re-marshal differs from the payload (err %v)", err)
+		}
 		cm.Increment(1) // decoded sketches must be operational
 		if cm.Query(1) == 0 {
 			t.Fatal("decoded sketch dropped an update")
@@ -151,6 +158,9 @@ func FuzzUnmarshalCountSketch(f *testing.F) {
 		}
 		if cs.MemoryBits() > 64*len(data)+1024 {
 			t.Fatalf("decoded sketch claims %d bits from a %d-byte payload", cs.MemoryBits(), len(data))
+		}
+		if again, err := cs.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("re-marshal differs from the payload (err %v)", err)
 		}
 		cs.Update(1, -1)
 		_ = cs.Query(1)

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzSketchUnmarshal: sketch decoders must reject arbitrary bytes without
-// panicking.
+// panicking, and accept only bytes MarshalBinary writes, so an accepted
+// payload re-marshals to itself.
 func FuzzSketchUnmarshal(f *testing.F) {
 	cms := NewCMS(2, 64, FixedRow(32), 1)
 	cms.Update(5, 10)
@@ -22,10 +23,16 @@ func FuzzSketchUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if c, err := UnmarshalCMS(data); err == nil {
+			if again, err := c.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("CMS re-marshal differs from the payload (err %v)", err)
+			}
 			c.Update(1, 1) // decoded sketches must be operational
 			_ = c.Query(1)
 		}
 		if c, err := UnmarshalCountSketch(data); err == nil {
+			if again, err := c.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+				t.Fatalf("Count Sketch re-marshal differs from the payload (err %v)", err)
+			}
 			c.Update(1, 1)
 			_ = c.Query(1)
 		}

@@ -83,16 +83,17 @@ func (s *sketchCore[R]) appendPayload(buf []byte, kind, flag byte, rowKind func(
 	return buf, nil
 }
 
-// decodePayload decodes a payload of the family's kind, with seedsPerRow
-// seed words per row and each row decoded by decodeRow from its kind byte,
-// and returns the core and the flag byte.
-func decodePayload[R row](data []byte, kind byte, seedsPerRow uint64, decodeRow func(kind byte, block []byte) (R, error)) (s sketchCore[R], flag byte, err error) {
+// decodePayload decodes a payload of the family's kind, with a flag byte
+// of at most maxFlag, seedsPerRow seed words per row and each row decoded
+// by decodeRow from its kind byte, and returns the core and the flag byte.
+// It accepts only what appendPayload writes: the rows must end the payload.
+func decodePayload[R row](data []byte, kind, maxFlag byte, seedsPerRow uint64, decodeRow func(kind byte, block []byte) (R, error)) (s sketchCore[R], flag byte, err error) {
 	if len(data) < sketchHeaderLen || binary.LittleEndian.Uint32(data) != sketchMagic || data[4] != kind {
 		return s, 0, ErrBadSketchPayload
 	}
 	flag, d := data[5], binary.LittleEndian.Uint64(data[6:])
 	data = data[sketchHeaderLen:]
-	if d == 0 || d > maxMarshalDepth || uint64(len(data)) < 8*seedsPerRow*d {
+	if flag > maxFlag || d == 0 || d > maxMarshalDepth || uint64(len(data)) < 8*seedsPerRow*d {
 		return s, 0, ErrBadSketchPayload
 	}
 	seeds := make([]uint64, seedsPerRow*d)
@@ -115,7 +116,7 @@ func decodePayload[R row](data []byte, kind byte, seedsPerRow uint64, decodeRow 
 		data = rest
 	}
 	s, ok := newSketchCore(rows, seeds)
-	if !ok {
+	if !ok || len(data) != 0 {
 		return s, 0, ErrBadSketchPayload
 	}
 	return s, flag, nil
@@ -206,7 +207,7 @@ func (c *CMS) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCMS decodes a CMS (or CUS) produced by MarshalBinary.
 func UnmarshalCMS(data []byte) (*CMS, error) {
-	s, flag, err := decodePayload(data, kindCMSHeader, 1, decodeCMSRow)
+	s, flag, err := decodePayload(data, kindCMSHeader, 1, 1, decodeCMSRow)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +226,7 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalCountSketch decodes a Count Sketch produced by MarshalBinary.
 func UnmarshalCountSketch(data []byte) (*CountSketch, error) {
-	s, _, err := decodePayload(data, kindCSHeader, 2, decodeCSRow)
+	s, _, err := decodePayload(data, kindCSHeader, 0, 2, decodeCSRow)
 	if err != nil {
 		return nil, err
 	}

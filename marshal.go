@@ -1,6 +1,7 @@
 package salsa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,6 +56,13 @@ func readOptions(data []byte) (Options, []byte, error) {
 		Merge:           Merge(f(4)),
 		CompactEncoding: f(5) == 1,
 		Seed:            f(6),
+	}
+	// Accept only a header appendOptions writes back byte for byte: a
+	// CompactEncoding word other than 0 or 1, or (where int and uint are 32
+	// bits) a word its field truncates, would re-marshal to other bytes.
+	var again [optionsHeaderLen]byte
+	if !bytes.Equal(appendOptions(again[:0], o), data[:optionsHeaderLen]) {
+		return Options{}, nil, ErrBadPayload
 	}
 	return o, data[optionsHeaderLen:], nil
 }
