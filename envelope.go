@@ -141,19 +141,19 @@ func Marshal(s Sketch) ([]byte, error) {
 		}
 		return appendHeap(buf, x.heap), nil
 	case *WindowedCountMin:
-		payload, err := marshalWindowedCMS(x)
+		payload, err := marshalRing(x.opt, boolByte(x.conservative), x.ring)
 		if err != nil {
 			return nil, err
 		}
 		return append(envHeader(tagWindowedCountMin, len(payload)), payload...), nil
 	case *WindowedCountSketch:
-		payload, err := marshalWindowedCS(x)
+		payload, err := marshalRing(x.opt, 0, x.ring)
 		if err != nil {
 			return nil, err
 		}
 		return append(envHeader(tagWindowedCountSketch, len(payload)), payload...), nil
 	case *WindowedMonitor:
-		payload, err := marshalWindowedCMS(x.w)
+		payload, err := marshalRing(x.w.opt, boolByte(x.w.conservative), x.w.ring)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +170,7 @@ func Marshal(s Sketch) ([]byte, error) {
 	case *Distinct:
 		return appendSketchBlock(envHeader(tagDistinct, 8+x.cm.binarySize()), x.cm)
 	case *WindowedDistinct:
-		payload, err := marshalWindowedCMS(x.w)
+		payload, err := marshalRing(x.w.opt, boolByte(x.w.conservative), x.w.ring)
 		if err != nil {
 			return nil, err
 		}
@@ -328,14 +328,15 @@ func unmarshalEnvelope(data []byte, allowSharded bool) (Sketch, error) {
 		}
 		return w, nil
 	case tagWindowedCountSketch:
-		w, rest, err := unmarshalWindowedCS(payload)
+		csOps := func(opt Options, _ bool) window.Ops[*sketch.CountSketch] { return csRingOps(opt) }
+		ring, h, rest, err := unmarshalWindowed(payload, kindCountSketch, 5, csOps, sketch.UnmarshalCountSketch)
 		if err != nil {
 			return nil, err
 		}
 		if len(rest) != 0 {
 			return nil, ErrBadPayload
 		}
-		return w, nil
+		return &WindowedCountSketch{ring: ring, opt: h.opt}, nil
 	case tagWindowedMonitor:
 		return unmarshalWindowedMonitor(payload)
 	case tagUnivMon:
@@ -442,14 +443,6 @@ func marshalRing[S interface{ MarshalBinary() ([]byte, error) }](opt Options, fl
 		buf = appendBlock(buf, payload)
 	}
 	return buf, nil
-}
-
-func marshalWindowedCMS(w *WindowedCountMin) ([]byte, error) {
-	return marshalRing(w.opt, boolByte(w.conservative), w.ring)
-}
-
-func marshalWindowedCS(w *WindowedCountSketch) ([]byte, error) {
-	return marshalRing(w.opt, 0, w.ring)
 }
 
 func boolByte(b bool) byte {
@@ -579,59 +572,45 @@ func unmarshalRing[S interface{ CompatibleWith(S) error }](h ringHeader, rest []
 	return ring, rest, nil
 }
 
-// unmarshalWindowedCMS decodes a windowed CMS ring, verifying every bucket
-// is merge-compatible with the declared Options before the ring's
-// rotation-stack aggregates are rebuilt.
-func unmarshalWindowedCMS(data []byte) (*WindowedCountMin, []byte, error) {
+// unmarshalWindowed decodes a windowed ring of kind (kindConservative when
+// the ring header's flag is set, which only a CountMin ring may be),
+// verifying every bucket is merge-compatible with the declared Options
+// before the ring's rotation-stack aggregates are rebuilt. depth is the
+// builder's default depth for kind, ops its ring operations and unmarshal
+// its bucket decoder.
+func unmarshalWindowed[S interface{ CompatibleWith(S) error }](data []byte, kind sketchKind, depth int, ops func(Options, bool) window.Ops[S], unmarshal func([]byte) (S, error)) (*window.Ring[S], ringHeader, []byte, error) {
 	h, rest, err := readRingHeader(data)
 	if err != nil {
-		return nil, nil, err
+		return nil, h, nil, err
 	}
-	kind := kindCountMin
 	if h.conservative {
+		if kind != kindCountMin {
+			return nil, h, nil, ErrBadPayload
+		}
 		kind = kindConservative
 	}
 	if err := h.opt.validateFor(kind); err != nil {
-		return nil, nil, err
+		return nil, h, nil, err
 	}
 	if err := validateWindow(h.opt, h.buckets, 0); err != nil {
-		return nil, nil, err
+		return nil, h, nil, err
 	}
 	// Match the builder's defaults so the reference ops reconstruct the
 	// exact bucket configuration the ring was built with (canonical
 	// payloads carry defaults-applied Options already; hostile ones with
 	// zero Depth/CounterBits must not reach the row constructors raw).
-	h.opt = h.opt.withDefaults(4, MergeSum)
-	ring, rest, err := unmarshalRing(h, rest, cmsRingOps(h.opt, h.conservative), sketch.UnmarshalCMS)
+	h.opt = h.opt.withDefaults(depth, MergeSum)
+	ring, rest, err := unmarshalRing(h, rest, ops(h.opt, h.conservative), unmarshal)
+	return ring, h, rest, err
+}
+
+// unmarshalWindowedCMS is unmarshalWindowed for the CountMin ring.
+func unmarshalWindowedCMS(data []byte) (*WindowedCountMin, []byte, error) {
+	ring, h, rest, err := unmarshalWindowed(data, kindCountMin, 4, cmsRingOps, sketch.UnmarshalCMS)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &WindowedCountMin{ring: ring, opt: h.opt, conservative: h.conservative}, rest, nil
-}
-
-// unmarshalWindowedCS is unmarshalWindowedCMS for the Count Sketch ring.
-func unmarshalWindowedCS(data []byte) (*WindowedCountSketch, []byte, error) {
-	h, rest, err := readRingHeader(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if h.conservative {
-		return nil, nil, ErrBadPayload
-	}
-	if err := h.opt.validateFor(kindCountSketch); err != nil {
-		return nil, nil, err
-	}
-	if err := validateWindow(h.opt, h.buckets, 0); err != nil {
-		return nil, nil, err
-	}
-	// Match the builder's defaults so the reference ops reconstruct the
-	// exact bucket configuration the ring was built with.
-	h.opt = h.opt.withDefaults(5, MergeSum)
-	ring, rest, err := unmarshalRing(h, rest, csRingOps(h.opt), sketch.UnmarshalCountSketch)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &WindowedCountSketch{ring: ring, opt: h.opt}, rest, nil
 }
 
 // unmarshalWindowedMonitor decodes a windowed heavy-hitter tracker: the
