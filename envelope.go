@@ -480,10 +480,7 @@ func readRingHeader(data []byte) (ringHeader, []byte, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	if len(rest) < 1+4*8 {
-		return h, nil, ErrBadPayload
-	}
-	if rest[0] > 1 {
+	if len(rest) < 1+4*8 || rest[0] > 1 {
 		return h, nil, ErrBadPayload
 	}
 	h.opt = opt
